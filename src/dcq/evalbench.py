@@ -13,7 +13,7 @@ import numpy as np
 from .errors import ConfigError
 from .model import MlpParams, extract_features
 from .numerics import Tensor
-from .synthdata import EvalProtocol, IdentityUniverse, draw_instance
+from .synthdata import EvalProtocol, IdentityUniverse, build_instance_table
 
 # Bucket edges straddle the <10-instances tail definition.
 BUCKET_EDGES = (5, 10, 50)
@@ -210,13 +210,17 @@ def tail_alignment_diagnostic(
     counts = np.asarray(counts, dtype=np.int64)
     if class_ids is None:
         class_ids = np.arange(head_w.shape[1])
+    # only the head's classes need instances
+    head_counts = np.zeros_like(counts)
+    head_counts[class_ids] = counts[class_ids]
+    table = build_instance_table(universe, head_counts)
     per_bucket: dict[str, list[float]] = {}
     for col, ident in enumerate(class_ids):
         n = int(counts[ident])
         if n == 0:
             continue
-        inst = np.stack([draw_instance(universe, int(ident), k) for k in range(n)])
-        mean_emb = _normalize(embed(extractor, inst)).mean(axis=0)
+        # one embed per class: batching classes would change BLAS summation order
+        mean_emb = _normalize(embed(extractor, table.rows(ident))).mean(axis=0)
         w = head_w[:, col]
         cos = float(
             w @ mean_emb / max(np.linalg.norm(w) * np.linalg.norm(mean_emb), 1e-12)

@@ -1,15 +1,30 @@
 """Deterministic counter-based random streams keyed by structured tuples.
 
 Every random artifact in the package is drawn from a Philox generator whose
-128-bit key is derived from ``(seed, stream_tag, *indices)``. Streams are
+key is derived from ``(seed, stream_tag, *indices)``. Streams are
 therefore order-independent: drawing identity 17's noise never depends on
 whether identity 16 was drawn first, and any value can be regenerated from
 its key alone.
+
+The derived key has 128 bits, but not every stream uses all of them.
+``stream`` hands the two 64-bit words to ``np.random.Philox`` as a Python
+list, and numpy converts a list whose words straddle 2**63 (one word at or
+above it, the other below) to float64 before casting to uint64. Those keys
+lose the low bits of both words, leaving about 106 effective bits; this
+happens for about half of all streams. The rounding is part of the stream
+definition: removing it would re-key every stream and change every drawn
+value, so ``philox_keys`` reproduces it.
 """
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_PATH_SALT = 0xD1B54A32D192ED03
+
+# Keys converted to Python ints at a time in ``normal_rows``; bounds the
+# transient int objects to a few tens of kB.
+_KEY_CHUNK = 256
 
 # Stream tags. Keep them unique package-wide so no two call sites can
 # collide on a key.
@@ -22,20 +37,75 @@ EVAL_NOISE = 6
 
 
 def _splitmix64(z: int) -> int:
-    z = (z + 0x9E3779B97F4A7C15) & _MASK64
+    z = (z + _GAMMA) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
 
 
+def _splitmix64_array(z: np.ndarray) -> np.ndarray:
+    """``_splitmix64`` over a uint64 array; array arithmetic wraps mod 2**64."""
+    z = z + np.uint64(_GAMMA)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
 def derive_key(seed: int, *path: int) -> list[int]:
-    """Mix a seed and integer path components into a 128-bit Philox key."""
+    """Mix a seed and integer path components into two 64-bit key words."""
     h = _splitmix64(seed & _MASK64)
     for part in path:
-        h = _splitmix64(h ^ _splitmix64((int(part) & _MASK64) ^ 0xD1B54A32D192ED03))
-    return [h, _splitmix64(h ^ 0x9E3779B97F4A7C15)]
+        h = _splitmix64(h ^ _splitmix64((int(part) & _MASK64) ^ _PATH_SALT))
+    return [h, _splitmix64(h ^ _GAMMA)]
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:
     """Independent deterministic generator for the given (seed, *path) key."""
     return np.random.Generator(np.random.Philox(key=derive_key(seed, *path)))
+
+
+def philox_keys(seed: int, *path) -> np.ndarray:
+    """N × 2 uint64 keys that ``stream`` applies, one per broadcast path row.
+
+    Path components are integers or 1-D integer arrays; they broadcast to
+    N rows. Row i equals ``stream(seed, *path_i)``'s Philox key, including
+    the float64 rounding of keys whose words straddle 2**63.
+    """
+    cols = np.broadcast_arrays(*(np.atleast_1d(np.asarray(p, dtype=np.int64)) for p in path))
+    n = cols[0].size if cols else 1
+    h = np.full(n, _splitmix64(seed & _MASK64), dtype=np.uint64)
+    for col in cols:
+        part = _splitmix64_array(col.ravel().astype(np.uint64) ^ np.uint64(_PATH_SALT))
+        h = _splitmix64_array(h ^ part)
+    keys = np.stack([h, _splitmix64_array(h ^ np.uint64(_GAMMA))], axis=1)
+    mixed = (keys[:, 0] >> np.uint64(63)) != (keys[:, 1] >> np.uint64(63))
+    keys[mixed] = keys[mixed].astype(np.float64).astype(np.uint64)
+    return keys
+
+
+def normal_rows(d: int, seed: int, *path) -> np.ndarray:
+    """N × d standard normals; row i is ``stream(seed, *path_i).standard_normal(d)``.
+
+    One Philox generator is re-keyed per row (counter 0, empty buffer),
+    which costs a fraction of constructing a generator per key.
+    """
+    keys = philox_keys(seed, *path)
+    out = np.empty((keys.shape[0], d))
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    # plain ints: the state setter reads them faster than numpy scalars
+    key_state = {"counter": [0, 0, 0, 0], "key": None}
+    state = {
+        "bit_generator": "Philox",
+        "state": key_state,
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for lo in range(0, keys.shape[0], _KEY_CHUNK):
+        for key, row in zip(keys[lo : lo + _KEY_CHUNK].tolist(), out[lo : lo + _KEY_CHUNK]):
+            key_state["key"] = key
+            bitgen.state = state
+            gen.standard_normal(out=row)
+    return out

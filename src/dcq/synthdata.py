@@ -7,7 +7,10 @@ the data and the bulk of identities sit in the tail.
 
 Everything here is a pure function of (config, seed): instances are drawn
 from counter-based streams keyed by (seed, stream, identity, index), so
-regeneration is order-independent and bit-identical.
+regeneration is order-independent and bit-identical. Training reads an
+``InstanceTable`` drawn once per run through the bulk key path;
+``draw_instance`` and ``heldout_instance`` stay the single-key definitions
+the table and the eval protocol must match.
 """
 
 from __future__ import annotations
@@ -69,6 +72,24 @@ class PairBatch:
 
 
 @dataclass
+class InstanceTable:
+    """Every training instance of a universe, drawn once.
+
+    Row ``starts[i] + k`` equals ``draw_instance(universe, i, k)`` for
+    ``k < counts[i]``; identities with a zero count own no rows.
+    """
+
+    universe: IdentityUniverse
+    counts: np.ndarray  # (n,) int64
+    starts: np.ndarray  # (n,) int64, row of each identity's instance 0
+    data: np.ndarray  # counts.sum() × d_in
+
+    def rows(self, identity: int) -> np.ndarray:
+        start = int(self.starts[identity])
+        return self.data[start : start + int(self.counts[identity])]
+
+
+@dataclass
 class EvalProtocol:
     """Verification pairs plus a probe/gallery identification split.
 
@@ -95,10 +116,9 @@ def build_universe(C: int, d_in: int, sigma: float, seed: int) -> IdentityUniver
         raise ConfigError(f"need at least one identity, got C={C}")
     if d_in < 2:
         raise ConfigError(f"input dimension must be >= 2, got {d_in}")
-    centers = np.empty((C, d_in))
-    for ident in range(C):
-        v = rng.stream(seed, rng.CENTERS, ident).standard_normal(d_in)
-        centers[ident] = v / np.linalg.norm(v)
+    centers = rng.normal_rows(d_in, seed, rng.CENTERS, np.arange(C))
+    for row in centers:
+        row /= np.linalg.norm(row)  # per row: an axis=1 norm rounds differently
     return IdentityUniverse(C=C, d_in=d_in, sigma=float(sigma), seed=int(seed), centers=centers)
 
 
@@ -159,14 +179,36 @@ def heldout_instance(universe: IdentityUniverse, identity: int, index: int) -> n
     return universe.centers[identity] + _noise(universe, INSTANCE_HELDOUT, identity, index)
 
 
+def _instance_keys(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(identity, index) of every instance in identity-major order, plus starts."""
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    idents = np.repeat(np.arange(counts.size), counts)
+    return idents, np.arange(idents.size) - starts[idents], starts
+
+
+def build_instance_table(universe: IdentityUniverse, counts: np.ndarray) -> InstanceTable:
+    """Draw every training instance once; row values equal ``draw_instance``."""
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.size > universe.C or (counts < 0).any():
+        raise ConfigError(f"counts must be {universe.C} or fewer non-negative entries")
+    idents, index, starts = _instance_keys(counts)
+    data = rng.normal_rows(
+        universe.d_in, universe.seed, rng.INSTANCE_NOISE, INSTANCE_QUERY, idents, index
+    )
+    data *= universe.sigma
+    for ident in np.flatnonzero(counts):
+        data[starts[ident] : starts[ident] + counts[ident]] += universe.centers[ident]
+    return InstanceTable(universe=universe, counts=counts, starts=starts, data=data)
+
+
 def make_pair_batch(
-    universe: IdentityUniverse,
-    counts: np.ndarray,
+    table: InstanceTable,
     batch_size: int,
     mode: str,
     gen: np.random.Generator,
 ) -> PairBatch:
-    """Sample B (query, reference, label) triples.
+    """Sample B (query, reference, label) triples from the instance table.
 
     Instance mode picks identities with probability proportional to their
     instance count; class mode picks uniformly over identities with at
@@ -177,7 +219,7 @@ def make_pair_batch(
     """
     if mode not in ("instance", "class"):
         raise ConfigError(f"sampling mode must be 'instance' or 'class', got {mode!r}")
-    counts = np.asarray(counts, dtype=np.int64)
+    counts = table.counts
     eligible = np.flatnonzero(counts > 0)
     if eligible.size == 0:
         raise ConfigError("no identity has a positive instance count")
@@ -188,20 +230,25 @@ def make_pair_batch(
     else:
         idents = gen.choice(eligible, size=batch_size)
 
-    x_t = np.empty((batch_size, universe.d_in))
+    universe = table.universe
+    rows_t = np.empty(batch_size, dtype=np.int64)
+    rows_w = np.full(batch_size, -1, dtype=np.int64)
     x_w = np.empty((batch_size, universe.d_in))
-    for i, ident in enumerate(idents):
+    for i, ident in enumerate(idents.tolist()):
         n = int(counts[ident])
+        start = int(table.starts[ident])
         q = int(gen.integers(n))
-        x_t[i] = draw_instance(universe, int(ident), q)
+        rows_t[i] = start + q
         if n >= 2:
             r = int(gen.integers(n - 1))
             if r >= q:
                 r += 1
-            x_w[i] = draw_instance(universe, int(ident), r)
+            rows_w[i] = start + r
         else:
             x_w[i] = universe.centers[ident] + universe.sigma * gen.standard_normal(universe.d_in)
-    return PairBatch(x_t=Tensor(x_t), x_w=Tensor(x_w), y=idents.astype(np.int64))
+    stored = rows_w >= 0
+    x_w[stored] = table.data[rows_w[stored]]
+    return PairBatch(x_t=Tensor(table.data[rows_t]), x_w=Tensor(x_w), y=idents.astype(np.int64))
 
 
 def build_eval_protocol(
@@ -230,37 +277,45 @@ def build_eval_protocol(
 
     gen = rng.stream(seed, rng.PROTOCOL)
     half = n_pairs // 2
-    d = universe.d_in
 
-    pair_a = np.empty((n_pairs, d))
-    pair_b = np.empty((n_pairs, d))
+    # every protocol draw first, in a fixed order; the held-out rows after
     label_a = np.empty(n_pairs, dtype=np.int64)
     label_b = np.empty(n_pairs, dtype=np.int64)
+    index_a = np.empty(n_pairs, dtype=np.int64)
+    index_b = np.empty(n_pairs, dtype=np.int64)
     genuine = np.zeros(n_pairs, dtype=bool)
     genuine[:half] = True
     for i in range(half):
         ident = int(gen.integers(n_train))
         label_a[i] = label_b[i] = ident
-        pair_a[i] = heldout_instance(universe, ident, int(gen.integers(1 << 30)))
-        pair_b[i] = heldout_instance(universe, ident, int(gen.integers(1 << 30)))
+        index_a[i] = gen.integers(1 << 30)
+        index_b[i] = gen.integers(1 << 30)
     for i in range(half, n_pairs):
         a = int(gen.integers(n_train))
         b = int(gen.integers(n_train - 1))
         if b >= a:
             b += 1
         label_a[i], label_b[i] = a, b
-        pair_a[i] = heldout_instance(universe, a, int(gen.integers(1 << 30)))
-        pair_b[i] = heldout_instance(universe, b, int(gen.integers(1 << 30)))
-
+        index_a[i] = gen.integers(1 << 30)
+        index_b[i] = gen.integers(1 << 30)
     probe_ids = gen.choice(n_train, size=n_probe, replace=False).astype(np.int64)
-    probe_x = np.stack([heldout_instance(universe, int(c), 0) for c in probe_ids])
-    mates_x = np.stack([heldout_instance(universe, int(c), 1) for c in probe_ids])
     distractor_ids = (n_train + np.arange(n_distractors)).astype(np.int64)
-    if n_distractors:
-        distract_x = np.stack([heldout_instance(universe, int(c), 0) for c in distractor_ids])
-        gallery_x = np.vstack([mates_x, distract_x])
-    else:
-        gallery_x = mates_x
+
+    # held-out rows, equal to heldout_instance per row:
+    # pair_a | pair_b | probes (index 0) | mates (index 1) | distractors (index 0)
+    idents = np.concatenate([label_a, label_b, probe_ids, probe_ids, distractor_ids])
+    index = np.concatenate([
+        index_a, index_b,
+        np.zeros(n_probe, dtype=np.int64), np.ones(n_probe, dtype=np.int64),
+        np.zeros(n_distractors, dtype=np.int64),
+    ])
+    rows = rng.normal_rows(
+        universe.d_in, universe.seed, rng.INSTANCE_NOISE, INSTANCE_HELDOUT, idents, index
+    )
+    rows *= universe.sigma
+    rows += universe.centers[idents]
+    cuts = [n_pairs, 2 * n_pairs, 2 * n_pairs + n_probe]
+    pair_a, pair_b, probe_x, gallery_x = np.split(rows, cuts)
     gallery_labels = np.concatenate([probe_ids, distractor_ids])
 
     return EvalProtocol(
@@ -277,6 +332,13 @@ def build_eval_protocol(
     )
 
 
+_HEADER_BYTES = len(DATASET_MAGIC) + 16
+
+
+def _record_dtype(d_in: int) -> np.dtype:
+    return np.dtype([("ident", "<u4"), ("index", "<u4"), ("x", "<f8", (d_in,))])
+
+
 def write_dataset(path, universe: IdentityUniverse, counts: np.ndarray) -> dict:
     """Materialize every instance to a flat binary file; returns the summary.
 
@@ -285,16 +347,18 @@ def write_dataset(path, universe: IdentityUniverse, counts: np.ndarray) -> dict:
     instance u32, d_in float64 values. A JSON summary with the counts
     histogram and tail fraction is written next to the file.
     """
-    counts = np.asarray(counts, dtype=np.int64)
-    total = int(counts.sum())
+    table = build_instance_table(universe, counts)
+    counts = table.counts
+    idents, index, _ = _instance_keys(counts)
+    records = np.empty(idents.size, dtype=_record_dtype(universe.d_in))
+    records["ident"] = idents
+    records["index"] = index
+    records["x"] = table.data
     path = str(path)
     with open(path, "wb") as fh:
         fh.write(DATASET_MAGIC)
-        fh.write(struct.pack("<IIII", DATASET_VERSION, counts.size, universe.d_in, total))
-        for ident in range(counts.size):
-            for k in range(int(counts[ident])):
-                fh.write(struct.pack("<II", ident, k))
-                fh.write(draw_instance(universe, ident, k).astype("<f8").tobytes())
+        fh.write(struct.pack("<IIII", DATASET_VERSION, counts.size, universe.d_in, idents.size))
+        fh.write(records)
     summary = tail_summary(counts)
     with open(path + ".json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -304,19 +368,24 @@ def write_dataset(path, universe: IdentityUniverse, counts: np.ndarray) -> dict:
 def read_dataset(path) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray]:
     """Read a materialized dataset: (header, identities, instance ids, data)."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != DATASET_MAGIC:
-            raise ConfigError(f"not a dataset file (magic {magic!r})")
-        version, n_classes, d_in, total = struct.unpack("<IIII", fh.read(16))
-        if version != DATASET_VERSION:
-            raise ConfigError(f"unsupported dataset version {version}")
-        idents = np.empty(total, dtype=np.int64)
-        indices = np.empty(total, dtype=np.int64)
-        data = np.empty((total, d_in))
-        for row in range(total):
-            ident, idx = struct.unpack("<II", fh.read(8))
-            idents[row] = ident
-            indices[row] = idx
-            data[row] = np.frombuffer(fh.read(8 * d_in), dtype="<f8")
+        raw = fh.read()
+    magic = raw[: len(DATASET_MAGIC)]
+    if magic != DATASET_MAGIC:
+        raise ConfigError(f"not a dataset file (magic {magic!r})")
+    if len(raw) < _HEADER_BYTES:
+        raise ConfigError(f"dataset header truncated: {len(raw)} of {_HEADER_BYTES} bytes")
+    version, n_classes, d_in, total = struct.unpack_from("<IIII", raw, len(DATASET_MAGIC))
+    if version != DATASET_VERSION:
+        raise ConfigError(f"unsupported dataset version {version}")
+    dtype = _record_dtype(d_in)
+    expected = _HEADER_BYTES + total * dtype.itemsize
+    if len(raw) != expected:
+        raise ConfigError(f"dataset file has {len(raw)} bytes, its header implies {expected}")
+    records = np.frombuffer(raw, dtype=dtype, offset=_HEADER_BYTES)
     header = {"version": version, "C": n_classes, "d_in": d_in, "total": total}
-    return header, idents, indices, data
+    return (
+        header,
+        records["ident"].astype(np.int64),
+        records["index"].astype(np.int64),
+        records["x"].astype(np.float64),
+    )

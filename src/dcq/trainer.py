@@ -34,6 +34,7 @@ from .synthdata import (
     LongTailSpec,
     assign_longtail_counts,
     build_eval_protocol,
+    build_instance_table,
     build_universe,
     make_pair_batch,
 )
@@ -301,6 +302,7 @@ def run_training(
         start_epoch = int(meta["state"]["epoch_next"])
         global_step = int(meta["state"]["global_step"])
 
+    table = build_instance_table(universe, counts_eff)
     steps_per_epoch = max(1, int(counts_eff.sum()) // cfg.B)
     result = TrainResult(
         config=cfg, universe=universe, counts=counts, protocol=protocol,
@@ -314,8 +316,7 @@ def run_training(
         epoch_losses = []
         for _ in range(steps_per_epoch):
             batch = make_pair_batch(
-                universe, counts_eff, cfg.B, cfg.sampling,
-                rng.stream(cfg.seed, rng.BATCH, global_step),
+                table, cfg.B, cfg.sampling, rng.stream(cfg.seed, rng.BATCH, global_step)
             )
             tape = Tape()
             feats = extract_features(extractor, batch.x_t, tape)

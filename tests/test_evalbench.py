@@ -4,6 +4,7 @@ import pytest
 from dcq.baseline import FcHead
 from dcq.errors import ConfigError
 from dcq.evalbench import (
+    embed,
     evaluate_protocol,
     head_cost_report,
     identification_hits,
@@ -13,7 +14,7 @@ from dcq.evalbench import (
     verification_accuracy,
 )
 from dcq.model import init_extractor
-from dcq.synthdata import build_universe
+from dcq.synthdata import build_universe, draw_instance
 from dcq.trainer import TrainConfig, run_training
 
 
@@ -232,6 +233,24 @@ class TestTailAlignment:
         assert set(report.mean_cosine) == {"<5", "5-9", "10-49"}
         assert report.class_counts == {"<5": 10, "5-9": 10, "10-49": 10}
         assert all(-1.0 <= v <= 1.0 for v in report.mean_cosine.values())
+
+    def test_matches_per_instance_draws(self):
+        universe = build_universe(12, 8, 0.2, seed=59)
+        counts = np.array([1, 3, 0, 7, 12, 2, 5, 9, 4, 6])
+        extractor = init_extractor([8, 16, 8], seed=60)
+        head = FcHead(8, 4, seed=61)
+        class_ids = np.array([1, 3, 4, 7])
+        report = tail_alignment_diagnostic(head.W.data, universe, counts, extractor, class_ids)
+        per_bucket = {}
+        for col, ident in enumerate(class_ids.tolist()):
+            n = int(counts[ident])
+            inst = np.stack([draw_instance(universe, ident, k) for k in range(n)])
+            mean_emb = _unit(embed(extractor, inst)).mean(axis=0)
+            w = head.W.data[:, col]
+            cos = float(w @ mean_emb / (np.linalg.norm(w) * np.linalg.norm(mean_emb)))
+            bucket = "<5" if n < 5 else ("5-9" if n < 10 else "10-49")
+            per_bucket.setdefault(bucket, []).append(cos)
+        assert report.mean_cosine == {k: float(np.mean(v)) for k, v in per_bucket.items()}
 
     def test_empty_bucket_absent(self):
         universe = build_universe(5, 8, 0.2, seed=56)

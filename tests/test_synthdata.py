@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from dcq.synthdata import (
     LongTailSpec,
     assign_longtail_counts,
     build_eval_protocol,
+    build_instance_table,
     build_universe,
     draw_instance,
     heldout_instance,
@@ -109,6 +112,26 @@ class TestDrawInstance:
         assert not np.array_equal(draw_instance(u, 0, 0), heldout_instance(u, 0, 0))
 
 
+class TestInstanceTable:
+    def test_rows_equal_draw_instance(self):
+        u = build_universe(9, 6, 0.2, seed=21)  # 2 reserved identities own no rows
+        counts = np.array([4, 1, 0, 3, 1, 0, 2])
+        table = build_instance_table(u, counts)
+        assert table.data.shape == (11, 6)
+        assert table.starts.tolist() == [0, 4, 5, 5, 8, 9, 9]
+        for ident, n in enumerate(counts):
+            assert table.rows(ident).shape == (n, 6)
+            for k in range(n):
+                np.testing.assert_array_equal(table.rows(ident)[k], draw_instance(u, ident, k))
+
+    def test_bad_counts(self):
+        u = build_universe(3, 4, 0.1, seed=0)
+        with pytest.raises(ConfigError):
+            build_instance_table(u, np.array([1, -1]))
+        with pytest.raises(ConfigError):
+            build_instance_table(u, np.ones(4, dtype=np.int64))
+
+
 class TestPairBatch:
     def test_class_mode_uniform_frequencies(self):
         u = build_universe(10, 4, 0.1, seed=5)
@@ -116,8 +139,9 @@ class TestPairBatch:
         total = 100_000
         seen = np.zeros(10)
         gen = rng.stream(5, rng.BATCH, 0)
+        table = build_instance_table(u, counts)
         for _ in range(100):
-            batch = make_pair_batch(u, counts, 1000, "class", gen)
+            batch = make_pair_batch(table, 1000, "class", gen)
             seen += np.bincount(batch.y, minlength=10)
         freq = seen / total
         assert np.abs(freq - 0.1).max() < 0.01
@@ -129,8 +153,9 @@ class TestPairBatch:
         counts = np.array([90, 10])
         gen = rng.stream(6, rng.BATCH, 0)
         seen = np.zeros(2)
+        table = build_instance_table(u, counts)
         for _ in range(100):
-            batch = make_pair_batch(u, counts, 1000, "instance", gen)
+            batch = make_pair_batch(table, 1000, "instance", gen)
             seen += np.bincount(batch.y, minlength=2)
         assert abs(seen[0] / 100_000 - 0.9) < 0.02
         assert abs(seen[0] / 100_000 - 0.9) < 3 * np.sqrt(0.9 * 0.1 / 100_000)
@@ -139,7 +164,7 @@ class TestPairBatch:
         u = build_universe(6, 8, 0.2, seed=7)
         counts = np.array([5, 4, 3, 2, 2, 2])
         gen = rng.stream(7, rng.BATCH, 1)
-        batch = make_pair_batch(u, counts, 64, "instance", gen)
+        batch = make_pair_batch(build_instance_table(u, counts), 64, "instance", gen)
         assert batch.x_t.shape == (64, 8) and batch.x_w.shape == (64, 8)
         # label sharing is structural; multi-instance identities must give
         # distinct query/reference vectors
@@ -151,7 +176,7 @@ class TestPairBatch:
         u = build_universe(1, 8, 0.2, seed=8)
         counts = np.array([1])
         gen = rng.stream(8, rng.BATCH, 0)
-        batch = make_pair_batch(u, counts, 4, "instance", gen)
+        batch = make_pair_batch(build_instance_table(u, counts), 4, "instance", gen)
         stored = draw_instance(u, 0, 0)
         for i in range(4):
             np.testing.assert_array_equal(batch.x_t.data[i], stored)
@@ -160,8 +185,9 @@ class TestPairBatch:
     def test_deterministic_given_stream(self):
         u = build_universe(6, 8, 0.2, seed=7)
         counts = np.array([5, 4, 3, 2, 2, 2])
-        a = make_pair_batch(u, counts, 16, "instance", rng.stream(7, rng.BATCH, 3))
-        b = make_pair_batch(u, counts, 16, "instance", rng.stream(7, rng.BATCH, 3))
+        table = build_instance_table(u, counts)
+        a = make_pair_batch(table, 16, "instance", rng.stream(7, rng.BATCH, 3))
+        b = make_pair_batch(table, 16, "instance", rng.stream(7, rng.BATCH, 3))
         np.testing.assert_array_equal(a.x_t.data, b.x_t.data)
         np.testing.assert_array_equal(a.x_w.data, b.x_w.data)
         np.testing.assert_array_equal(a.y, b.y)
@@ -169,7 +195,7 @@ class TestPairBatch:
     def test_bad_mode(self):
         u = build_universe(2, 4, 0.1, seed=0)
         with pytest.raises(ConfigError):
-            make_pair_batch(u, np.array([1, 1]), 2, "epoch", rng.stream(0, 0))
+            make_pair_batch(build_instance_table(u, np.array([1, 1])), 2, "epoch", rng.stream(0, 0))
 
 
 class TestEvalProtocol:
@@ -212,6 +238,16 @@ class TestEvalProtocol:
         with pytest.raises(ConfigError):
             build_eval_protocol(u, counts, 101, 10, 5, seed=0)
 
+    def test_probe_and_gallery_rows_are_heldout_draws(self):
+        p, _ = self._protocol()
+        u = build_universe(80, 8, 0.1, seed=11)
+        n_probe = p.probe_labels.size
+        for i, ident in enumerate(p.probe_labels.tolist()):
+            np.testing.assert_array_equal(p.probe_x[i], heldout_instance(u, ident, 0))
+            np.testing.assert_array_equal(p.gallery_x[i], heldout_instance(u, ident, 1))
+        for i, ident in enumerate(p.distractor_labels.tolist()):
+            np.testing.assert_array_equal(p.gallery_x[n_probe + i], heldout_instance(u, ident, 0))
+
     def test_deterministic(self):
         a, _ = self._protocol()
         b, _ = self._protocol()
@@ -234,6 +270,28 @@ class TestDatasetFile:
                 data[row], draw_instance(u, int(idents[row]), int(indices[row]))
             )
         assert (tmp_path / "data.dcqd.json").exists()
+
+    def test_bytes_match_record_layout(self, tmp_path):
+        u = build_universe(4, 3, 0.2, seed=14)
+        counts = np.array([2, 1, 0, 3])
+        path = tmp_path / "data.dcqd"
+        write_dataset(path, u, counts)
+        expected = b"DCQD" + struct.pack("<IIII", 1, 4, 3, 6)
+        for ident, n in enumerate(counts):
+            for k in range(n):
+                expected += struct.pack("<II", ident, k)
+                expected += draw_instance(u, ident, k).astype("<f8").tobytes()
+        assert path.read_bytes() == expected
+
+    def test_truncated_or_overlong_file_rejected(self, tmp_path):
+        u = build_universe(3, 4, 0.2, seed=15)
+        path = tmp_path / "data.dcqd"
+        write_dataset(path, u, np.array([2, 1, 1]))
+        good = path.read_bytes()
+        for bad in (good[:12], good[:-5], good + b"\x00"):  # in header, in a record, extra byte
+            path.write_bytes(bad)
+            with pytest.raises(ConfigError):
+                read_dataset(path)
 
     def test_magic_check(self, tmp_path):
         path = tmp_path / "junk.bin"

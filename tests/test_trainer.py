@@ -15,7 +15,7 @@ from dcq.errors import (
 )
 from dcq.model import extract_features
 from dcq.numerics import Tensor
-from dcq.synthdata import build_universe, make_pair_batch
+from dcq.synthdata import build_instance_table, build_universe, make_pair_batch
 from dcq.trainer import (
     TrainConfig,
     create_optimizer_state,
@@ -212,7 +212,9 @@ class TestRunTraining:
         ).resolve()
         universe = build_universe(7, 8, sigma, cfg.seed)
         counts = np.full(3, 20)
-        probe = make_pair_batch(universe, counts, 12, "instance", rng.stream(99, 0))
+        probe = make_pair_batch(
+            build_instance_table(universe, counts), 12, "instance", rng.stream(99, 0)
+        )
         series, frozen = [], {}
 
         def hook(rec):
