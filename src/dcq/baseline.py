@@ -11,17 +11,7 @@ import numpy as np
 
 from . import rng
 from .errors import ConfigError
-from .numerics import (
-    LossDiagnostics,
-    Tape,
-    Tensor,
-    affine,
-    l2_normalize_rows,
-    matmul,
-    softmax_cross_entropy,
-    subtract_at,
-    transpose,
-)
+from .numerics import LossDiagnostics, Tape, Tensor, l2_normalize, margin_softmax_ce, matmul
 
 # CosFace defaults for the full-head baseline.
 DEFAULT_SCALE = 64.0
@@ -61,11 +51,9 @@ def fc_cosface_loss(
     y = np.asarray(y, dtype=np.int64)
     if y.min(initial=0) < 0 or y.max(initial=-1) >= head.n_classes:
         raise IndexError(f"label out of range [0, {head.n_classes})")
-    f_hat = l2_normalize_rows(f, tape=tape)
-    w_hat = transpose(l2_normalize_rows(transpose(head.W, tape), tape=tape), tape)
-    cos = matmul(f_hat, w_hat, tape)
-    logits = affine(subtract_at(cos, y, m, tape), s, 0.0, tape)
-    return softmax_cross_entropy(logits, y, tape)
+    f_hat = l2_normalize(f, axis=1, tape=tape)
+    w_hat = l2_normalize(head.W, axis=0, tape=tape)
+    return margin_softmax_ce(matmul(f_hat, w_hat, tape), y, s, m, tape)
 
 
 def filter_head_classes(counts: np.ndarray, min_instances: int) -> tuple[np.ndarray, np.ndarray]:

@@ -26,13 +26,11 @@ from .numerics import (
     LossDiagnostics,
     Tape,
     Tensor,
-    affine,
     concat_cols,
-    l2_normalize_rows,
-    masked_fill,
+    l2_normalize,
+    margin_softmax_ce,
     matmul,
     rowwise_dot,
-    softmax_cross_entropy,
 )
 
 MASK_VALUE = -1e9
@@ -75,7 +73,7 @@ class EmaGenerator:
         carries no gradient.
         """
         feats = extract_features(self.shadow, x_w, tape=None)
-        return l2_normalize_rows(feats, tape=None)
+        return l2_normalize(feats, axis=1, tape=None)
 
 
 class ClassQueue:
@@ -144,13 +142,15 @@ def dcq_logits_with_mask(
     if f.shape != w_pos.shape:
         raise ShapeError(f"features {f.shape} vs positive weights {w_pos.shape}")
     y = np.asarray(y, dtype=np.int64)
-    f_hat = l2_normalize_rows(f, tape=tape)
+    f_hat = l2_normalize(f, axis=1, tape=tape)
     l_pos = rowwise_dot(f_hat, w_pos, tape)
     # copy: the loss's backward closures must not see later queue updates
     weights, labels, _ = queue.snapshot()
     l_neg = matmul(f_hat, Tensor(weights), tape)
+    # in place: matmul's backward reads its inputs only; a muted logit's
+    # softmax probability underflows to 0, so its gradient is exactly 0
     mask = (labels[None, :] == y[:, None]) | (labels[None, :] == SENTINEL_LABEL)
-    l_neg = masked_fill(l_neg, mask, MASK_VALUE, tape)
+    l_neg.data[mask] = MASK_VALUE
     return l_pos, l_neg
 
 
@@ -163,15 +163,13 @@ def dcq_cosface_loss(
 ) -> tuple[Tensor, LossDiagnostics]:
     """Margin softmax over [positive, queue] logits with the target at index 0.
 
-    logits = s · concat(l_pos − m, l_neg); mean cross entropy over the
-    batch. Muted queue entries underflow to an exact zero in the softmax
-    denominator.
+    logits = s · (concat(l_pos, l_neg) − m at column 0); mean cross entropy
+    over the batch. Muted queue entries underflow to an exact zero in the
+    softmax denominator.
     """
     if s <= 0:
         raise ConfigError(f"scale must be positive, got {s}")
     if m < 0:
         raise ConfigError(f"margin must be non-negative, got {m}")
-    shifted = affine(l_pos, 1.0, -m, tape)
-    logits = affine(concat_cols([shifted, l_neg], tape), s, 0.0, tape)
     targets = np.zeros(l_pos.shape[0], dtype=np.int64)
-    return softmax_cross_entropy(logits, targets, tape)
+    return margin_softmax_ce(concat_cols([l_pos, l_neg], tape), targets, s, m, tape)

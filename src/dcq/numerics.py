@@ -152,31 +152,27 @@ def prelu(x: Tensor, slope: Tensor, tape: Tape | None = None) -> Tensor:
     return out
 
 
-def l2_normalize_rows(x: Tensor, eps: float = 1e-12, tape: Tape | None = None) -> Tensor:
-    """Divide each row by max(‖row‖₂, eps); eps guards the zero row."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"l2_normalize_rows expects B×D, got {x.shape}")
-    norms = np.sqrt((x.data * x.data).sum(axis=1, keepdims=True))
+def l2_normalize(x: Tensor, axis: int = 1, eps: float = 1e-12, tape: Tape | None = None) -> Tensor:
+    """Divide each row (axis=1) or column (axis=0) by max(‖·‖₂, eps); eps guards zeros."""
+    if x.data.ndim != 2 or axis not in (0, 1):
+        raise ShapeError(f"l2_normalize expects a matrix and axis 0 or 1, got {x.shape}, {axis}")
+    norms = np.sqrt((x.data * x.data).sum(axis=axis, keepdims=True))
     denom = np.maximum(norms, eps)
     y = x.data / denom
     out = Tensor(y)
 
     def vjp(g, y=y, denom=denom, clamped=(norms <= eps)):
-        # normalization Jacobian (I − yyᵀ)/r per row; clamped rows have a
-        # constant denominator, hence no projection term
-        rowdot = (g * y).sum(axis=1, keepdims=True)
-        rowdot = np.where(clamped, 0.0, rowdot)
-        return (g - rowdot * y) / denom
+        # normalization Jacobian (I − yyᵀ)/r per vector; clamped vectors have
+        # a constant denominator, hence no projection term
+        # in place on one scratch array: the values of (g − dot·y)/denom
+        d = g * y
+        dot = np.where(clamped, 0.0, d.sum(axis=axis, keepdims=True))
+        np.multiply(dot, y, out=d)
+        np.subtract(g, d, out=d)
+        d /= denom
+        return d
 
     _register(tape, out, [(x, vjp)])
-    return out
-
-
-def transpose(x: Tensor, tape: Tape | None = None) -> Tensor:
-    if x.data.ndim != 2:
-        raise ShapeError(f"transpose expects a matrix, got {x.shape}")
-    out = Tensor(x.data.T)
-    _register(tape, out, [(x, lambda g: np.ascontiguousarray(g.T))])
     return out
 
 
@@ -208,33 +204,6 @@ def rowwise_dot(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     return out
 
 
-def affine(x: Tensor, scale: float, shift: float, tape: Tape | None = None) -> Tensor:
-    """y = scale·x + shift with constant scale and shift."""
-    out = Tensor(scale * x.data + shift)
-    _register(tape, out, [(x, lambda g: scale * g)])
-    return out
-
-
-def masked_fill(x: Tensor, mask: np.ndarray, value: float, tape: Tape | None = None) -> Tensor:
-    """Replace entries where ``mask`` is true by ``value``; they get zero gradient."""
-    if mask.shape != x.shape:
-        raise ShapeError(f"masked_fill: mask {mask.shape} vs tensor {x.shape}")
-    out = Tensor(np.where(mask, value, x.data))
-    _register(tape, out, [(x, lambda g, mask=mask: np.where(mask, 0.0, g))])
-    return out
-
-
-def subtract_at(x: Tensor, cols: np.ndarray, value: float, tape: Tape | None = None) -> Tensor:
-    """Subtract ``value`` at one column per row (the margin position)."""
-    if x.data.ndim != 2 or cols.shape != (x.shape[0],):
-        raise ShapeError(f"subtract_at: tensor {x.shape}, cols {cols.shape}")
-    data = x.data.copy()
-    data[np.arange(x.shape[0]), cols] -= value
-    out = Tensor(data)
-    _register(tape, out, [(x, lambda g: g)])
-    return out
-
-
 def sum_all(x: Tensor, tape: Tape | None = None) -> Tensor:
     """Sum of all entries as a scalar tensor."""
     out = Tensor(np.asarray(x.data.sum()))
@@ -248,55 +217,61 @@ class LossDiagnostics:
 
     p_pos[i] is the probability of row i's target class; p_neg[i] holds the
     remaining C−1 probabilities in original column order with the target
-    column removed. p_pos + p_neg.sum(axis=1) == 1 per row.
+    column removed, built on access. p_pos + p_neg.sum(axis=1) == 1 per row.
     """
 
     p_pos: np.ndarray
-    p_neg: np.ndarray
     loss: float
+    probs: np.ndarray
+    targets: np.ndarray
+
+    @property
+    def p_neg(self) -> np.ndarray:
+        keep = np.ones(self.probs.shape, dtype=bool)
+        keep[np.arange(self.targets.size), self.targets] = False
+        return self.probs[keep].reshape(self.targets.size, -1)
 
 
-def softmax_cross_entropy(
-    logits: Tensor, targets: np.ndarray, tape: Tape | None = None
+def margin_softmax_ce(
+    cos: Tensor, targets: np.ndarray, s: float, m: float, tape: Tape | None = None
 ) -> tuple[Tensor, LossDiagnostics]:
-    """Mean cross entropy over rows with max-subtracted stable softmax.
+    """CosFace loss: mean cross entropy of softmax(s·(cos − m·onehot(target))).
 
-    Returns the scalar loss tensor (recorded on the tape) and diagnostics
-    with the per-row probabilities. Raises IndexError for targets outside
-    [0, C).
+    One tape node: the margin, the scale and the max-shifted softmax run in
+    place on a single copy of ``cos``. Entries of ``cos`` at a large negative
+    value get probability exactly 0, hence exactly zero gradient. Returns the
+    scalar loss and per-row probability diagnostics. Raises IndexError for
+    targets outside [0, C).
     """
-    if logits.data.ndim != 2:
-        raise ShapeError(f"softmax_cross_entropy expects B×C logits, got {logits.shape}")
-    n_rows, n_cols = logits.shape
+    if cos.data.ndim != 2:
+        raise ShapeError(f"margin_softmax_ce expects B×C cosines, got {cos.shape}")
+    n_rows, n_cols = cos.shape
     targets = np.asarray(targets, dtype=np.int64)
     if targets.shape != (n_rows,):
         raise ShapeError(f"targets shape {targets.shape} for {n_rows} rows")
     if targets.min(initial=0) < 0 or targets.max(initial=-1) >= n_cols:
         raise IndexError(f"target out of range [0, {n_cols})")
 
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    exps = np.exp(shifted)
-    z = exps.sum(axis=1, keepdims=True)
-    probs = exps / z
     rows = np.arange(n_rows)
-    per_row = np.log(z[:, 0]) - shifted[rows, targets]
-    loss = Tensor(np.asarray(per_row.mean()))
+    probs = cos.data.copy()
+    probs[rows, targets] -= m
+    probs *= s
+    probs -= probs.max(axis=1, keepdims=True)
+    shifted_target = probs[rows, targets]
+    np.exp(probs, out=probs)
+    z = probs.sum(axis=1, keepdims=True)
+    probs /= z
+    loss = Tensor(np.asarray((np.log(z[:, 0]) - shifted_target).mean()))
 
-    def vjp(g, probs=probs, targets=targets):
+    def vjp(g):
         d = probs.copy()
         d[rows, targets] -= 1.0
-        return d * (float(g) / n_rows)
+        d *= float(g) / n_rows
+        d *= s
+        return d
 
-    _register(tape, loss, [(logits, vjp)])
-
-    keep = np.ones((n_rows, n_cols), dtype=bool)
-    keep[rows, targets] = False
-    diag = LossDiagnostics(
-        p_pos=probs[rows, targets].copy(),
-        p_neg=probs[keep].reshape(n_rows, n_cols - 1),
-        loss=float(loss.data),
-    )
-    return loss, diag
+    _register(tape, loss, [(cos, vjp)])
+    return loss, LossDiagnostics(probs[rows, targets], float(loss.data), probs, targets)
 
 
 def finite_difference_check(

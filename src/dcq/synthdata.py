@@ -76,13 +76,16 @@ class InstanceTable:
     """Every training instance of a universe, drawn once.
 
     Row ``starts[i] + k`` equals ``draw_instance(universe, i, k)`` for
-    ``k < counts[i]``; identities with a zero count own no rows.
+    ``k < counts[i]``; identities with a zero count own no rows. ``cdf`` is
+    the count-weighted CDF over ``eligible`` that ``Generator.choice`` builds.
     """
 
     universe: IdentityUniverse
     counts: np.ndarray  # (n,) int64
     starts: np.ndarray  # (n,) int64, row of each identity's instance 0
     data: np.ndarray  # counts.sum() × d_in
+    eligible: np.ndarray  # identities with counts > 0
+    cdf: np.ndarray  # (eligible.size,) float64
 
     def rows(self, identity: int) -> np.ndarray:
         start = int(self.starts[identity])
@@ -197,9 +200,12 @@ def build_instance_table(universe: IdentityUniverse, counts: np.ndarray) -> Inst
         universe.d_in, universe.seed, rng.INSTANCE_NOISE, INSTANCE_QUERY, idents, index
     )
     data *= universe.sigma
-    for ident in np.flatnonzero(counts):
+    eligible = np.flatnonzero(counts)
+    for ident in eligible:
         data[starts[ident] : starts[ident] + counts[ident]] += universe.centers[ident]
-    return InstanceTable(universe=universe, counts=counts, starts=starts, data=data)
+    cdf = (counts[eligible] / counts[eligible].sum()).cumsum()
+    cdf /= cdf[-1:]  # a slice, so a table with no instances still builds
+    return InstanceTable(universe, counts, starts, data, eligible, cdf)
 
 
 def make_pair_batch(
@@ -219,16 +225,15 @@ def make_pair_batch(
     """
     if mode not in ("instance", "class"):
         raise ConfigError(f"sampling mode must be 'instance' or 'class', got {mode!r}")
-    counts = table.counts
-    eligible = np.flatnonzero(counts > 0)
+    counts, eligible = table.counts, table.eligible
     if eligible.size == 0:
         raise ConfigError("no identity has a positive instance count")
 
+    # the draws Generator.choice(eligible, size, p=weights) makes
     if mode == "instance":
-        weights = counts[eligible] / counts[eligible].sum()
-        idents = gen.choice(eligible, size=batch_size, p=weights)
+        idents = eligible[np.searchsorted(table.cdf, gen.random(batch_size), side="right")]
     else:
-        idents = gen.choice(eligible, size=batch_size)
+        idents = eligible[gen.integers(0, eligible.size, size=batch_size)]
 
     universe = table.universe
     rows_t = np.empty(batch_size, dtype=np.int64)

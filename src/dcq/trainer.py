@@ -24,10 +24,10 @@ from . import baseline as fc
 from . import class_queue as cq
 from . import rng
 from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import ConfigError, ShapeError, TrainingDiverged
+from .errors import CheckpointError, ConfigError, ShapeError, TrainingDiverged
 from .evalbench import evaluate_protocol
 from .model import MlpParams, extract_features, init_extractor
-from .numerics import Tape
+from .numerics import Tape, Tensor
 from .synthdata import (
     EvalProtocol,
     IdentityUniverse,
@@ -98,6 +98,7 @@ class TrainConfig:
         """Fill method-dependent defaults and validate the result."""
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
+        self._check_types()
         is_dcq = self.method == METHOD_DCQ
         filled = self.replace(
             s=self.s if self.s is not None else (cq.DEFAULT_SCALE if is_dcq else fc.DEFAULT_SCALE),
@@ -110,7 +111,23 @@ class TrainConfig:
         filled.validate()
         return filled
 
+    def _check_types(self) -> None:
+        # the field annotations are strings: "int", "float | None", "tuple[int, ...]"
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.type.endswith("| None"):
+                continue
+            if f.type.startswith("tuple"):
+                ok = isinstance(value, (tuple, list)) and all(_is_int(v) for v in value)
+            elif f.type.startswith("float"):
+                ok = _is_int(value) or isinstance(value, float)
+            else:  # str fields are checked against their allowed values
+                ok = f.type == "str" or _is_int(value)
+            if not ok:
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+
     def validate(self) -> None:
+        self._check_types()
         if self.sampling not in ("instance", "class"):
             raise ConfigError(f"sampling must be 'instance' or 'class', got {self.sampling!r}")
         if self.m is not None and not 0.0 <= self.m < 1.0:
@@ -123,6 +140,14 @@ class TrainConfig:
             raise ConfigError(f"queue size K={self.K} must be >= batch size B={self.B}")
         if not 0.0 < self.decay_factor <= 1.0:
             raise ConfigError(f"decay factor must lie in (0, 1], got {self.decay_factor}")
+        if not self.sigma >= 0.0:
+            raise ConfigError(f"sigma must be >= 0, got {self.sigma}")
+        if min(self.n_classes, self.eval_probes, *self.layer_dims) < 1 or self.eval_pairs < 2:
+            raise ConfigError(
+                "n_classes, layer dims and eval_probes must be positive, eval_pairs >= 2"
+            )
+        if min(self.eval_distractors, self.n_reserved) < 0:
+            raise ConfigError("eval_distractors and n_reserved must be >= 0")
 
     @property
     def layer_dims(self) -> list[int]:
@@ -142,9 +167,13 @@ class TrainConfig:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         kwargs = dict(data)
         for key in ("decay_epochs", "hidden_dims"):
-            if key in kwargs and kwargs[key] is not None:
+            if isinstance(kwargs.get(key), list):
                 kwargs[key] = tuple(kwargs[key])
         return cls(**kwargs)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def lr_at_step(config: TrainConfig, epoch: int) -> float:
@@ -175,12 +204,17 @@ def sgd_momentum_step(
         g = grads[name]
         if g.shape != p.data.shape:
             raise ShapeError(f"gradient shape {g.shape} vs parameter {p.data.shape} at {name}")
+        # one scratch array per parameter, rounding as in the formula above
         if weight_decay and name not in exempt:
-            g = g + weight_decay * p.data
+            tmp = np.multiply(p.data, weight_decay)
+            tmp += g
+        else:
+            tmp = g.copy()
         v = state[name]
         v *= momentum
-        v += g
-        p.data -= lr * v
+        v += tmp
+        np.multiply(v, lr, out=tmp)
+        p.data -= tmp
 
 
 @dataclass
@@ -201,6 +235,13 @@ class TrainResult:
     optimizer_state: dict = field(default_factory=dict)
     final_step: int = 0
 
+    def named_parameters(self) -> list[tuple[str, Tensor]]:
+        """The trained parameters: the extractor's, then the head's if any."""
+        named = list(self.extractor.named_parameters())
+        if self.head is not None:
+            named += self.head.named_parameters()
+        return named
+
 
 def _weight_decay_exempt(named_params) -> frozenset[str]:
     # biases and PReLU slopes carry no decay
@@ -209,41 +250,85 @@ def _weight_decay_exempt(named_params) -> frozenset[str]:
     )
 
 
-def _checkpoint_payload(cfg, state, extractor, generator, queue, head, retained, opt_state):
-    meta = {"config": cfg.to_dict(), "state": dict(state)}
-    arrays: dict[str, np.ndarray] = {}
-    for name, p in extractor.named_parameters():
-        arrays[f"extractor.{name}"] = p.data
-    if generator is not None:
-        for name, p in generator.shadow.named_parameters():
+def _build_run_state(
+    cfg: TrainConfig,
+    universe: IdentityUniverse | None = None,
+    counts: np.ndarray | None = None,
+) -> TrainResult:
+    """Data, eval protocol, freshly initialised model and zero optimizer state."""
+    if universe is None:
+        universe = build_universe(cfg.n_classes + cfg.n_reserved, cfg.d_in, cfg.sigma, cfg.seed)
+    if counts is None:
+        spec = LongTailSpec(cfg.zipf_exponent, cfg.min_count, cfg.max_count)
+        counts = assign_longtail_counts(spec, cfg.n_classes)
+    protocol = build_eval_protocol(
+        universe, counts, cfg.eval_pairs, cfg.eval_probes, cfg.eval_distractors, cfg.seed
+    )
+    extractor = init_extractor(cfg.layer_dims, cfg.seed)
+    generator = queue = head = retained = label_map = None
+    if cfg.method == METHOD_DCQ:
+        generator = cq.EmaGenerator(extractor, cfg.alpha)
+        queue = cq.ClassQueue(cfg.embed_dim, cfg.K)
+    elif cfg.method == METHOD_HEAD_ONLY:
+        retained, label_map = fc.filter_head_classes(counts, cfg.min_instances)
+        head = fc.FcHead(cfg.embed_dim, retained.size, cfg.seed)
+    else:
+        head = fc.FcHead(cfg.embed_dim, len(counts), cfg.seed)
+    state = TrainResult(
+        config=cfg, universe=universe, counts=counts, protocol=protocol,
+        extractor=extractor, generator=generator, queue=queue, head=head,
+        retained_ids=retained, label_map=label_map,
+    )
+    state.optimizer_state = create_optimizer_state(state.named_parameters())
+    return state
+
+
+def _checkpoint_payload(state: TrainResult, progress: dict) -> tuple[dict, dict[str, np.ndarray]]:
+    meta = {"config": state.config.to_dict(), "state": dict(progress)}
+    arrays = {f"extractor.{name}": p.data for name, p in state.extractor.named_parameters()}
+    if state.generator is not None:
+        for name, p in state.generator.shadow.named_parameters():
             arrays[f"generator.{name}"] = p.data
-    if queue is not None:
-        arrays["queue.weights"] = queue.weights
-        arrays["queue.labels"] = queue.labels.astype(np.float64)
-        meta["state"]["queue_cursor"] = queue.cursor
-    if head is not None:
-        arrays["head.W"] = head.W.data
-    if retained is not None:
-        arrays["label_map.retained"] = retained.astype(np.float64)
-    for name, v in opt_state.items():
+    if state.queue is not None:
+        arrays["queue.weights"] = state.queue.weights
+        arrays["queue.labels"] = state.queue.labels.astype(np.float64)
+        meta["state"]["queue_cursor"] = state.queue.cursor
+    if state.head is not None:
+        arrays["head.W"] = state.head.W.data
+    if state.retained_ids is not None:
+        arrays["label_map.retained"] = state.retained_ids.astype(np.float64)
+    for name, v in state.optimizer_state.items():
         arrays[f"velocity.{name}"] = v
     return meta, arrays
 
 
-def _restore_from_checkpoint(arrays, extractor, generator, queue, head, opt_state, meta):
-    for name, p in extractor.named_parameters():
-        p.data[...] = arrays[f"extractor.{name}"]
-    if generator is not None:
-        for name, p in generator.shadow.named_parameters():
-            p.data[...] = arrays[f"generator.{name}"]
-    if queue is not None:
-        queue.weights[...] = arrays["queue.weights"]
-        queue.labels[...] = arrays["queue.labels"].astype(np.int64)
-        queue.cursor = int(meta["state"]["queue_cursor"])
-    if head is not None:
-        head.W.data[...] = arrays["head.W"]
-    for name in opt_state:
-        opt_state[name][...] = arrays[f"velocity.{name}"]
+def _restore_from_checkpoint(state: TrainResult, meta: dict, arrays: dict) -> None:
+    """Copy a checkpoint's arrays into a run state built from the same config.
+
+    The checkpoint must hold exactly the arrays that state would save, each
+    with the same shape; anything else raises CheckpointError.
+    """
+    _, expected = _checkpoint_payload(state, {})
+    missing = sorted(expected.keys() - arrays.keys())
+    extra = sorted(arrays.keys() - expected.keys())
+    if missing or extra:
+        raise CheckpointError(
+            f"checkpoint arrays do not fit a {state.config.method} run: "
+            f"missing {missing}, unexpected {extra}"
+        )
+    for name, ref in expected.items():
+        # save_checkpoint writes 0-d arrays (PReLU slopes) with shape (1,)
+        if arrays[name].shape not in (ref.shape, np.atleast_1d(ref).shape):
+            raise CheckpointError(
+                f"checkpoint array {name} has shape {arrays[name].shape}, expected {ref.shape}"
+            )
+    for name, target in expected.items():
+        if name == "queue.labels":
+            state.queue.labels[...] = arrays[name].astype(np.int64)
+        elif name != "label_map.retained":  # derived from the config, not state
+            target[...] = arrays[name]
+    if state.queue is not None:
+        state.queue.cursor = int(meta["state"]["queue_cursor"])
 
 
 def run_training(
@@ -263,33 +348,12 @@ def run_training(
     and reported.
     """
     cfg = config.resolve()
-    if universe is None:
-        universe = build_universe(cfg.n_classes + cfg.n_reserved, cfg.d_in, cfg.sigma, cfg.seed)
-    if counts is None:
-        spec = LongTailSpec(cfg.zipf_exponent, cfg.min_count, cfg.max_count)
-        counts = assign_longtail_counts(spec, cfg.n_classes)
-    protocol = build_eval_protocol(
-        universe, counts, cfg.eval_pairs, cfg.eval_probes, cfg.eval_distractors, cfg.seed
-    )
-
-    extractor = init_extractor(cfg.layer_dims, cfg.seed)
-    generator = queue = head = retained = label_map = None
-    counts_eff = counts
-    if cfg.method == METHOD_DCQ:
-        generator = cq.EmaGenerator(extractor, cfg.alpha)
-        queue = cq.ClassQueue(cfg.embed_dim, cfg.K)
-    else:
-        if cfg.method == METHOD_HEAD_ONLY:
-            retained, label_map = fc.filter_head_classes(counts, cfg.min_instances)
-            counts_eff = np.where(label_map >= 0, counts, 0)
-            head = fc.FcHead(cfg.embed_dim, retained.size, cfg.seed)
-        else:
-            head = fc.FcHead(cfg.embed_dim, len(counts), cfg.seed)
-
-    named_params = list(extractor.named_parameters())
-    if head is not None:
-        named_params += head.named_parameters()
-    opt_state = create_optimizer_state(named_params)
+    result = _build_run_state(cfg, universe, counts)
+    extractor, head = result.extractor, result.head
+    generator, queue = result.generator, result.queue
+    label_map, counts = result.label_map, result.counts
+    named_params = result.named_parameters()
+    opt_state = result.optimizer_state
     exempt = _weight_decay_exempt(named_params)
 
     start_epoch = 0
@@ -298,17 +362,13 @@ def run_training(
         meta, arrays = load_checkpoint(resume_from)
         if meta["config"] != cfg.to_dict():
             raise ConfigError("checkpoint config does not match the requested config")
-        _restore_from_checkpoint(arrays, extractor, generator, queue, head, opt_state, meta)
+        _restore_from_checkpoint(result, meta, arrays)
         start_epoch = int(meta["state"]["epoch_next"])
         global_step = int(meta["state"]["global_step"])
 
-    table = build_instance_table(universe, counts_eff)
+    counts_eff = counts if label_map is None else np.where(label_map >= 0, counts, 0)
+    table = build_instance_table(result.universe, counts_eff)
     steps_per_epoch = max(1, int(counts_eff.sum()) // cfg.B)
-    result = TrainResult(
-        config=cfg, universe=universe, counts=counts, protocol=protocol,
-        extractor=extractor, generator=generator, queue=queue, head=head,
-        retained_ids=retained, label_map=label_map, optimizer_state=opt_state,
-    )
 
     for epoch in range(start_epoch, cfg.epochs):
         epoch_start = time.perf_counter()
@@ -367,7 +427,7 @@ def run_training(
             result.iter_losses.append(loss_value)
             global_step += 1
 
-        scores = evaluate_protocol(extractor, protocol, counts)
+        scores = evaluate_protocol(extractor, result.protocol, counts)
         result.metrics.append(
             {
                 "epoch": epoch,
@@ -380,55 +440,24 @@ def run_training(
         )
         if checkpoint_dir is not None and cfg.checkpoint_every > 0:
             if (epoch + 1) % cfg.checkpoint_every == 0 or epoch + 1 == cfg.epochs:
-                state = {"epoch_next": epoch + 1, "global_step": global_step}
-                meta, arrays = _checkpoint_payload(
-                    cfg, state, extractor, generator, queue, head, retained, opt_state
-                )
-                save_checkpoint(f"{checkpoint_dir}/epoch_{epoch + 1:03d}.ckpt", meta, arrays)
+                progress = {"epoch_next": epoch + 1, "global_step": global_step}
+                path = f"{checkpoint_dir}/epoch_{epoch + 1:03d}.ckpt"
+                save_checkpoint(path, *_checkpoint_payload(result, progress))
 
     result.final_step = global_step
-    result.final_eval = evaluate_protocol(extractor, protocol, counts)
+    result.final_eval = evaluate_protocol(extractor, result.protocol, counts)
     return result
 
 
 def save_result_checkpoint(path, result: TrainResult) -> None:
     """Write a final checkpoint for a completed run."""
-    cfg = result.config
-    state = {"epoch_next": cfg.epochs, "global_step": result.final_step}
-    meta, arrays = _checkpoint_payload(
-        cfg, state, result.extractor, result.generator, result.queue,
-        result.head, result.retained_ids, result.optimizer_state,
-    )
-    save_checkpoint(path, meta, arrays)
+    progress = {"epoch_next": result.config.epochs, "global_step": result.final_step}
+    save_checkpoint(path, *_checkpoint_payload(result, progress))
 
 
 def load_result_checkpoint(path) -> TrainResult:
     """Rebuild model state (not metrics) from a checkpoint for evaluation."""
     meta, arrays = load_checkpoint(path)
-    cfg = TrainConfig.from_dict(meta["config"])
-    universe = build_universe(cfg.n_classes + cfg.n_reserved, cfg.d_in, cfg.sigma, cfg.seed)
-    spec = LongTailSpec(cfg.zipf_exponent, cfg.min_count, cfg.max_count)
-    counts = assign_longtail_counts(spec, cfg.n_classes)
-    protocol = build_eval_protocol(
-        universe, counts, cfg.eval_pairs, cfg.eval_probes, cfg.eval_distractors, cfg.seed
-    )
-    extractor = init_extractor(cfg.layer_dims, cfg.seed)
-    generator = queue = head = retained = label_map = None
-    if cfg.method == METHOD_DCQ:
-        generator = cq.EmaGenerator(extractor, cfg.alpha)
-        queue = cq.ClassQueue(cfg.embed_dim, cfg.K)
-    elif cfg.method == METHOD_HEAD_ONLY:
-        retained, label_map = fc.filter_head_classes(counts, cfg.min_instances)
-        head = fc.FcHead(cfg.embed_dim, retained.size, cfg.seed)
-    else:
-        head = fc.FcHead(cfg.embed_dim, len(counts), cfg.seed)
-    named_params = list(extractor.named_parameters())
-    if head is not None:
-        named_params += head.named_parameters()
-    opt_state = create_optimizer_state(named_params)
-    _restore_from_checkpoint(arrays, extractor, generator, queue, head, opt_state, meta)
-    return TrainResult(
-        config=cfg, universe=universe, counts=counts, protocol=protocol,
-        extractor=extractor, generator=generator, queue=queue, head=head,
-        retained_ids=retained, label_map=label_map, optimizer_state=opt_state,
-    )
+    result = _build_run_state(TrainConfig.from_dict(meta["config"]).resolve())
+    _restore_from_checkpoint(result, meta, arrays)
+    return result

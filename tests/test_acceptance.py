@@ -16,7 +16,7 @@ from dcq.class_queue import ClassQueue, EmaGenerator, dcq_cosface_loss, dcq_logi
 from dcq.evalbench import head_cost_report
 from dcq.gradcheck import run_gradient_suite
 from dcq.model import init_extractor
-from dcq.numerics import Tape, Tensor, matmul, softmax_cross_entropy
+from dcq.numerics import Tape, Tensor, margin_softmax_ce, matmul
 from dcq.trainer import TrainConfig, run_training
 
 
@@ -97,7 +97,7 @@ class TestCriterion2PullPushIdentity:
             w = Tensor(rng_.standard_normal((d, c)), requires_grad=True)
             y = int(rng_.integers(c))
             tape = Tape()
-            loss, diag = softmax_cross_entropy(matmul(f, w, tape), np.array([y]), tape)
+            loss, diag = margin_softmax_ce(matmul(f, w, tape), np.array([y]), 1.0, 0.0, tape)
             tape.backward(loss)
             p = np.insert(diag.p_neg[0], y, diag.p_pos[0])
 

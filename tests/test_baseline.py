@@ -133,14 +133,14 @@ class TestPullPushLedger:
         lr = 0.1
 
         ledger = np.zeros((d, c))
-        from dcq.numerics import matmul, softmax_cross_entropy
+        from dcq.numerics import margin_softmax_ce, matmul
 
         for it in range(10):
             pick = rng.integers(0, 6, size=b)
             f = Tensor(features[pick])
             y = labels[pick]
             tape = Tape()
-            loss, diag = softmax_cross_entropy(matmul(f, w, tape), y, tape)
+            loss, diag = margin_softmax_ce(matmul(f, w, tape), y, 1.0, 0.0, tape)
             tape.backward(loss)
             sgd_momentum_step([("w", w)], {"w": tape.grad(w)}, state, lr, 0.0, 0.0)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dcq import cli
+from dcq.checkpoint import load_checkpoint, save_checkpoint
 
 TINY_CONFIG = {
     "method": "dcq", "n_classes": 12, "n_reserved": 8, "epochs": 2, "B": 8, "K": 8,
@@ -190,6 +191,41 @@ class TestEval:
         report = json.loads(capsys.readouterr().out)
         assert "head_alignment" in report
         assert all(-1.0 <= v <= 1.0 for v in report["head_alignment"].values())
+
+
+class TestBadConfigValues:
+    def _train_error(self, tmp_path, capsys, setting):
+        config = _write_config(tmp_path)
+        out = tmp_path / "run"
+        code = cli.main(["train", "--config", config, "--set", setting, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+        return err
+
+    def test_float_epochs(self, tmp_path, capsys):
+        assert "epochs" in self._train_error(tmp_path, capsys, "epochs=2.5")
+
+    def test_string_batch_size(self, tmp_path, capsys):
+        assert "B must be int" in self._train_error(tmp_path, capsys, 'B="x"')
+
+    def test_negative_sigma(self, tmp_path, capsys):
+        assert "sigma" in self._train_error(tmp_path, capsys, "sigma=-1")
+
+
+class TestEvalBadCheckpoint:
+    def test_checkpoint_without_head_is_a_one_line_error(self, tmp_path, capsys):
+        config = _write_config(tmp_path, method="cosface-full")
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", config, "--out", str(out)]) == 0
+        meta, arrays = load_checkpoint(out / "final.ckpt")
+        del arrays["head.W"]
+        save_checkpoint(out / "final.ckpt", meta, arrays)
+        capsys.readouterr()
+        assert cli.main(["eval", "--checkpoint", str(out / "final.ckpt")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "head.W" in err, err
 
 
 class TestSweep:

@@ -28,13 +28,13 @@ GOLDEN_PINS = {
     ("dcq", "class"):
         "6628e5a29faa453b130d52e43a5d7109f90c530bde017d17f432b5f5fe615131",
     ("cosface-full", "instance"):
-        "c0d672c77e73da6906cd4da5c0efb78ca57ebf992b0f97f77ee1952127b760a8",
+        "5b66b57a7b2f2ec9386b1158107be35888ce9052c90e772b44b1a6ef068cda7e",
     ("cosface-full", "class"):
-        "b133f6f74636664744d8cedc9a650ab51e36c3f72f9cdd86819d311cad47a8e5",
+        "8935941a85f620425f47fe02270e32cb94045e6fdb9fb43a2b28058eb2ce27c3",
     ("cosface-head-only", "instance"):
-        "57ca36edb46a312003c805c0a296510633c4c736b99663ce39670265e42c6388",
+        "aa959c51b860660cee9e68941a831ce3a71899900efee559cb9239da4cfdee02",
     ("cosface-head-only", "class"):
-        "f0d5476987087a42b51d367a327659e30c9431987253f506d12ba61bf9a9e460",
+        "9d66817996000c728c4db19f3f16b0b77d20129d85aac561ca9fb3d5d7acb8d0",
 }
 
 

@@ -6,22 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcq.errors import ContractError, NumericError, ShapeError
+from dcq.class_queue import MASK_VALUE
 from dcq.numerics import (
     Tape,
     Tensor,
     add_rowvec,
-    affine,
     concat_cols,
     finite_difference_check,
-    l2_normalize_rows,
-    masked_fill,
+    l2_normalize,
+    margin_softmax_ce,
     matmul,
     prelu,
     rowwise_dot,
-    softmax_cross_entropy,
-    subtract_at,
     sum_all,
-    transpose,
 )
 
 
@@ -93,42 +90,42 @@ class TestPrelu:
 
 class TestNormalizeRows:
     def test_three_four_five(self):
-        out = l2_normalize_rows(Tensor([[3.0, 4.0]]))
+        out = l2_normalize(Tensor([[3.0, 4.0]]))
         np.testing.assert_allclose(out.data, [[0.6, 0.8]], atol=1e-15)
 
     def test_zero_row_stays_zero(self):
-        out = l2_normalize_rows(Tensor([[0.0, 0.0, 0.0]]))
+        out = l2_normalize(Tensor([[0.0, 0.0, 0.0]]))
         np.testing.assert_array_equal(out.data, [[0.0, 0.0, 0.0]])
 
     def test_output_norm_is_one(self):
         rng = np.random.default_rng(3)
-        out = l2_normalize_rows(Tensor(rng.standard_normal((1, 5))))
+        out = l2_normalize(Tensor(rng.standard_normal((1, 5))))
         assert abs(np.linalg.norm(out.data) - 1.0) < 1e-12
 
 
 class TestSoftmaxCrossEntropy:
     def test_equal_logits(self):
-        loss, diag = softmax_cross_entropy(Tensor(np.zeros((1, 4))), np.array([2]))
+        loss, diag = margin_softmax_ce(Tensor(np.zeros((1, 4))), np.array([2]), 1.0, 0.0)
         assert abs(loss.item() - math.log(4)) < 1e-12
         np.testing.assert_allclose(diag.p_pos, [0.25], atol=1e-15)
 
     def test_dominant_target_logit(self):
         logits = np.zeros((1, 5))
         logits[0, 3] = 1000.0
-        loss, _ = softmax_cross_entropy(Tensor(logits), np.array([3]))
+        loss, _ = margin_softmax_ce(Tensor(logits), np.array([3]), 1.0, 0.0)
         assert loss.item() < 1e-12
 
     def test_hand_computed_value(self):
         # scalar oracle: -ln(e^2 / (e^2 + e + 1))
         expected = math.log(math.e**2 + math.e + 1) - 2.0
-        loss, _ = softmax_cross_entropy(Tensor([[2.0, 1.0, 0.0]]), np.array([0]))
+        loss, _ = margin_softmax_ce(Tensor([[2.0, 1.0, 0.0]]), np.array([0]), 1.0, 0.0)
         assert abs(loss.item() - expected) < 1e-12
 
     def test_out_of_range_target(self):
         with pytest.raises(IndexError):
-            softmax_cross_entropy(Tensor(np.zeros((1, 3))), np.array([3]))
+            margin_softmax_ce(Tensor(np.zeros((1, 3))), np.array([3]), 1.0, 0.0)
         with pytest.raises(IndexError):
-            softmax_cross_entropy(Tensor(np.zeros((1, 3))), np.array([-1]))
+            margin_softmax_ce(Tensor(np.zeros((1, 3))), np.array([-1]), 1.0, 0.0)
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=50, deadline=None)
@@ -137,7 +134,7 @@ class TestSoftmaxCrossEntropy:
         b, c = int(rng.integers(1, 5)), int(rng.integers(2, 7))
         logits = Tensor(rng.standard_normal((b, c)) * rng.uniform(0.1, 30))
         targets = rng.integers(0, c, size=b)
-        _, diag = softmax_cross_entropy(logits, targets)
+        _, diag = margin_softmax_ce(logits, targets, 1.0, 0.0)
         total = diag.p_pos + diag.p_neg.sum(axis=1)
         assert np.abs(total - 1.0).max() < 1e-12
         assert (diag.p_pos >= 0).all() and (diag.p_pos <= 1).all()
@@ -151,16 +148,91 @@ class TestSoftmaxCrossEntropy:
         b, c = int(rng.integers(1, 5)), int(rng.integers(2, 7))
         logits = Tensor(rng.standard_normal((b, c)))
         targets = rng.integers(0, c, size=b)
-        _, diag = softmax_cross_entropy(logits, targets)
+        _, diag = margin_softmax_ce(logits, targets, 1.0, 0.0)
         assert np.abs((1.0 - diag.p_pos) - diag.p_neg.sum(axis=1)).max() < 1e-12
+
+
+def _margin_softmax_reference(cos, targets, s, m):
+    """cosine → margin → scale → log-softmax, composed in plain numpy."""
+    rows = np.arange(cos.shape[0])
+    onehot = np.zeros_like(cos)
+    onehot[rows, targets] = 1.0
+    logits = s * (cos - m * onehot)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    probs = np.exp(log_probs)
+    loss = -log_probs[rows, targets].mean()
+    return loss, probs, s * (probs - onehot) / cos.shape[0]
+
+
+class TestMarginSoftmaxCe:
+    def _check_against_reference(self, cos, targets, s, m):
+        x = Tensor(cos.copy(), requires_grad=True)
+        tape = Tape()
+        loss, diag = margin_softmax_ce(x, targets, s, m, tape)
+        tape.backward(loss)
+        ref_loss, ref_probs, ref_grad = _margin_softmax_reference(cos, targets, s, m)
+        rows = np.arange(cos.shape[0])
+        others = np.ones(cos.shape, dtype=bool)
+        others[rows, targets] = False
+        # 1 − p and log z cancel when p nears 1, so relative errors are floored
+        # at 1e-12 of a unit probability (scaled by s/B for the gradient)
+        assert abs(loss.item() - ref_loss) <= 1e-12 * max(1.0, abs(ref_loss))
+        np.testing.assert_allclose(diag.p_pos, ref_probs[rows, targets], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(
+            diag.p_neg, ref_probs[others].reshape(rows.size, -1), rtol=1e-12, atol=0
+        )
+        unit = s / cos.shape[0]
+        np.testing.assert_allclose(tape.grad(x), ref_grad, rtol=1e-12, atol=1e-12 * unit)
+        np.testing.assert_array_equal(x.data, cos)  # the input is not written
+        return tape.grad(x), diag
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=50, deadline=None)
+    def test_target_at_any_column_matches_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        b, c = int(rng.integers(1, 6)), int(rng.integers(2, 10))
+        cos = rng.uniform(-1.0, 1.0, size=(b, c))
+        targets = rng.integers(0, c, size=b)
+        s, m = float(rng.choice([1.0, 30.0, 64.0])), float(rng.uniform(0.0, 0.5))
+        self._check_against_reference(cos, targets, s, m)
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=50, deadline=None)
+    def test_muted_columns_match_reference_with_exactly_zero_gradient(self, seed):
+        # the queue layout: target at column 0, muted negatives at MASK_VALUE
+        rng = np.random.default_rng(seed)
+        b, k = int(rng.integers(1, 6)), int(rng.integers(2, 12))
+        cos = rng.uniform(-1.0, 1.0, size=(b, k + 1))
+        muted = np.zeros(cos.shape, dtype=bool)
+        muted[:, 1:] = rng.random((b, k)) < 0.4
+        cos[muted] = MASK_VALUE
+        grad, diag = self._check_against_reference(cos, np.zeros(b, dtype=np.int64), 50.0, 0.3)
+        assert (grad[muted] == 0.0).all()
+        assert (diag.p_neg[muted[:, 1:]] == 0.0).all()
+
+    def test_unit_scale_no_margin_is_cross_entropy(self):
+        logits = np.array([[0.3, -1.2, 2.0], [1.0, 1.0, -0.5]])
+        loss, _ = margin_softmax_ce(Tensor(logits), np.array([2, 0]), 1.0, 0.0)
+        expected = np.mean([
+            math.log(sum(math.exp(v) for v in row)) - row[t]
+            for row, t in zip(logits.tolist(), (2, 0))
+        ])
+        assert abs(loss.item() - expected) < 1e-12
+
+    def test_shape_errors(self):
+        with pytest.raises(ShapeError):
+            margin_softmax_ce(Tensor(np.zeros(3)), np.array([0]), 1.0, 0.0)
+        with pytest.raises(ShapeError):
+            margin_softmax_ce(Tensor(np.zeros((2, 3))), np.array([0]), 1.0, 0.0)
 
 
 class TestBackwardPass:
     def test_constant_output_zero_gradients(self):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
         tape = Tape()
-        masked = masked_fill(x, np.ones((2, 3), dtype=bool), 5.0, tape)
-        loss = sum_all(masked, tape)
+        constant = matmul(x, Tensor(np.zeros((3, 3))), tape)
+        loss = sum_all(constant, tape)
         tape.backward(loss)
         np.testing.assert_array_equal(tape.grad(x), np.zeros((2, 3)))
 
@@ -172,7 +244,7 @@ class TestBackwardPass:
         w = Tensor(rng.standard_normal((d, c)), requires_grad=True)
         y = np.array([1])
         tape = Tape()
-        loss, diag = softmax_cross_entropy(matmul(f, w, tape), y, tape)
+        loss, diag = margin_softmax_ce(matmul(f, w, tape), y, 1.0, 0.0, tape)
         tape.backward(loss)
 
         p_full = np.insert(diag.p_neg[0], y[0], diag.p_pos[0])
@@ -200,7 +272,7 @@ class TestBackwardPass:
 
         def fn(tape):
             h = prelu(add_rowvec(matmul(x, w1, tape), b1, tape), slope, tape)
-            loss, _ = softmax_cross_entropy(matmul(h, w2, tape), y, tape)
+            loss, _ = margin_softmax_ce(matmul(h, w2, tape), y, 1.0, 0.0, tape)
             return loss
 
         err = finite_difference_check(fn, [w1, b1, slope, w2])
@@ -209,7 +281,7 @@ class TestBackwardPass:
     def test_backward_on_non_scalar_rejected(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
         tape = Tape()
-        out = affine(x, 2.0, 0.0, tape)
+        out = matmul(x, x, tape)
         with pytest.raises(ContractError):
             tape.backward(out)
 
@@ -226,7 +298,7 @@ class TestBackwardPass:
     def test_detach_blocks_gradient_flow(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
         tape = Tape()
-        h = affine(x, 3.0, 0.0, tape)
+        h = matmul(x, x, tape)
         loss = sum_all(h.detach(), tape)
         tape.backward(loss)
         np.testing.assert_array_equal(tape.grad(x), np.zeros((2, 2)))
@@ -246,7 +318,7 @@ class TestFiniteDifferenceCheck:
         x = Tensor(np.asarray([[1.0, 2.0]]), requires_grad=True)
 
         def fn(tape):
-            return sum_all(affine(x, 0.0, 1.0, tape), tape)
+            return sum_all(matmul(x, Tensor(np.zeros((2, 1))), tape), tape)
 
         assert finite_difference_check(fn, [x]) == 0.0
 
@@ -267,28 +339,10 @@ class TestOpPlumbing:
         tape = Tape()
         out = concat_cols([a, b], tape)
         np.testing.assert_array_equal(out.data, [[1.0, 2.0, 3.0]])
-        loss = sum_all(affine(out, 2.0, 0.0, tape), tape)
+        loss = sum_all(matmul(out, Tensor([[2.0]] * 3), tape), tape)
         tape.backward(loss)
         np.testing.assert_array_equal(tape.grad(a), [[2.0, 2.0]])
         np.testing.assert_array_equal(tape.grad(b), [[2.0]])
-
-    def test_subtract_at(self):
-        x = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
-        tape = Tape()
-        out = subtract_at(x, np.array([1, 0]), 0.5, tape)
-        np.testing.assert_array_equal(out.data, [[1.0, 1.5], [2.5, 4.0]])
-        loss = sum_all(out, tape)
-        tape.backward(loss)
-        np.testing.assert_array_equal(tape.grad(x), np.ones((2, 2)))
-
-    def test_transpose_roundtrip(self):
-        rng = np.random.default_rng(11)
-        x = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
-
-        def fn(tape):
-            return sum_all(rowwise_dot(transpose(transpose(x, tape), tape), x, tape), tape)
-
-        assert finite_difference_check(fn, [x]) < 1e-6
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
@@ -298,13 +352,38 @@ class TestOpPlumbing:
         probe = Tensor(rng.standard_normal((2, 4)))
 
         def fn(tape):
-            return sum_all(rowwise_dot(l2_normalize_rows(x, tape=tape), probe, tape), tape)
+            return sum_all(rowwise_dot(l2_normalize(x, tape=tape), probe, tape), tape)
 
         assert finite_difference_check(fn, [x]) < 1e-5
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=30, deadline=None)
+    def test_column_normalize_jacobian_matches_finite_differences(self, seed):
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.standard_normal((4, 3)) + 0.1, requires_grad=True)
+        probe = Tensor(rng.standard_normal((4, 3)))
+
+        def fn(tape):
+            return sum_all(rowwise_dot(l2_normalize(x, axis=0, tape=tape), probe, tape), tape)
+
+        assert finite_difference_check(fn, [x]) < 1e-5
+
+    def test_column_case_is_the_row_case_transposed(self):
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((5, 7))
+        x[:, 2] = 0.0  # a zero column stays zero
+        cols = l2_normalize(Tensor(x), axis=0).data
+        rows = l2_normalize(Tensor(x.T), axis=1).data.T
+        np.testing.assert_allclose(cols, rows, rtol=1e-15, atol=0)
+        np.testing.assert_array_equal(cols[:, 2], 0.0)
+
+    def test_bad_axis_rejected(self):
+        with pytest.raises(ShapeError):
+            l2_normalize(Tensor(np.ones((2, 2))), axis=2)
 
     def test_all_values_finite_after_ops(self):
         rng = np.random.default_rng(12)
         x = Tensor(rng.standard_normal((3, 4)))
         w = Tensor(rng.standard_normal((4, 2)))
-        out = matmul(l2_normalize_rows(x), w)
+        out = matmul(l2_normalize(x), w)
         assert np.isfinite(out.data).all()

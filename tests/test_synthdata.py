@@ -192,6 +192,29 @@ class TestPairBatch:
         np.testing.assert_array_equal(a.x_w.data, b.x_w.data)
         np.testing.assert_array_equal(a.y, b.y)
 
+    def test_identity_draws_match_generator_choice(self):
+        # the precomputed tables draw what Generator.choice draws from p and
+        # leave the batch stream in the same state
+        u = build_universe(40, 4, 0.1, seed=9)
+        counts = np.arange(40) % 7  # zeros, single-instance and multi-instance
+        table = build_instance_table(u, counts)
+        eligible = np.flatnonzero(counts)
+        weights = counts[eligible] / counts[eligible].sum()
+        for seed in range(200):
+            for mode, p in (("instance", weights), ("class", None)):
+                gen, ref = rng.stream(seed, rng.BATCH, 0), rng.stream(seed, rng.BATCH, 0)
+                batch = make_pair_batch(table, 16, mode, gen)
+                idents = ref.choice(eligible, size=16, p=p)
+                for ident in idents:  # the per-row draws of make_pair_batch
+                    n = int(counts[ident])
+                    ref.integers(n)
+                    if n >= 2:
+                        ref.integers(n - 1)
+                    else:
+                        ref.standard_normal(u.d_in)
+                np.testing.assert_array_equal(batch.y, idents)
+                np.testing.assert_array_equal(gen.random(4), ref.random(4))
+
     def test_bad_mode(self):
         u = build_universe(2, 4, 0.1, seed=0)
         with pytest.raises(ConfigError):

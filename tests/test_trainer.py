@@ -122,6 +122,24 @@ class TestConfig:
         with pytest.raises(ConfigError):
             TrainConfig(sampling="epoch").resolve()
 
+    def test_type_checks(self):
+        for bad in (
+            {"epochs": 2.5}, {"B": "x"}, {"B": True}, {"sigma": "0.1"}, {"K": 8.0},
+            {"hidden_dims": (16.0,)}, {"decay_epochs": 3}, {"lr0": [0.1]},
+        ):
+            with pytest.raises(ConfigError, match=next(iter(bad))):
+                TrainConfig(**bad).resolve()
+        TrainConfig(sigma=0, lr0=1, weight_decay=0).resolve()  # ints are valid reals
+
+    def test_range_checks(self):
+        for bad in (
+            {"sigma": -1.0}, {"d_in": 0}, {"embed_dim": 0}, {"hidden_dims": (16, 0)},
+            {"n_classes": 0}, {"eval_pairs": 0}, {"eval_probes": 0},
+            {"eval_distractors": -1}, {"n_reserved": -1},
+        ):
+            with pytest.raises(ConfigError):
+                TrainConfig(**bad).resolve()
+
     def test_dict_roundtrip(self):
         cfg = TrainConfig(method="dcq", K=40, B=8).resolve()
         again = TrainConfig.from_dict(cfg.to_dict())
@@ -334,6 +352,26 @@ class TestResume:
         other = cfg.replace(lr0=0.01)
         with pytest.raises(ConfigError):
             run_training(other, resume_from=tmp_path / "epoch_002.ckpt")
+
+    @pytest.mark.parametrize("damage", ["missing", "extra", "shape"])
+    def test_checkpoint_arrays_must_fit_the_config(self, tmp_path, damage):
+        from dcq.trainer import load_result_checkpoint
+
+        cfg = TrainConfig(method="cosface-full", **{**TINY, "epochs": 1})
+        path = tmp_path / "final.ckpt"
+        save_result_checkpoint(path, run_training(cfg))
+        meta, arrays = load_checkpoint(path)
+        if damage == "missing":
+            del arrays["head.W"]
+        elif damage == "extra":
+            arrays["queue.weights"] = np.zeros((8, 8))
+        else:
+            arrays["head.W"] = arrays["head.W"][:, :-1]
+        save_checkpoint(path, meta, arrays)
+        with pytest.raises(CheckpointError, match="head.W" if damage != "extra" else "queue"):
+            load_result_checkpoint(path)
+        with pytest.raises(CheckpointError):
+            run_training(cfg, resume_from=path)
 
     def test_final_checkpoint_roundtrip(self, tmp_path):
         from dcq.trainer import load_result_checkpoint
