@@ -47,15 +47,17 @@ def verification_accuracy(
     if emb_a.shape[0] == 0:
         raise ConfigError("empty verification protocol")
     dists = cosine_distances(emb_a, emb_b)
-    order = np.sort(dists)
+    by_dist = np.argsort(dists)
+    order = dists[by_dist]
     thresholds = (order[:-1] + order[1:]) / 2.0 if order.size > 1 else order
-    best_acc, best_thr = -1.0, 0.0
     genuine = np.asarray(genuine, dtype=bool)
-    for thr in thresholds:
-        acc = float(((dists < thr) == genuine).mean())
-        if acc > best_acc:
-            best_acc, best_thr = acc, float(thr)
-    return best_acc, best_thr
+    # per threshold: pairs called genuine, and how many of them are genuine
+    below = np.searchsorted(order, thresholds, side="left")
+    genuine_below = np.concatenate([[0], np.cumsum(genuine[by_dist])])[below]
+    n_impostor = genuine.size - int(genuine.sum())
+    correct = genuine_below + n_impostor - (below - genuine_below)
+    best = int(np.argmax(correct))  # the first, so the smallest threshold
+    return float(correct[best] / genuine.size), float(thresholds[best])
 
 
 def identification_hits(

@@ -16,13 +16,15 @@ definition: removing it would re-key every stream and change every drawn
 value, so ``philox_keys`` reproduces it.
 """
 
+from collections.abc import Iterator
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _PATH_SALT = 0xD1B54A32D192ED03
 
-# Keys converted to Python ints at a time in ``normal_rows``; bounds the
+# Keys converted to Python ints at a time when re-keying; bounds the
 # transient int objects to a few tens of kB.
 _KEY_CHUNK = 256
 
@@ -83,14 +85,11 @@ def philox_keys(seed: int, *path) -> np.ndarray:
     return keys
 
 
-def normal_rows(d: int, seed: int, *path) -> np.ndarray:
-    """N × d standard normals; row i is ``stream(seed, *path_i).standard_normal(d)``.
+def _rekeyed(keys: np.ndarray) -> Iterator[np.random.Generator]:
+    """One Philox generator, re-keyed in place (counter 0, empty buffer) per key row.
 
-    One Philox generator is re-keyed per row (counter 0, empty buffer),
-    which costs a fraction of constructing a generator per key.
+    Re-keying costs a fraction of constructing a generator per key.
     """
-    keys = philox_keys(seed, *path)
-    out = np.empty((keys.shape[0], d))
     bitgen = np.random.Philox(0)
     gen = np.random.Generator(bitgen)
     # plain ints: the state setter reads them faster than numpy scalars
@@ -104,8 +103,26 @@ def normal_rows(d: int, seed: int, *path) -> np.ndarray:
         "uinteger": 0,
     }
     for lo in range(0, keys.shape[0], _KEY_CHUNK):
-        for key, row in zip(keys[lo : lo + _KEY_CHUNK].tolist(), out[lo : lo + _KEY_CHUNK]):
+        for key in keys[lo : lo + _KEY_CHUNK].tolist():
             key_state["key"] = key
             bitgen.state = state
-            gen.standard_normal(out=row)
+            yield gen
+
+
+def streams(seed: int, *path) -> Iterator[np.random.Generator]:
+    """``stream(seed, *path_i)`` for each broadcast path row i, lazily.
+
+    Every item is the same generator object, re-keyed to row i's key; its
+    draws equal those of ``stream(seed, *path_i)`` until the next item is
+    taken.
+    """
+    return _rekeyed(philox_keys(seed, *path))
+
+
+def normal_rows(d: int, seed: int, *path) -> np.ndarray:
+    """N × d standard normals; row i is ``stream(seed, *path_i).standard_normal(d)``."""
+    keys = philox_keys(seed, *path)
+    out = np.empty((keys.shape[0], d))
+    for gen, row in zip(_rekeyed(keys), out):
+        gen.standard_normal(out=row)
     return out

@@ -200,9 +200,8 @@ def build_instance_table(universe: IdentityUniverse, counts: np.ndarray) -> Inst
         universe.d_in, universe.seed, rng.INSTANCE_NOISE, INSTANCE_QUERY, idents, index
     )
     data *= universe.sigma
+    data += np.repeat(universe.centers[: counts.size], counts, axis=0)
     eligible = np.flatnonzero(counts)
-    for ident in eligible:
-        data[starts[ident] : starts[ident] + counts[ident]] += universe.centers[ident]
     cdf = (counts[eligible] / counts[eligible].sum()).cumsum()
     cdf /= cdf[-1:]  # a slice, so a table with no instances still builds
     return InstanceTable(universe, counts, starts, data, eligible, cdf)
@@ -235,25 +234,26 @@ def make_pair_batch(
     else:
         idents = eligible[gen.integers(0, eligible.size, size=batch_size)]
 
+    # the draws of integers(n) then integers(n - 1) per row, in one call:
+    # integers(1) consumes nothing, so a single-instance row's reference
+    # noise follows its index draws once the call is split after that row
+    n = counts[idents]  # >= 1: only identities with instances are drawn
+    highs = np.maximum(n[:, None] - (0, 1), 1)
+    single = np.flatnonzero(n == 1)
     universe = table.universe
-    rows_t = np.empty(batch_size, dtype=np.int64)
-    rows_w = np.full(batch_size, -1, dtype=np.int64)
-    x_w = np.empty((batch_size, universe.d_in))
-    for i, ident in enumerate(idents.tolist()):
-        n = int(counts[ident])
-        start = int(table.starts[ident])
-        q = int(gen.integers(n))
-        rows_t[i] = start + q
-        if n >= 2:
-            r = int(gen.integers(n - 1))
-            if r >= q:
-                r += 1
-            rows_w[i] = start + r
-        else:
-            x_w[i] = universe.centers[ident] + universe.sigma * gen.standard_normal(universe.d_in)
-    stored = rows_w >= 0
-    x_w[stored] = table.data[rows_w[stored]]
-    return PairBatch(x_t=Tensor(table.data[rows_t]), x_w=Tensor(x_w), y=idents.astype(np.int64))
+    draws, noise, lo = [], [], 0
+    for row in single.tolist():
+        draws.append(gen.integers(0, highs[lo : row + 1]))
+        noise.append(gen.standard_normal(universe.d_in))
+        lo = row + 1
+    draws.append(gen.integers(0, highs[lo:]))
+    q, r = np.concatenate(draws).T
+    r += (r >= q) & (n > 1)  # a distinct reference index; row 0 when n == 1
+    starts = table.starts[idents]
+    x_w = table.data[starts + r]
+    if noise:
+        x_w[single] = universe.centers[idents[single]] + universe.sigma * np.array(noise)
+    return PairBatch(x_t=Tensor(table.data[starts + q]), x_w=Tensor(x_w), y=idents.astype(np.int64))
 
 
 def build_eval_protocol(
@@ -283,26 +283,20 @@ def build_eval_protocol(
     gen = rng.stream(seed, rng.PROTOCOL)
     half = n_pairs // 2
 
-    # every protocol draw first, in a fixed order; the held-out rows after
-    label_a = np.empty(n_pairs, dtype=np.int64)
-    label_b = np.empty(n_pairs, dtype=np.int64)
-    index_a = np.empty(n_pairs, dtype=np.int64)
-    index_b = np.empty(n_pairs, dtype=np.int64)
-    genuine = np.zeros(n_pairs, dtype=bool)
-    genuine[:half] = True
-    for i in range(half):
-        ident = int(gen.integers(n_train))
-        label_a[i] = label_b[i] = ident
-        index_a[i] = gen.integers(1 << 30)
-        index_b[i] = gen.integers(1 << 30)
-    for i in range(half, n_pairs):
-        a = int(gen.integers(n_train))
-        b = int(gen.integers(n_train - 1))
-        if b >= a:
-            b += 1
-        label_a[i], label_b[i] = a, b
-        index_a[i] = gen.integers(1 << 30)
-        index_b[i] = gen.integers(1 << 30)
+    # every protocol draw first, in a fixed order, in one call: per genuine
+    # pair (identity, index_a, index_b), per impostor pair (a, b, index_a,
+    # index_b) with b drawn from n_train - 1 and shifted past a
+    index_high = 1 << 30
+    genuine_highs = np.tile([n_train, index_high, index_high], half)
+    impostor_highs = np.tile([n_train, n_train - 1, index_high, index_high], n_pairs - half)
+    draws = gen.integers(0, np.concatenate([genuine_highs, impostor_highs]))
+    g = draws[: 3 * half].reshape(half, 3)
+    imp = draws[3 * half :].reshape(n_pairs - half, 4)
+    label_a = np.concatenate([g[:, 0], imp[:, 0]])
+    label_b = np.concatenate([g[:, 0], imp[:, 1] + (imp[:, 1] >= imp[:, 0])])
+    index_a = np.concatenate([g[:, 1], imp[:, 2]])
+    index_b = np.concatenate([g[:, 2], imp[:, 3]])
+    genuine = np.arange(n_pairs) < half
     probe_ids = gen.choice(n_train, size=n_probe, replace=False).astype(np.int64)
     distractor_ids = (n_train + np.arange(n_distractors)).astype(np.int64)
 

@@ -302,11 +302,33 @@ def _checkpoint_payload(state: TrainResult, progress: dict) -> tuple[dict, dict[
     return meta, arrays
 
 
-def _restore_from_checkpoint(state: TrainResult, meta: dict, arrays: dict) -> None:
+def _checkpoint_meta(meta) -> tuple[dict, dict]:
+    """A checkpoint's config dict and progress, with keys and types checked.
+
+    Progress holds non-negative ints ``epoch_next`` and ``global_step``,
+    plus ``queue_cursor`` for a queue-method run; anything else raises
+    CheckpointError.
+    """
+    meta = meta if isinstance(meta, dict) else {}
+    config, progress = meta.get("config"), meta.get("state")
+    if not isinstance(config, dict) or not isinstance(progress, dict):
+        raise CheckpointError("checkpoint metadata lacks its config or state object")
+    keys = ["epoch_next", "global_step"]
+    if config.get("method", METHOD_DCQ) == METHOD_DCQ:
+        keys.append("queue_cursor")
+    for key in keys:
+        value = progress.get(key)
+        if not _is_int(value) or value < 0:
+            raise CheckpointError(f"checkpoint state.{key} must be a non-negative int, got {value!r}")
+    return config, progress
+
+
+def _restore_from_checkpoint(state: TrainResult, progress: dict, arrays: dict) -> None:
     """Copy a checkpoint's arrays into a run state built from the same config.
 
     The checkpoint must hold exactly the arrays that state would save, each
-    with the same shape; anything else raises CheckpointError.
+    with the same shape; anything else raises CheckpointError. ``progress``
+    comes from ``_checkpoint_meta``.
     """
     _, expected = _checkpoint_payload(state, {})
     missing = sorted(expected.keys() - arrays.keys())
@@ -328,7 +350,7 @@ def _restore_from_checkpoint(state: TrainResult, meta: dict, arrays: dict) -> No
         elif name != "label_map.retained":  # derived from the config, not state
             target[...] = arrays[name]
     if state.queue is not None:
-        state.queue.cursor = int(meta["state"]["queue_cursor"])
+        state.queue.cursor = progress["queue_cursor"]
 
 
 def run_training(
@@ -360,24 +382,27 @@ def run_training(
     global_step = 0
     if resume_from is not None:
         meta, arrays = load_checkpoint(resume_from)
-        if meta["config"] != cfg.to_dict():
+        config_dict, progress = _checkpoint_meta(meta)
+        if config_dict != cfg.to_dict():
             raise ConfigError("checkpoint config does not match the requested config")
-        _restore_from_checkpoint(result, meta, arrays)
-        start_epoch = int(meta["state"]["epoch_next"])
-        global_step = int(meta["state"]["global_step"])
+        _restore_from_checkpoint(result, progress, arrays)
+        start_epoch = progress["epoch_next"]
+        global_step = progress["global_step"]
 
     counts_eff = counts if label_map is None else np.where(label_map >= 0, counts, 0)
     table = build_instance_table(result.universe, counts_eff)
     steps_per_epoch = max(1, int(counts_eff.sum()) // cfg.B)
+    # step t's batch stream is rng.stream(seed, BATCH, t), re-keyed in place
+    last_step = global_step + max(0, cfg.epochs - start_epoch) * steps_per_epoch
+    batch_streams = rng.streams(cfg.seed, rng.BATCH, np.arange(global_step, last_step))
 
+    scores = None
     for epoch in range(start_epoch, cfg.epochs):
         epoch_start = time.perf_counter()
         lr = lr_at_step(cfg, epoch)
         epoch_losses = []
         for _ in range(steps_per_epoch):
-            batch = make_pair_batch(
-                table, cfg.B, cfg.sampling, rng.stream(cfg.seed, rng.BATCH, global_step)
-            )
+            batch = make_pair_batch(table, cfg.B, cfg.sampling, next(batch_streams))
             tape = Tape()
             feats = extract_features(extractor, batch.x_t, tape)
             w_pos = None
@@ -445,7 +470,10 @@ def run_training(
                 save_checkpoint(path, *_checkpoint_payload(result, progress))
 
     result.final_step = global_step
-    result.final_eval = evaluate_protocol(extractor, result.protocol, counts)
+    # the last epoch already scored the final model
+    result.final_eval = (
+        dict(scores) if scores is not None else evaluate_protocol(extractor, result.protocol, counts)
+    )
     return result
 
 
@@ -458,6 +486,7 @@ def save_result_checkpoint(path, result: TrainResult) -> None:
 def load_result_checkpoint(path) -> TrainResult:
     """Rebuild model state (not metrics) from a checkpoint for evaluation."""
     meta, arrays = load_checkpoint(path)
-    result = _build_run_state(TrainConfig.from_dict(meta["config"]).resolve())
-    _restore_from_checkpoint(result, meta, arrays)
+    config_dict, progress = _checkpoint_meta(meta)
+    result = _build_run_state(TrainConfig.from_dict(config_dict).resolve())
+    _restore_from_checkpoint(result, progress, arrays)
     return result

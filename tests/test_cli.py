@@ -228,6 +228,42 @@ class TestEvalBadCheckpoint:
         assert err.startswith("error: ") and err.count("\n") == 1 and "head.W" in err, err
 
 
+class TestBadCheckpointMetadata:
+    def _damaged(self, tmp_path, capsys, damage, **extra):
+        config = _write_config(tmp_path, **extra)
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", config, "--out", str(out)]) == 0
+        path = out / ("epoch_001.ckpt" if extra else "final.ckpt")
+        meta, arrays = load_checkpoint(path)
+        damage(meta)
+        save_checkpoint(path, meta, arrays)
+        capsys.readouterr()
+        return config, path
+
+    def _one_line_error(self, capsys, code, word):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and word in err, err
+
+    def test_eval_without_config(self, tmp_path, capsys):
+        _, path = self._damaged(tmp_path, capsys, lambda meta: meta.pop("config"))
+        self._one_line_error(capsys, cli.main(["eval", "--checkpoint", str(path)]), "config")
+
+    def test_eval_without_queue_cursor(self, tmp_path, capsys):
+        _, path = self._damaged(tmp_path, capsys, lambda meta: meta["state"].pop("queue_cursor"))
+        code = cli.main(["eval", "--checkpoint", str(path)])
+        self._one_line_error(capsys, code, "queue_cursor")
+
+    def test_resume_without_epoch_next(self, tmp_path, capsys):
+        config, path = self._damaged(
+            tmp_path, capsys, lambda meta: meta["state"].pop("epoch_next"), checkpoint_every=1
+        )
+        out = tmp_path / "resumed"
+        code = cli.main(["train", "--config", config, "--out", str(out), "--resume", str(path)])
+        self._one_line_error(capsys, code, "epoch_next")
+        assert not out.exists()
+
+
 class TestSweep:
     def test_sweep_writes_results(self, tmp_path, capsys):
         config = _write_config(tmp_path, epochs=1)

@@ -4,6 +4,7 @@ import pytest
 from dcq.baseline import FcHead
 from dcq.errors import ConfigError
 from dcq.evalbench import (
+    cosine_distances,
     embed,
     evaluate_protocol,
     head_cost_report,
@@ -80,6 +81,51 @@ class TestVerificationAccuracy:
         acc, thr = verification_accuracy(a, b, genuine)
         assert acc == 1.0
         assert thr == pytest.approx(0.5)  # first midpoint achieving the max
+
+
+def _loop_verification(emb_a, emb_b, genuine):
+    """Reference sweep: accuracy at each threshold in turn, first best wins."""
+    dists = cosine_distances(emb_a, emb_b)
+    order = np.sort(dists)
+    thresholds = (order[:-1] + order[1:]) / 2.0 if order.size > 1 else order
+    best_acc, best_thr = -1.0, 0.0
+    for thr in thresholds:
+        acc = float(((dists < thr) == genuine).mean())
+        if acc > best_acc:
+            best_acc, best_thr = acc, float(thr)
+    return best_acc, best_thr
+
+
+class TestVerificationSweepMatchesLoop:
+    @staticmethod
+    def _case(gen, n, p_genuine):
+        # few distinct angles, so distances and thresholds tie often
+        angles = gen.integers(0, 6, size=(2, n)) * (np.pi / 6)
+        emb_a = np.stack([np.cos(angles[0]), np.sin(angles[0])], axis=1)
+        emb_b = np.stack([np.cos(angles[1]), np.sin(angles[1])], axis=1)
+        return emb_a, emb_b, gen.random(n) < p_genuine
+
+    def test_random_cases_with_ties(self):
+        gen = np.random.default_rng(7)
+        for _ in range(300):
+            n = int(gen.integers(1, 40))
+            case = self._case(gen, n, gen.random())
+            assert verification_accuracy(*case) == _loop_verification(*case)
+
+    @pytest.mark.parametrize("p_genuine", [0.0, 1.0])
+    @pytest.mark.parametrize("n", [1, 2, 17])
+    def test_single_kind_and_single_pair(self, n, p_genuine):
+        gen = np.random.default_rng(n)
+        case = self._case(gen, n, p_genuine)
+        assert verification_accuracy(*case) == _loop_verification(*case)
+
+    def test_continuous_distances(self):
+        gen = np.random.default_rng(3)
+        emb_a, emb_b = gen.standard_normal((2, 400, 16))
+        genuine = gen.random(400) < 0.5
+        assert verification_accuracy(emb_a, emb_b, genuine) == _loop_verification(
+            emb_a, emb_b, genuine
+        )
 
 
 class TestIdentificationRank1:

@@ -1,18 +1,22 @@
 """Golden-run pins: short runs whose outputs must not move.
 
-Each pin is the SHA-256 of the metrics rows (without ``wall_seconds``) and
-the final evaluation of a 2-epoch run at a small class count, for every
-method and both sampling modes. A change that means to alter numerics
-re-pins these and says so; a performance or refactor change must pass
-them unchanged.
+Each metrics pin is the SHA-256 of the metrics rows (without
+``wall_seconds``) and the final evaluation of a 2-epoch run at a small
+class count, for every method and both sampling modes. Each checkpoint pin
+is the SHA-256 of the same run's ``final.ckpt`` bytes, which cover the
+parameters, the optimizer velocities and the queue that the metrics only
+see through evaluation. A change that means to alter numerics re-pins
+these and says so; a performance or refactor change must pass them
+unchanged.
 """
 
+import functools
 import hashlib
 import json
 
 import pytest
 
-from dcq.trainer import TrainConfig, run_training
+from dcq.trainer import TrainConfig, run_training, save_result_checkpoint
 
 # min_count=1 gives single-instance identities, so the batch-stream
 # reference fallback runs; min_instances=9 keeps 3 head-only classes.
@@ -37,14 +41,45 @@ GOLDEN_PINS = {
         "9d66817996000c728c4db19f3f16b0b77d20129d85aac561ca9fb3d5d7acb8d0",
 }
 
+CHECKPOINT_PINS = {
+    ("dcq", "instance"):
+        "8ad35aaab7458cd56449fd2661f128b5e16d03c7375bece167a664aea25c3683",
+    ("dcq", "class"):
+        "42ae62e9d0858fdc0d62becd909b4e8e8a69c24f9a1fdbc117f0ef462153ec72",
+    ("cosface-full", "instance"):
+        "8adde79a98b6e659076b473941bc9d1270b5ecd6e5c7751a53e9f340faacc9ed",
+    ("cosface-full", "class"):
+        "74ee6c5014e4165de343aae9fd1ea765eaf066018f55e3024834bd637c9e3ea3",
+    ("cosface-head-only", "instance"):
+        "7270365fe91be7f61112a0ef71a5cc23ea26a127edda2746ed65afeaa0e4098c",
+    ("cosface-head-only", "class"):
+        "05d5ce3be2f05bfa2bc5fc3b6d28392a93583665128a68c827b0f3de9ff343ec",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def golden_run(method: str, sampling: str):
+    return run_training(TrainConfig(method=method, sampling=sampling, **GOLDEN_BASE))
+
 
 def run_digest(method: str, sampling: str) -> str:
-    result = run_training(TrainConfig(method=method, sampling=sampling, **GOLDEN_BASE))
+    result = golden_run(method, sampling)
     rows = [{k: v for k, v in row.items() if k != "wall_seconds"} for row in result.metrics]
     payload = json.dumps({"metrics": rows, "final_eval": result.final_eval}, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def checkpoint_digest(method: str, sampling: str, tmp_path) -> str:
+    path = tmp_path / "final.ckpt"
+    save_result_checkpoint(path, golden_run(method, sampling))
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("method,sampling", sorted(GOLDEN_PINS))
 def test_golden_run(method, sampling):
     assert run_digest(method, sampling) == GOLDEN_PINS[(method, sampling)]
+
+
+@pytest.mark.parametrize("method,sampling", sorted(CHECKPOINT_PINS))
+def test_golden_checkpoint(method, sampling, tmp_path):
+    assert checkpoint_digest(method, sampling, tmp_path) == CHECKPOINT_PINS[(method, sampling)]

@@ -193,8 +193,8 @@ class TestPairBatch:
         np.testing.assert_array_equal(a.y, b.y)
 
     def test_identity_draws_match_generator_choice(self):
-        # the precomputed tables draw what Generator.choice draws from p and
-        # leave the batch stream in the same state
+        # the batch draws what Generator.choice then the per-row index and
+        # reference loop below draw, and leaves the stream in the same state
         u = build_universe(40, 4, 0.1, seed=9)
         counts = np.arange(40) % 7  # zeros, single-instance and multi-instance
         table = build_instance_table(u, counts)
@@ -205,14 +205,19 @@ class TestPairBatch:
                 gen, ref = rng.stream(seed, rng.BATCH, 0), rng.stream(seed, rng.BATCH, 0)
                 batch = make_pair_batch(table, 16, mode, gen)
                 idents = ref.choice(eligible, size=16, p=p)
-                for ident in idents:  # the per-row draws of make_pair_batch
-                    n = int(counts[ident])
-                    ref.integers(n)
+                x_t, x_w = [], []
+                for ident in idents:
+                    n, start = int(counts[ident]), int(table.starts[ident])
+                    q = int(ref.integers(n))
+                    x_t.append(table.data[start + q])
                     if n >= 2:
-                        ref.integers(n - 1)
+                        r = int(ref.integers(n - 1))
+                        x_w.append(table.data[start + r + (r >= q)])
                     else:
-                        ref.standard_normal(u.d_in)
+                        x_w.append(u.centers[ident] + u.sigma * ref.standard_normal(u.d_in))
                 np.testing.assert_array_equal(batch.y, idents)
+                np.testing.assert_array_equal(batch.x_t.data, np.array(x_t))
+                np.testing.assert_array_equal(batch.x_w.data, np.array(x_w))
                 np.testing.assert_array_equal(gen.random(4), ref.random(4))
 
     def test_bad_mode(self):
@@ -270,6 +275,35 @@ class TestEvalProtocol:
             np.testing.assert_array_equal(p.gallery_x[i], heldout_instance(u, ident, 1))
         for i, ident in enumerate(p.distractor_labels.tolist()):
             np.testing.assert_array_equal(p.gallery_x[n_probe + i], heldout_instance(u, ident, 0))
+
+    @pytest.mark.parametrize("n_train", [2, 50])
+    def test_draws_match_per_pair_loop(self, n_train):
+        # reference: the protocol draws one call at a time, pair by pair
+        u = build_universe(n_train + 10, 8, 0.1, seed=11)
+        counts = np.full(n_train, 3)
+        n_pairs, n_probe = 24, 2
+        for seed in range(6):
+            p = build_eval_protocol(u, counts, n_pairs, n_probe, 5, seed=seed)
+            gen = rng.stream(seed, rng.PROTOCOL)
+            label_a, label_b, index_a, index_b = [], [], [], []
+            for i in range(n_pairs):
+                a = int(gen.integers(n_train))
+                b = a
+                if i >= n_pairs // 2:
+                    b = int(gen.integers(n_train - 1))
+                    b += b >= a
+                label_a.append(a)
+                label_b.append(b)
+                index_a.append(int(gen.integers(1 << 30)))
+                index_b.append(int(gen.integers(1 << 30)))
+            probes = gen.choice(n_train, size=n_probe, replace=False)
+            np.testing.assert_array_equal(p.pair_label_a, label_a)
+            np.testing.assert_array_equal(p.pair_label_b, label_b)
+            np.testing.assert_array_equal(p.pair_genuine, np.arange(n_pairs) < n_pairs // 2)
+            np.testing.assert_array_equal(p.probe_labels, probes)
+            for i in range(n_pairs):
+                np.testing.assert_array_equal(p.pair_a[i], heldout_instance(u, label_a[i], index_a[i]))
+                np.testing.assert_array_equal(p.pair_b[i], heldout_instance(u, label_b[i], index_b[i]))
 
     def test_deterministic(self):
         a, _ = self._protocol()

@@ -159,6 +159,25 @@ class TestRunTraining:
             for key in ("epoch", "lr", "train_loss", "ver_acc", "id_rank1"):
                 assert ra[key] == rb[key], key
 
+    def test_generators_opened_do_not_grow_with_steps(self, monkeypatch):
+        # batch streams are re-keyed, not constructed, so only setup opens
+        # rng.stream generators
+        calls = []
+        stream = rng.stream
+
+        def counted(*args):
+            calls.append(args)
+            return stream(*args)
+
+        monkeypatch.setattr(rng, "stream", counted)
+        per_run = []
+        for epochs in (1, 2):
+            calls.clear()
+            result = run_training(TrainConfig(method="dcq", **{**TINY, "epochs": epochs}))
+            assert result.final_step > 0
+            per_run.append(len(calls))
+        assert per_run[0] == per_run[1]
+
     def test_well_separated_identities_verify(self):
         # 10 tight identities: verification accuracy >= 0.95 within 20 epochs
         cfg = TrainConfig(
@@ -371,6 +390,37 @@ class TestResume:
         with pytest.raises(CheckpointError, match="head.W" if damage != "extra" else "queue"):
             load_result_checkpoint(path)
         with pytest.raises(CheckpointError):
+            run_training(cfg, resume_from=path)
+
+    def test_resume_at_the_last_epoch_scores_the_final_model(self, tmp_path):
+        cfg = TrainConfig(method="dcq", checkpoint_every=1, **{**TINY, "epochs": 2})
+        full = run_training(cfg, checkpoint_dir=str(tmp_path))
+        resumed = run_training(cfg, resume_from=tmp_path / "epoch_002.ckpt")
+        assert resumed.metrics == [] and resumed.final_step == full.final_step
+        assert resumed.final_eval == full.final_eval
+
+    # value None deletes the key; config sits at the top of the metadata
+    @pytest.mark.parametrize(
+        "key,value",
+        [("config", None), ("queue_cursor", None), ("epoch_next", 1.0),
+         ("global_step", -1), ("queue_cursor", True)],
+    )
+    def test_checkpoint_metadata_is_checked(self, tmp_path, key, value):
+        from dcq.trainer import load_result_checkpoint
+
+        cfg = TrainConfig(method="dcq", **{**TINY, "epochs": 1})
+        path = tmp_path / "final.ckpt"
+        save_result_checkpoint(path, run_training(cfg))
+        meta, arrays = load_checkpoint(path)
+        target = meta if key == "config" else meta["state"]
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
+        save_checkpoint(path, meta, arrays)
+        with pytest.raises(CheckpointError, match=key):
+            load_result_checkpoint(path)
+        with pytest.raises(CheckpointError, match=key):
             run_training(cfg, resume_from=path)
 
     def test_final_checkpoint_roundtrip(self, tmp_path):
