@@ -10,13 +10,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 from .model import MlpParams, extract_features
 from .numerics import Tensor
 from .synthdata import EvalProtocol, IdentityUniverse, build_instance_table
 
 # Bucket edges straddle the <10-instances tail definition.
 BUCKET_EDGES = (5, 10, 50)
+
+# Rows per embed call in the alignment diagnostic: enough to amortise the
+# per-op overhead; over a whole desk table PReLU's np.where runs about 3x
+# slower per row, so one call takes almost twice as long as the blocks.
+EMBED_BLOCK_ROWS = 256
 
 
 def _normalize(rows: np.ndarray, eps: float = 1e-12) -> np.ndarray:
@@ -208,30 +213,67 @@ def tail_alignment_diagnostic(
 
     ``head_w`` is the D×n matrix of learned columns; ``class_ids`` maps its
     columns to original identities (defaults to 0..n−1).
+
+    The instance table is embedded in blocks of about ``EMBED_BLOCK_ROWS``
+    rows and single-instance classes on their own 1-row input, since numpy
+    sends a 1-row matmul down the BLAS vector path. A row's embedding is
+    then the one a per-class call gives whenever every layer width is a
+    multiple of 8; at other widths OpenBLAS may round a row differently at
+    another row count, and the batched computation is the definition.
     """
     counts = np.asarray(counts, dtype=np.int64)
     if class_ids is None:
-        class_ids = np.arange(head_w.shape[1])
+        class_ids = np.arange(head_w.shape[-1])
+    class_ids = np.asarray(class_ids, dtype=np.int64)
+    if class_ids.ndim != 1 or head_w.shape != (extractor.d_out, class_ids.size):
+        raise ShapeError(
+            f"head_w shape {head_w.shape} != (embed dim {extractor.d_out}, "
+            f"{class_ids.size} class ids)"
+        )
+    if ((class_ids < 0) | (class_ids >= counts.size)).any() or (
+        np.unique(class_ids).size != class_ids.size
+    ):
+        raise ConfigError(f"class_ids must be unique and in [0, {counts.size})")
     # only the head's classes need instances
     head_counts = np.zeros_like(counts)
     head_counts[class_ids] = counts[class_ids]
     table = build_instance_table(universe, head_counts)
-    per_bucket: dict[str, list[float]] = {}
-    for col, ident in enumerate(class_ids):
-        n = int(counts[ident])
-        if n == 0:
-            continue
-        # one embed per class: batching classes would change BLAS summation order
-        mean_emb = _normalize(embed(extractor, table.rows(ident))).mean(axis=0)
-        w = head_w[:, col]
-        cos = float(
-            w @ mean_emb / max(np.linalg.norm(w) * np.linalg.norm(mean_emb), 1e-12)
-        )
-        per_bucket.setdefault(_bucket_name(n), []).append(cos)
+    n_rows = table.data.shape[0]
+    # near-equal blocks, so none holds a single row unless the table does
+    bounds = np.linspace(0, n_rows, -(-n_rows // EMBED_BLOCK_ROWS) + 1).astype(np.int64)
+    emb = np.empty((n_rows, extractor.d_out))
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        emb[lo:hi] = _normalize(embed(extractor, table.data[lo:hi]))
+    n = counts[class_ids]
+    starts = table.starts[class_ids]
+    for row in starts[n == 1].tolist():
+        emb[row] = _normalize(embed(extractor, table.data[row : row + 1]))
+    del table  # free the inputs before the gathers below
+
+    means = np.zeros((n.size, extractor.d_out))
+    names = np.empty(n.size, dtype=object)
+    for k in np.unique(n[n > 0]).tolist():
+        group = np.flatnonzero(n == k)
+        names[group] = _bucket_name(k)
+        step = max(1, EMBED_BLOCK_ROWS // k)  # block-sized gathers keep the peak low
+        for lo in range(0, group.size, step):
+            sel = group[lo : lo + step]
+            means[sel] = emb[starts[sel, None] + np.arange(k)].mean(axis=1)
+    del emb
+    # stacked vector·vector products run the ddot of the per-class
+    # w @ mean_emb (strided w, as head_w.T keeps) and of np.linalg.norm,
+    # which copies a strided w to contiguous first
+    w = np.ascontiguousarray(head_w.T)
+    dots = (head_w.T[:, None, :] @ means[:, :, None])[:, 0, 0]
+    norms = np.sqrt((w[:, None, :] @ w[:, :, None])[:, 0, 0])
+    norms *= np.sqrt((means[:, None, :] @ means[:, :, None])[:, 0, 0])
+    keep = n > 0
+    cos, names = (dots / np.maximum(norms, 1e-12))[keep], names[keep]
     report = AlignmentReport(bucket_edges=BUCKET_EDGES)
-    for name, values in per_bucket.items():
-        report.mean_cosine[name] = float(np.mean(values))
-        report.class_counts[name] = len(values)
+    for name in dict.fromkeys(names):
+        values = cos[names == name]
+        report.mean_cosine[name] = float(values.mean())
+        report.class_counts[name] = int(values.size)
     return report
 
 

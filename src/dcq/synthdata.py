@@ -120,8 +120,8 @@ def build_universe(C: int, d_in: int, sigma: float, seed: int) -> IdentityUniver
     if d_in < 2:
         raise ConfigError(f"input dimension must be >= 2, got {d_in}")
     centers = rng.normal_rows(d_in, seed, rng.CENTERS, np.arange(C))
-    for row in centers:
-        row /= np.linalg.norm(row)  # per row: an axis=1 norm rounds differently
+    # each stacked row·row product is the ddot that np.linalg.norm(row) runs
+    centers /= np.sqrt((centers[:, None, :] @ centers[:, :, None])[:, 0])
     return IdentityUniverse(C=C, d_in=d_in, sigma=float(sigma), seed=int(seed), centers=centers)
 
 

@@ -1,9 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
-from dcq.baseline import FcHead
-from dcq.errors import ConfigError
+from dcq import evalbench
+from dcq.baseline import FcHead, filter_head_classes
+from dcq.errors import ConfigError, ShapeError
 from dcq.evalbench import (
+    EMBED_BLOCK_ROWS,
+    _bucket_name,
+    _normalize,
     cosine_distances,
     embed,
     evaluate_protocol,
@@ -15,7 +21,13 @@ from dcq.evalbench import (
     verification_accuracy,
 )
 from dcq.model import init_extractor
-from dcq.synthdata import build_universe, draw_instance
+from dcq.synthdata import (
+    LongTailSpec,
+    assign_longtail_counts,
+    build_instance_table,
+    build_universe,
+    draw_instance,
+)
 from dcq.trainer import TrainConfig, run_training
 
 
@@ -306,6 +318,127 @@ class TestTailAlignment:
         report = tail_alignment_diagnostic(head.W.data, universe, counts, extractor)
         assert set(report.mean_cosine) == {"<5"}
 
+
+def _loop_alignment(head_w, universe, counts, extractor, class_ids):
+    """The per-class reference: one embed, mean and cosine per column."""
+    head_counts = np.zeros_like(counts)
+    head_counts[class_ids] = counts[class_ids]
+    table = build_instance_table(universe, head_counts)
+    per_bucket = {}
+    for col, ident in enumerate(class_ids.tolist()):
+        n = int(counts[ident])
+        if n == 0:
+            continue
+        mean_emb = _normalize(embed(extractor, table.rows(ident))).mean(axis=0)
+        w = head_w[:, col]
+        cos = float(w @ mean_emb / max(np.linalg.norm(w) * np.linalg.norm(mean_emb), 1e-12))
+        per_bucket.setdefault(_bucket_name(n), []).append(cos)
+    return (
+        {k: float(np.mean(v)) for k, v in per_bucket.items()},
+        {k: len(v) for k, v in per_bucket.items()},
+    )
+
+
+def _desk_case(n_classes=300, seed=71):
+    """A desk-shaped extractor and long-tail counts with zero and one-instance classes."""
+    universe = build_universe(n_classes + 20, 32, 0.1, seed=seed)
+    counts = assign_longtail_counts(LongTailSpec(1.2, 1, 120), n_classes)
+    counts[[5, 40, 41, 150]] = 0
+    extractor = init_extractor([32, 64, 64, 32], seed=seed + 1)
+    return universe, counts, extractor
+
+
+class TestTailAlignmentMatchesLoop:
+    def test_desk_extractor_across_row_blocks(self):
+        universe, counts, extractor = _desk_case()
+        class_ids = np.arange(counts.size)
+        head_w = FcHead(32, counts.size, seed=73).W.data
+        # at least two blocks, one class straddling a block edge, and
+        # classes with 0 and 1 instances
+        ends = np.cumsum(counts)
+        bounds = np.linspace(0, ends[-1], math.ceil(ends[-1] / EMBED_BLOCK_ROWS) + 1)
+        edge = bounds[1:-1].astype(np.int64)
+        assert edge.size >= 1
+        assert ((ends - counts < edge[:, None]) & (ends > edge[:, None])).any()
+        assert {0, 1} <= set(counts.tolist())
+        report = tail_alignment_diagnostic(head_w, universe, counts, extractor)
+        mean_cosine, class_counts = _loop_alignment(head_w, universe, counts, extractor, class_ids)
+        assert report.mean_cosine == mean_cosine
+        assert report.class_counts == class_counts
+        assert list(report.mean_cosine) == list(mean_cosine)
+
+    @pytest.mark.parametrize("min_instances", [1, 3, 9])
+    def test_filtered_class_ids(self, min_instances):
+        universe, counts, extractor = _desk_case(n_classes=400, seed=81)
+        class_ids, _ = filter_head_classes(counts, min_instances)
+        head_w = FcHead(32, class_ids.size, seed=83).W.data
+        report = tail_alignment_diagnostic(head_w, universe, counts, extractor, class_ids)
+        mean_cosine, class_counts = _loop_alignment(head_w, universe, counts, extractor, class_ids)
+        assert report.mean_cosine == mean_cosine
+        assert report.class_counts == class_counts
+
+    def test_single_row_table(self):
+        universe = build_universe(4, 8, 0.2, seed=91)
+        counts = np.array([0, 1, 0, 0])
+        extractor = init_extractor([8, 16, 8], seed=92)
+        head_w = FcHead(8, 4, seed=93).W.data
+        report = tail_alignment_diagnostic(head_w, universe, counts, extractor)
+        assert (report.mean_cosine, report.class_counts) == _loop_alignment(
+            head_w, universe, counts, extractor, np.arange(4)
+        )
+
+
+class TestTailAlignmentValidation:
+    @pytest.fixture
+    def case(self):
+        universe = build_universe(8, 8, 0.2, seed=95)
+        counts = np.full(6, 3)
+        extractor = init_extractor([8, 16, 8], seed=96)
+        return universe, counts, extractor
+
+    @pytest.mark.parametrize("class_ids", [[0, 1], list(range(6)) + [6]])
+    def test_class_ids_not_matching_columns(self, case, class_ids):
+        universe, counts, extractor = case
+        head_w = FcHead(8, 6, seed=97).W.data
+        with pytest.raises(ShapeError):
+            tail_alignment_diagnostic(head_w, universe, counts, extractor, np.array(class_ids))
+
+    def test_wrong_embed_dim(self, case):
+        universe, counts, extractor = case
+        head_w = FcHead(16, 6, seed=97).W.data
+        with pytest.raises(ShapeError):
+            tail_alignment_diagnostic(head_w, universe, counts, extractor)
+
+    @pytest.mark.parametrize("class_ids", [[0, 1, 1], [0, 1, 6], [-1, 0, 1]])
+    def test_class_ids_repeated_or_out_of_range(self, case, class_ids):
+        universe, counts, extractor = case
+        head_w = FcHead(8, 3, seed=97).W.data
+        with pytest.raises(ConfigError):
+            tail_alignment_diagnostic(head_w, universe, counts, extractor, np.array(class_ids))
+
+
+def test_alignment_embeds_row_blocks_not_classes(monkeypatch):
+    # the desk config (C=2000, d_in=32, hidden (64, 64), D=32) with a few
+    # single-instance classes, which each get one 1-row embed of their own
+    cfg = TrainConfig()
+    universe = build_universe(cfg.n_classes + cfg.n_reserved, cfg.d_in, cfg.sigma, cfg.seed)
+    counts = assign_longtail_counts(
+        LongTailSpec(cfg.zipf_exponent, cfg.min_count, cfg.max_count), cfg.n_classes
+    )
+    counts[-3:] = 1
+    extractor = init_extractor(cfg.layer_dims, cfg.seed)
+    head_w = FcHead(cfg.embed_dim, cfg.n_classes, cfg.seed).W.data
+    calls = []
+    real_embed = evalbench.embed
+
+    def counting_embed(params, x):
+        calls.append(x.shape[0])
+        return real_embed(params, x)
+
+    monkeypatch.setattr(evalbench, "embed", counting_embed)
+    tail_alignment_diagnostic(head_w, universe, counts, extractor)
+    assert len(calls) == math.ceil(counts.sum() / EMBED_BLOCK_ROWS) + 3
+    assert sum(calls) == counts.sum() + 3
 
 class TestExperimentGrid:
     def test_single_value_reproduces_single_run(self):

@@ -5,7 +5,9 @@ Each metrics pin is the SHA-256 of the metrics rows (without
 class count, for every method and both sampling modes. Each checkpoint pin
 is the SHA-256 of the same run's ``final.ckpt`` bytes, which cover the
 parameters, the optimizer velocities and the queue that the metrics only
-see through evaluation. A change that means to alter numerics re-pins
+see through evaluation. Each alignment pin is the SHA-256 of the tail
+alignment report for a CosFace run's head; each full-FC run has 45
+single-instance classes. A change that means to alter numerics re-pins
 these and says so; a performance or refactor change must pass them
 unchanged.
 """
@@ -16,6 +18,7 @@ import json
 
 import pytest
 
+from dcq import evalbench
 from dcq.trainer import TrainConfig, run_training, save_result_checkpoint
 
 # min_count=1 gives single-instance identities, so the batch-stream
@@ -56,6 +59,17 @@ CHECKPOINT_PINS = {
         "05d5ce3be2f05bfa2bc5fc3b6d28392a93583665128a68c827b0f3de9ff343ec",
 }
 
+ALIGNMENT_PINS = {
+    ("cosface-full", "instance"):
+        "c2afa5becafa9cb41135820e86d60aeb774ffecb2486fb75321b98f1312f9a3a",
+    ("cosface-full", "class"):
+        "95f8270aedb8d27313dbfaedbbc0cb02cdcdbefe75d377d84c0c97703205b25b",
+    ("cosface-head-only", "instance"):
+        "a0548fb46aed421eec0b1b2fd101dff93faa56cf2f8d1073e35bf66d4c5eb22e",
+    ("cosface-head-only", "class"):
+        "8645e71b816e2aabf7a3e3b79480cc79ae935102ea3f001fa8d0fd2ddd565d54",
+}
+
 
 @functools.lru_cache(maxsize=None)
 def golden_run(method: str, sampling: str):
@@ -75,6 +89,16 @@ def checkpoint_digest(method: str, sampling: str, tmp_path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def alignment_digest(method: str, sampling: str) -> str:
+    result = golden_run(method, sampling)
+    report = evalbench.tail_alignment_diagnostic(
+        result.head.W.data, result.universe, result.counts,
+        result.extractor, class_ids=result.retained_ids,
+    )
+    payload = json.dumps([report.mean_cosine, report.class_counts], sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("method,sampling", sorted(GOLDEN_PINS))
 def test_golden_run(method, sampling):
     assert run_digest(method, sampling) == GOLDEN_PINS[(method, sampling)]
@@ -83,3 +107,8 @@ def test_golden_run(method, sampling):
 @pytest.mark.parametrize("method,sampling", sorted(CHECKPOINT_PINS))
 def test_golden_checkpoint(method, sampling, tmp_path):
     assert checkpoint_digest(method, sampling, tmp_path) == CHECKPOINT_PINS[(method, sampling)]
+
+
+@pytest.mark.parametrize("method,sampling", sorted(ALIGNMENT_PINS))
+def test_golden_alignment(method, sampling):
+    assert alignment_digest(method, sampling) == ALIGNMENT_PINS[(method, sampling)]

@@ -49,6 +49,15 @@ class TestBuildUniverse:
             build_universe(5, 1, 0.1, seed=0)
 
 
+    @pytest.mark.parametrize("C", [1, 7, 2200])
+    @pytest.mark.parametrize("d_in", [2, 3, 32])
+    def test_matches_per_row_norm_loop(self, C, d_in):
+        for seed in (0, 13):
+            centers = rng.normal_rows(d_in, seed, rng.CENTERS, np.arange(C))
+            for row in centers:
+                row /= np.linalg.norm(row)
+            assert np.array_equal(build_universe(C, d_in, 0.1, seed).centers, centers)
+
 class TestLongTailCounts:
     def test_flat_exponent(self):
         counts = assign_longtail_counts(LongTailSpec(0.0, 10, 10), 7)
