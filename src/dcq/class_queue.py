@@ -99,9 +99,6 @@ class ClassQueue:
     def embed_dim(self) -> int:
         return self.weights.shape[0]
 
-    def is_full(self) -> bool:
-        return not np.any(self.labels == SENTINEL_LABEL)
-
     def update(self, w: Tensor, y: np.ndarray) -> None:
         """Overwrite the B oldest slots with the batch's (weight, label) pairs."""
         n_new = w.shape[0]
@@ -116,11 +113,6 @@ class ClassQueue:
         self.weights[:, slots] = w.data.T
         self.labels[slots] = y
         self.cursor = int((self.cursor + n_new) % self.capacity)
-
-    def labels_fifo(self) -> np.ndarray:
-        """Stored labels ordered oldest to newest."""
-        order = (self.cursor + np.arange(self.capacity)) % self.capacity
-        return self.labels[order].copy()
 
     def snapshot(self) -> tuple[np.ndarray, np.ndarray, int]:
         return self.weights.copy(), self.labels.copy(), self.cursor

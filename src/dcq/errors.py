@@ -30,7 +30,7 @@ class CheckpointVersionError(CheckpointError):
 
 
 class CheckpointIntegrityError(CheckpointError):
-    """Checkpoint is truncated or fails its checksum."""
+    """Checkpoint is truncated, fails its checksum or does not parse."""
 
 
 class TrainingDiverged(NumericError):

@@ -155,8 +155,10 @@ def head_cost_report(
     The queue's MACs include one generator forward per batch when layer
     dims are supplied.
     """
-    if min(C, K, D, B, bytes_per_float) <= 0:
-        raise ConfigError("all cost dimensions must be positive")
+    sizes = {"C": C, "K": K, "D": D, "B": B, "bytes_per_float": bytes_per_float}
+    for name, value in sizes.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value <= 0:
+            raise ConfigError(f"{name} must be a positive int, got {value!r}")
     full_bytes = C * D * bytes_per_float
     if method == "full":
         return CostReport(

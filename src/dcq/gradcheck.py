@@ -38,7 +38,8 @@ def _general_position(params, gen: np.random.Generator) -> None:
     # slopes remove such degenerate directions from the check
     for layer in params.layers:
         layer.bias.data += 0.2 * gen.standard_normal(layer.bias.data.shape)
-        layer.slope.data += gen.uniform(-0.1, 0.1)
+        if layer.slope is not None:
+            layer.slope.data += gen.uniform(-0.1, 0.1)
 
 
 def check_dcq_loss(seed: int, h: float = 1e-5) -> float:

@@ -1,8 +1,8 @@
 """The feature extractor: a small MLP mapping inputs to embeddings.
 
 Layers are (matmul → bias → PReLU) for every hidden layer and a plain
-linear map for the final one. Embeddings come out unnormalized; projecting
-onto the unit sphere is the loss's job.
+linear map for the final one, which therefore has no slope. Embeddings
+come out unnormalized; projecting onto the unit sphere is the loss's job.
 """
 
 from __future__ import annotations
@@ -22,12 +22,12 @@ PRELU_INIT = 0.25
 class LayerParams:
     weight: Tensor  # in × out
     bias: Tensor    # (out,)
-    slope: Tensor   # scalar PReLU slope
+    slope: Tensor | None  # scalar PReLU slope; None on the linear last layer
 
 
 @dataclass
 class MlpParams:
-    """Per-layer weights, biases and PReLU slopes for the extractor."""
+    """Per-layer weights, biases and hidden-layer PReLU slopes for the extractor."""
 
     layer_dims: list[int]
     layers: list[LayerParams]
@@ -45,27 +45,22 @@ class MlpParams:
         for i, layer in enumerate(self.layers):
             out.append((f"layer{i}.weight", layer.weight))
             out.append((f"layer{i}.bias", layer.bias))
-            out.append((f"layer{i}.slope", layer.slope))
+            if layer.slope is not None:
+                out.append((f"layer{i}.slope", layer.slope))
         return out
-
-    def parameter_count(self) -> int:
-        return sum(t.data.size for _, t in self.named_parameters())
 
     def copy(self, requires_grad: bool = False) -> "MlpParams":
         """Deep copy; shadow copies default to gradient-free parameters."""
-        layers = [
-            LayerParams(
-                Tensor(l.weight.data.copy(), requires_grad),
-                Tensor(l.bias.data.copy(), requires_grad),
-                Tensor(l.slope.data.copy(), requires_grad),
-            )
-            for l in self.layers
-        ]
+
+        def dup(t: Tensor | None) -> Tensor | None:
+            return None if t is None else Tensor(t.data.copy(), requires_grad)
+
+        layers = [LayerParams(dup(l.weight), dup(l.bias), dup(l.slope)) for l in self.layers]
         return MlpParams(list(self.layer_dims), layers)
 
 
 def init_extractor(layer_dims: list[int], seed: int) -> MlpParams:
-    """Gaussian weights scaled by 1/√fan_in, zero biases, slopes at 0.25.
+    """Gaussian weights scaled by 1/√fan_in, zero biases, hidden slopes at 0.25.
 
     ``layer_dims`` is [d_in, h₁, …, D]; at least one hidden layer and an
     embedding width of 2 or more are required.
@@ -78,6 +73,7 @@ def init_extractor(layer_dims: list[int], seed: int) -> MlpParams:
     if dims[-1] < 2:
         raise ConfigError(f"embedding dim must be >= 2, got {dims[-1]}")
     layers = []
+    last = len(dims) - 2
     for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
         gen = rng.stream(seed, rng.PARAM_INIT, i)
         w = gen.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in)
@@ -85,7 +81,7 @@ def init_extractor(layer_dims: list[int], seed: int) -> MlpParams:
             LayerParams(
                 Tensor(w, requires_grad=True),
                 Tensor(np.zeros(fan_out), requires_grad=True),
-                Tensor(np.asarray(PRELU_INIT), requires_grad=True),
+                None if i == last else Tensor(np.asarray(PRELU_INIT), requires_grad=True),
             )
         )
     return MlpParams(dims, layers)
@@ -96,9 +92,8 @@ def extract_features(params: MlpParams, x: Tensor, tape: Tape | None = None) -> 
     if x.data.ndim != 2 or x.shape[1] != params.d_in:
         raise ShapeError(f"input shape {x.shape} does not match d_in={params.d_in}")
     h = x
-    last = len(params.layers) - 1
-    for i, layer in enumerate(params.layers):
+    for layer in params.layers:
         h = add_rowvec(matmul(h, layer.weight, tape), layer.bias, tape)
-        if i < last:
+        if layer.slope is not None:
             h = prelu(h, layer.slope, tape)
     return h

@@ -35,7 +35,6 @@ INSTANCE_NOISE = 2
 BATCH = 3
 PROTOCOL = 4
 PARAM_INIT = 5
-EVAL_NOISE = 6
 
 
 def _splitmix64(z: int) -> int:

@@ -295,8 +295,6 @@ def _checkpoint_payload(state: TrainResult, progress: dict) -> tuple[dict, dict[
         meta["state"]["queue_cursor"] = state.queue.cursor
     if state.head is not None:
         arrays["head.W"] = state.head.W.data
-    if state.retained_ids is not None:
-        arrays["label_map.retained"] = state.retained_ids.astype(np.float64)
     for name, v in state.optimizer_state.items():
         arrays[f"velocity.{name}"] = v
     return meta, arrays
@@ -339,15 +337,14 @@ def _restore_from_checkpoint(state: TrainResult, progress: dict, arrays: dict) -
             f"missing {missing}, unexpected {extra}"
         )
     for name, ref in expected.items():
-        # save_checkpoint writes 0-d arrays (PReLU slopes) with shape (1,)
-        if arrays[name].shape not in (ref.shape, np.atleast_1d(ref).shape):
+        if arrays[name].shape != ref.shape:
             raise CheckpointError(
                 f"checkpoint array {name} has shape {arrays[name].shape}, expected {ref.shape}"
             )
     for name, target in expected.items():
         if name == "queue.labels":
             state.queue.labels[...] = arrays[name].astype(np.int64)
-        elif name != "label_map.retained":  # derived from the config, not state
+        else:
             target[...] = arrays[name]
     if state.queue is not None:
         state.queue.cursor = progress["queue_cursor"]

@@ -141,7 +141,7 @@ class TestClassQueue:
         q.update(Tensor(w), np.array([12, 13]))  # c, d
         q.update(Tensor(w), np.array([14, 15]))  # e, f overwrite a, b
         assert sorted(q.labels.tolist()) == [12, 13, 14, 15]
-        assert q.labels_fifo().tolist() == [12, 13, 14, 15]
+        assert np.roll(q.labels, -q.cursor).tolist() == [12, 13, 14, 15]
 
     def test_weight_and_label_written_together(self):
         q = ClassQueue(embed_dim=3, capacity=4)
@@ -159,9 +159,8 @@ class TestClassQueue:
         batch = 2
         n_batches = -(-7 // batch)  # ceil(K/B)
         for t in range(n_batches):
-            assert not q.is_full()
+            assert not (q.labels != SENTINEL_LABEL).all()
             q.update(Tensor(self._unit_rows(batch, 3, seed=t)), np.array([t, t]))
-        assert q.is_full()
         assert (q.labels != SENTINEL_LABEL).all()
 
     def test_multiset_equals_last_k_enqueued(self):
@@ -173,7 +172,7 @@ class TestClassQueue:
             labels = rng.integers(0, 50, size=batch)
             q.update(Tensor(self._unit_rows(batch, 2, seed=t)), labels)
             enqueued.extend(labels.tolist())
-        assert q.labels_fifo().tolist() == enqueued[-6:]
+        assert np.roll(q.labels, -q.cursor).tolist() == enqueued[-6:]
 
     def test_batch_larger_than_capacity_rejected(self):
         q = ClassQueue(embed_dim=3, capacity=2)
@@ -198,7 +197,7 @@ class TestClassQueue:
             history_labels.extend(labels.tolist())
             history_rows.extend(rows)
         window = history_labels[-capacity:]
-        fifo = q.labels_fifo().tolist()
+        fifo = np.roll(q.labels, -q.cursor).tolist()
         assert fifo[capacity - len(window):] == window
         assert all(l == SENTINEL_LABEL for l in fifo[: capacity - len(window)])
         order = (q.cursor + np.arange(capacity)) % capacity

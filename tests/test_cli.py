@@ -1,5 +1,7 @@
 import csv
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -45,6 +47,12 @@ class TestBench:
 
     def test_unknown_bench_key(self, capsys):
         assert cli.main(["bench", "--set", "classes=10"]) == 1
+
+    @pytest.mark.parametrize("value", ["abc", "[1]", "2.5", "true"])
+    def test_non_int_size_is_a_one_line_error(self, capsys, value):
+        assert cli.main(["bench", "--set", f"C={value}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: C must be a positive int") and err.count("\n") == 1, err
 
 
 class TestUsage:
@@ -226,6 +234,35 @@ class TestEvalBadCheckpoint:
         assert cli.main(["eval", "--checkpoint", str(out / "final.ckpt")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "head.W" in err, err
+
+
+class TestEvalUnreadableCheckpoint:
+    """Checkpoints whose body passes the CRC but cannot be used exit 2 with one line."""
+
+    def _rewritten(self, tmp_path, capsys, rewrite):
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", _write_config(tmp_path), "--out", str(out)]) == 0
+        path = out / "final.ckpt"
+        body = bytearray(path.read_bytes()[:-4])
+        rewrite(body)
+        path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+        capsys.readouterr()
+        code = cli.main(["eval", "--checkpoint", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        return err
+
+    def test_version_1_file(self, tmp_path, capsys):
+        err = self._rewritten(tmp_path, capsys, lambda body: struct.pack_into("<I", body, 4, 1))
+        assert "version 1" in err
+
+    def test_block_count_past_the_last_block(self, tmp_path, capsys):
+        def one_more_block(body):
+            count_at = 12 + struct.unpack_from("<I", body, 8)[0]
+            struct.pack_into("<I", body, count_at, struct.unpack_from("<I", body, count_at)[0] + 1)
+
+        assert "malformed" in self._rewritten(tmp_path, capsys, one_more_block)
 
 
 class TestBadCheckpointMetadata:

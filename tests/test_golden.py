@@ -46,17 +46,17 @@ GOLDEN_PINS = {
 
 CHECKPOINT_PINS = {
     ("dcq", "instance"):
-        "8ad35aaab7458cd56449fd2661f128b5e16d03c7375bece167a664aea25c3683",
+        "efca01afd32dc8175eb9efe359ec9c56b0746bb9485ebbf183ac5ab307598131",
     ("dcq", "class"):
-        "42ae62e9d0858fdc0d62becd909b4e8e8a69c24f9a1fdbc117f0ef462153ec72",
+        "8d4db9246f0edb674348cd6cda438660b7d5e349e7698db3d228630e91f98bf7",
     ("cosface-full", "instance"):
-        "8adde79a98b6e659076b473941bc9d1270b5ecd6e5c7751a53e9f340faacc9ed",
+        "bcfb7b152ac5858565c5f396fcfa7fb541c6073a1e349feaa36269d99ccd51e0",
     ("cosface-full", "class"):
-        "74ee6c5014e4165de343aae9fd1ea765eaf066018f55e3024834bd637c9e3ea3",
+        "468a425ed1253374d4938293d44440babf87b6cac1185160374a5982b24dda74",
     ("cosface-head-only", "instance"):
-        "7270365fe91be7f61112a0ef71a5cc23ea26a127edda2746ed65afeaa0e4098c",
+        "412d38394c72f557e27d1404cbe19c0c39a4c6262fedeabd961204f01e47c939",
     ("cosface-head-only", "class"):
-        "05d5ce3be2f05bfa2bc5fc3b6d28392a93583665128a68c827b0f3de9ff343ec",
+        "8596c7e37cb31a033f1a572a1c2dccb79ac5d826ba40a69dcba23f0f9ea63b2c",
 }
 
 ALIGNMENT_PINS = {

@@ -20,16 +20,27 @@ def test_different_seed_differs():
 
 
 def test_parameter_count_formula():
-    # sum over layers of in*out + out + 1
+    # sum over layers of in*out + out, plus one slope per hidden layer
     params = init_extractor([8, 16, 4], seed=0)
-    assert params.parameter_count() == 8 * 16 + 16 + 1 + 16 * 4 + 4 + 1 == 214
+    count = sum(t.data.size for _, t in params.named_parameters())
+    assert count == 8 * 16 + 16 + 1 + 16 * 4 + 4 == 213
+
+
+def test_final_layer_has_no_slope():
+    params = init_extractor([8, 16, 4], seed=0)
+    names = [name for name, _ in params.named_parameters()]
+    assert names == ["layer0.weight", "layer0.bias", "layer0.slope", "layer1.weight", "layer1.bias"]
+    assert params.layers[-1].slope is None
+    assert params.copy().layers[-1].slope is None
 
 
 def test_biases_zero_and_slopes_quarter_at_init():
     params = init_extractor([6, 5, 3], seed=1)
     for layer in params.layers:
         np.testing.assert_array_equal(layer.bias.data, np.zeros_like(layer.bias.data))
+    for layer in params.layers[:-1]:
         assert layer.slope.data == 0.25
+        assert layer.slope.shape == ()
 
 
 def test_invalid_dims_rejected():

@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,12 @@ from dcq.trainer import (
     save_result_checkpoint,
     sgd_momentum_step,
 )
+
+
+def with_crc(body: bytes) -> bytes:
+    """A checkpoint body closed with its CRC32, as save_checkpoint closes it."""
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
 
 TINY = dict(
     n_classes=12, n_reserved=8, epochs=3, B=8, K=8, sigma=0.05,
@@ -222,11 +231,13 @@ class TestRunTraining:
     def test_no_optimizer_state_for_queue_or_shadow(self):
         cfg = TrainConfig(method="dcq", **TINY)
         result = run_training(cfg)
-        extractor_names = {name for name, _ in result.extractor.named_parameters()}
-        assert set(result.optimizer_state) == extractor_names
+        extractor_names = [name for name, _ in result.extractor.named_parameters()]
+        assert list(result.optimizer_state) == extractor_names
+        assert "layer1.slope" not in extractor_names  # TINY's final layer is linear
         # baseline does carry head state
         full = run_training(TrainConfig(method="cosface-full", **TINY))
         assert "head.W" in full.optimizer_state
+        assert list(full.optimizer_state) == [name for name, _ in full.named_parameters()]
 
     def test_head_only_filters_and_remaps(self):
         cfg = TrainConfig(method="cosface-head-only", min_instances=5, **TINY)
@@ -313,6 +324,34 @@ class TestCheckpointFormat:
         for name in arrays:
             np.testing.assert_array_equal(arrays2[name], arrays[name])
             assert arrays2[name].dtype == np.float64
+            assert arrays2[name].shape == arrays[name].shape  # "scalar" stays 0-d
+
+    def _body_and_first_block(self, tmp_path):
+        # (body without CRC, offset of the block count, offset of the first rank byte)
+        meta, arrays = self._payload()
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(path, meta, arrays)
+        body = bytearray(path.read_bytes()[:-4])
+        (json_len,) = struct.unpack_from("<I", body, 8)
+        count_at = 12 + json_len
+        (name_len,) = struct.unpack_from("<H", body, count_at + 4)
+        return path, body, count_at, count_at + 6 + name_len
+
+    def test_block_count_past_the_last_block_is_integrity_error(self, tmp_path):
+        path, body, count_at, _ = self._body_and_first_block(tmp_path)
+        (count,) = struct.unpack_from("<I", body, count_at)
+        struct.pack_into("<I", body, count_at, count + 1)
+        path.write_bytes(with_crc(bytes(body)))
+        with pytest.raises(CheckpointIntegrityError, match="malformed"):
+            load_checkpoint(path)
+
+    def test_rank_255_is_integrity_error(self, tmp_path):
+        path, body, _, rank_at = self._body_and_first_block(tmp_path)
+        assert body[rank_at] == 2  # extractor.layer0.weight is 3 x 4
+        body[rank_at] = 255
+        path.write_bytes(with_crc(bytes(body)))
+        with pytest.raises(CheckpointIntegrityError):
+            load_checkpoint(path)
 
     def test_truncated_file_is_integrity_error(self, tmp_path):
         meta, arrays = self._payload()
@@ -334,18 +373,15 @@ class TestCheckpointFormat:
             load_checkpoint(path)
 
     def test_version_mismatch_is_explicit(self, tmp_path):
-        import struct
-        import zlib
-
         meta, arrays = self._payload()
         path = tmp_path / "x.ckpt"
         save_checkpoint(path, meta, arrays)
         blob = bytearray(path.read_bytes())[:-4]
-        blob[4:8] = struct.pack("<I", 99)  # version field
-        blob += struct.pack("<I", zlib.crc32(bytes(blob)) & 0xFFFFFFFF)
-        path.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointVersionError):
-            load_checkpoint(path)
+        for version in (1, 99):  # format 1 has no loader either
+            blob[4:8] = struct.pack("<I", version)  # version field
+            path.write_bytes(with_crc(bytes(blob)))
+            with pytest.raises(CheckpointVersionError, match=f"version {version}, expected 2"):
+                load_checkpoint(path)
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "x.ckpt"
@@ -372,7 +408,7 @@ class TestResume:
         with pytest.raises(ConfigError):
             run_training(other, resume_from=tmp_path / "epoch_002.ckpt")
 
-    @pytest.mark.parametrize("damage", ["missing", "extra", "shape"])
+    @pytest.mark.parametrize("damage", ["missing", "extra", "shape", "rank"])
     def test_checkpoint_arrays_must_fit_the_config(self, tmp_path, damage):
         from dcq.trainer import load_result_checkpoint
 
@@ -384,10 +420,13 @@ class TestResume:
             del arrays["head.W"]
         elif damage == "extra":
             arrays["queue.weights"] = np.zeros((8, 8))
-        else:
+        elif damage == "shape":
             arrays["head.W"] = arrays["head.W"][:, :-1]
+        else:  # a scalar slope stored with rank 1, as format 1 wrote it
+            arrays["extractor.layer0.slope"] = arrays["extractor.layer0.slope"].reshape(1)
         save_checkpoint(path, meta, arrays)
-        with pytest.raises(CheckpointError, match="head.W" if damage != "extra" else "queue"):
+        match = {"extra": "queue", "rank": "layer0.slope"}.get(damage, "head.W")
+        with pytest.raises(CheckpointError, match=match):
             load_result_checkpoint(path)
         with pytest.raises(CheckpointError):
             run_training(cfg, resume_from=path)
