@@ -58,13 +58,14 @@ class EmaGenerator:
 
     def update(self, extractor: MlpParams) -> None:
         """Blend the shadow toward the extractor's current parameters."""
-        a = self.alpha
-        pairs = zip(self.shadow.named_parameters(), extractor.named_parameters())
-        for (name, s), (_, p) in pairs:
-            if s.data.shape != p.data.shape:
-                raise ContractError(f"shadow/extractor shape mismatch at {name}")
-            s.data *= a
-            s.data += (1.0 - a) * p.data
+        if self.shadow.layer_dims != extractor.layer_dims:
+            raise ContractError(
+                f"shadow dims {self.shadow.layer_dims} vs extractor dims {extractor.layer_dims}"
+            )
+        # both buffers share one layout, so the blend is two whole-buffer calls
+        s = self.shadow.flat
+        s *= self.alpha
+        s += (1.0 - self.alpha) * extractor.flat
 
     def generate(self, x_w: Tensor) -> Tensor:
         """Unit-norm class weights for a batch of reference samples.
@@ -130,17 +131,20 @@ def dcq_logits_with_mask(
     ``f`` is the raw (unnormalized) feature batch; ``w_pos`` and the queue
     columns must already be unit norm. Entries where the queue label equals
     the row's own label, or is the unfilled sentinel, are set to MASK_VALUE.
+
+    The negative logits multiply against ``queue.weights`` itself, not a
+    copy, and the tape's backward reads it again. So run ``tape.backward``
+    before the next ``queue.update``, as ``run_training`` does every step.
     """
     if f.shape != w_pos.shape:
         raise ShapeError(f"features {f.shape} vs positive weights {w_pos.shape}")
     y = np.asarray(y, dtype=np.int64)
     f_hat = l2_normalize(f, axis=1, tape=tape)
     l_pos = rowwise_dot(f_hat, w_pos, tape)
-    # copy: the loss's backward closures must not see later queue updates
-    weights, labels, _ = queue.snapshot()
-    l_neg = matmul(f_hat, Tensor(weights), tape)
+    l_neg = matmul(f_hat, Tensor(queue.weights), tape)
     # in place: matmul's backward reads its inputs only; a muted logit's
     # softmax probability underflows to 0, so its gradient is exactly 0
+    labels = queue.labels
     mask = (labels[None, :] == y[:, None]) | (labels[None, :] == SENTINEL_LABEL)
     l_neg.data[mask] = MASK_VALUE
     return l_pos, l_neg

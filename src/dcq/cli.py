@@ -15,6 +15,8 @@ import sys
 import time
 from dataclasses import asdict
 
+import numpy as np
+
 from . import __version__, evalbench
 from .errors import DcqError, UsageError
 from .synthdata import LongTailSpec, assign_longtail_counts, build_universe, write_dataset
@@ -27,6 +29,10 @@ from .trainer import (
 )
 
 SEED_ENV_VAR = "DCQ_SEED"
+
+# A diverging run ends in TrainingDiverged, one line; numpy's overflow and
+# invalid-value warnings on the way there would print lines before it.
+QUIET_DIVERGENCE = {"over": "ignore", "invalid": "ignore"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -125,11 +131,12 @@ def _cmd_train(args) -> int:
     os.makedirs(run_dir, exist_ok=True)
     try:
         _write_manifest(run_dir, cfg, overrides)
-        result = run_training(
-            cfg,
-            resume_from=args.resume,
-            checkpoint_dir=run_dir if cfg.checkpoint_every else None,
-        )
+        with np.errstate(**QUIET_DIVERGENCE):
+            result = run_training(
+                cfg,
+                resume_from=args.resume,
+                checkpoint_dir=run_dir if cfg.checkpoint_every else None,
+            )
         write_metrics(result.metrics, os.path.join(run_dir, "metrics.csv"), "csv")
         write_metrics(result.metrics, os.path.join(run_dir, "metrics.json"), "json")
         save_result_checkpoint(os.path.join(run_dir, "final.ckpt"), result)
@@ -166,7 +173,8 @@ def _cmd_sweep(args) -> int:
     overrides = _collect_overrides(args.set)
     cfg = load_config(args.config, overrides)
     values = [_parse_set_value(v) for v in args.values.split(",")]
-    rows = evalbench.run_experiment_grid(cfg, args.axis, values)
+    with np.errstate(**QUIET_DIVERGENCE):
+        rows = evalbench.run_experiment_grid(cfg, args.axis, values)
     os.makedirs(args.out, exist_ok=True)
     header = ["axis", "value", "ver_acc", "id_rank1", "tail_rank1"]
     lines = [",".join(header)]

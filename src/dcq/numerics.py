@@ -67,28 +67,34 @@ class Tape:
     """
 
     def __init__(self):
-        self._nodes: list[tuple[int, list[tuple[Tensor, Callable]]]] = []
+        self._nodes: list[tuple[int, Callable | None, list[tuple[Tensor, Callable]]]] = []
         self._on_tape: set[int] = set()
         self._grads: dict[int, np.ndarray] | None = None
 
     def tracks(self, t: Tensor) -> bool:
         return t.requires_grad or t.uid in self._on_tape
 
-    def _record(self, out: Tensor, parents: list[tuple[Tensor, Callable]]) -> None:
+    def _record(self, out: Tensor, parents: list[tuple[Tensor, Callable]], prelude=None) -> None:
         if not parents:
             return
-        self._nodes.append((out.uid, parents))
+        self._nodes.append((out.uid, prelude, parents))
         self._on_tape.add(out.uid)
 
     def backward(self, loss: Tensor) -> None:
-        """Populate gradients of ``loss`` w.r.t. every tracked tensor."""
+        """Populate gradients of ``loss`` w.r.t. every tracked tensor.
+
+        A node's optional prelude maps its output gradient once to the
+        value every one of its parent VJPs receives.
+        """
         if loss.data.ndim != 0:
             raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
         grads: dict[int, np.ndarray] = {loss.uid: np.ones((), dtype=np.float64)}
-        for out_uid, parents in reversed(self._nodes):
+        for out_uid, prelude, parents in reversed(self._nodes):
             g_out = grads.get(out_uid)
             if g_out is None:
                 continue  # branch not on the path to the loss
+            if prelude is not None:
+                g_out = prelude(g_out)
             for tensor, vjp in parents:
                 contrib = vjp(g_out)
                 acc = grads.get(tensor.uid)
@@ -103,11 +109,11 @@ class Tape:
         return np.zeros_like(t.data) if g is None else g
 
 
-def _register(tape: Tape | None, out: Tensor, candidates) -> None:
+def _register(tape: Tape | None, out: Tensor, candidates, prelude=None) -> None:
     if tape is None:
         return
     parents = [(t, fn) for t, fn in candidates if tape.tracks(t)]
-    tape._record(out, parents)
+    tape._record(out, parents, prelude)
 
 
 def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
@@ -122,29 +128,47 @@ def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     return out
 
 
-def add_rowvec(x: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    """Add a length-D vector to every row of a B×D matrix."""
-    if x.data.ndim != 2 or b.data.shape != (x.shape[1],):
-        raise ShapeError(f"add_rowvec: {x.shape} + {b.shape}")
-    out = Tensor(x.data + b.data)
-    _register(tape, out, [
-        (x, lambda g: g),
-        (b, lambda g: g.sum(axis=0)),
-    ])
-    return out
+def dense(
+    x: Tensor, W: Tensor, b: Tensor, slope: Tensor | None = None, tape: Tape | None = None
+) -> Tensor:
+    """x·W + b, then PReLU with a learnable scalar slope if one is given; one tape node.
 
+    The arithmetic is that of three separate ops: h = x@W, then h + b (in
+    place), then where(h < 0, slope·h, h). Backward maps the output gradient
+    g once to g_h = where(h < 0, slope·g, g) (g itself without a slope) and
+    takes dx = g_h·Wᵀ, dW = xᵀ·g_h, db = Σ_rows g_h and dslope = Σ h·g over
+    the negative entries of h. Both PReLU maps multiply by one factor array,
+    slope where h < 0 and 1.0 elsewhere; a product with 1.0 is exact, so
+    the bits are those of the where() forms.
+    """
+    if x.data.ndim != 2 or W.data.ndim != 2 or x.shape[1] != W.shape[0]:
+        raise ShapeError(f"dense: incompatible shapes {x.shape} x {W.shape}")
+    if b.data.shape != (W.shape[1],):
+        raise ShapeError(f"dense: bias {b.shape} for {W.shape[1]} outputs")
+    if slope is not None and slope.data.ndim != 0:
+        raise ShapeError(f"dense slope must be a scalar, got shape {slope.shape}")
+    h = x.data @ W.data
+    h += b.data
+    if slope is None:
+        out = Tensor(h)
+    else:
+        neg = h < 0
+        factor = np.where(neg, float(slope.data), 1.0)
+        out = Tensor(h * factor)
+    if tape is None:
+        return out
 
-def prelu(x: Tensor, slope: Tensor, tape: Tape | None = None) -> Tensor:
-    """y = x where x ≥ 0 else slope·x, with a learnable scalar slope."""
-    if slope.data.ndim != 0:
-        raise ShapeError(f"prelu slope must be a scalar, got shape {slope.shape}")
-    a = float(slope.data)
-    neg = x.data < 0
-    out = Tensor(np.where(neg, a * x.data, x.data))
-    _register(tape, out, [
-        (x, lambda g, neg=neg: np.where(neg, a * g, g)),
-        (slope, lambda g, neg=neg, xd=x.data: np.asarray(np.sum(xd * g, where=neg))),
-    ])
+    def prelude(g):  # every VJP below receives this (g, g_h) pair
+        return g, (g if slope is None else g * factor)
+
+    candidates = [
+        (x, lambda gg, wd=W.data: gg[1] @ wd.T),
+        (W, lambda gg, xd=x.data: xd.T @ gg[1]),
+        (b, lambda gg: gg[1].sum(axis=0)),
+    ]
+    if slope is not None:
+        candidates.append((slope, lambda gg: np.asarray(np.sum(h * gg[0], where=neg))))
+    _register(tape, out, candidates, prelude)
     return out
 
 

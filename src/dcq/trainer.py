@@ -14,6 +14,7 @@ deterministic and checkpoint resume is bit-exact.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -140,6 +141,17 @@ class TrainConfig:
             raise ConfigError(f"queue size K={self.K} must be >= batch size B={self.B}")
         if not 0.0 < self.decay_factor <= 1.0:
             raise ConfigError(f"decay factor must lie in (0, 1], got {self.decay_factor}")
+        # chained comparisons reject NaN and infinities
+        if self.lr0 is not None and not 0.0 < self.lr0 < math.inf:
+            raise ConfigError(f"lr0 must be finite and > 0, got {self.lr0}")
+        if not 0.0 <= self.sgd_momentum < 1.0:
+            raise ConfigError(f"sgd_momentum must lie in [0, 1), got {self.sgd_momentum}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        if min(self.decay_epochs, default=0) < 0:
+            raise ConfigError(f"decay_epochs must be >= 0, got {list(self.decay_epochs)}")
+        if self.checkpoint_every < 0:
+            raise ConfigError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
         if not self.sigma >= 0.0:
             raise ConfigError(f"sigma must be >= 0, got {self.sigma}")
         if min(self.n_classes, self.eval_probes, *self.layer_dims) < 1 or self.eval_pairs < 2:
@@ -185,36 +197,37 @@ def lr_at_step(config: TrainConfig, epoch: int) -> float:
     return cfg.lr0 * cfg.decay_factor**n_decays
 
 
-def create_optimizer_state(named_params) -> dict[str, np.ndarray]:
-    """Zero velocity buffers mirroring each parameter's shape."""
-    return {name: np.zeros_like(p.data) for name, p in named_params}
-
-
 def sgd_momentum_step(
-    named_params,
-    grads: dict[str, np.ndarray],
-    state: dict[str, np.ndarray],
+    param: np.ndarray,
+    grad: np.ndarray,
+    velocity: np.ndarray,
     lr: float,
     momentum: float,
     weight_decay: float,
-    exempt: frozenset[str] = frozenset(),
+    n_decayed: int | None = None,
 ) -> None:
-    """g' = g + wd·θ (unless exempt); v ← momentum·v + g'; θ ← θ − lr·v."""
-    for name, p in named_params:
-        g = grads[name]
-        if g.shape != p.data.shape:
-            raise ShapeError(f"gradient shape {g.shape} vs parameter {p.data.shape} at {name}")
-        # one scratch array per parameter, rounding as in the formula above
-        if weight_decay and name not in exempt:
-            tmp = np.multiply(p.data, weight_decay)
-            tmp += g
-        else:
-            tmp = g.copy()
-        v = state[name]
-        v *= momentum
-        v += tmp
-        np.multiply(v, lr, out=tmp)
-        p.data -= tmp
+    """One in-place update of a parameter buffer and its velocity.
+
+    g' = g + wd·θ on ``param[:n_decayed]`` (all of it when None) and g' = g
+    on the rest; v ← momentum·v + g'; θ ← θ − lr·v. The rest is never
+    multiplied by the decay: 0·θ + g would turn a −0.0 gradient into +0.0.
+    """
+    if not param.shape == grad.shape == velocity.shape:
+        raise ShapeError(
+            f"parameter {param.shape}, gradient {grad.shape} and velocity {velocity.shape} differ"
+        )
+    # one scratch buffer, rounding as in the formula above
+    if weight_decay:
+        n = len(param) if n_decayed is None else n_decayed
+        step = np.multiply(param, weight_decay)
+        step[:n] += grad[:n]
+        step[n:] = grad[n:]
+    else:
+        step = grad.copy()
+    velocity *= momentum
+    velocity += step
+    np.multiply(velocity, lr, out=step)
+    param -= step
 
 
 @dataclass
@@ -229,10 +242,11 @@ class TrainResult:
     head: fc.FcHead | None
     retained_ids: np.ndarray | None
     label_map: np.ndarray | None
+    velocity: np.ndarray  # laid out as extractor.flat
+    head_velocity: np.ndarray | None
     metrics: list[dict] = field(default_factory=list)
     iter_losses: list[float] = field(default_factory=list)
     final_eval: dict = field(default_factory=dict)
-    optimizer_state: dict = field(default_factory=dict)
     final_step: int = 0
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
@@ -242,12 +256,13 @@ class TrainResult:
             named += self.head.named_parameters()
         return named
 
-
-def _weight_decay_exempt(named_params) -> frozenset[str]:
-    # biases and PReLU slopes carry no decay
-    return frozenset(
-        name for name, _ in named_params if name.endswith(".bias") or name.endswith(".slope")
-    )
+    @property
+    def optimizer_state(self) -> dict[str, np.ndarray]:
+        """Each trained parameter's SGD velocity by name, as views of the velocity buffers."""
+        state = dict(self.extractor.views(self.velocity))
+        if self.head is not None:
+            state["head.W"] = self.head_velocity
+        return state
 
 
 def _build_run_state(
@@ -274,13 +289,13 @@ def _build_run_state(
         head = fc.FcHead(cfg.embed_dim, retained.size, cfg.seed)
     else:
         head = fc.FcHead(cfg.embed_dim, len(counts), cfg.seed)
-    state = TrainResult(
+    return TrainResult(
         config=cfg, universe=universe, counts=counts, protocol=protocol,
         extractor=extractor, generator=generator, queue=queue, head=head,
         retained_ids=retained, label_map=label_map,
+        velocity=np.zeros_like(extractor.flat),
+        head_velocity=None if head is None else np.zeros_like(head.W.data),
     )
-    state.optimizer_state = create_optimizer_state(state.named_parameters())
-    return state
 
 
 def _checkpoint_payload(state: TrainResult, progress: dict) -> tuple[dict, dict[str, np.ndarray]]:
@@ -371,9 +386,6 @@ def run_training(
     extractor, head = result.extractor, result.head
     generator, queue = result.generator, result.queue
     label_map, counts = result.label_map, result.counts
-    named_params = result.named_parameters()
-    opt_state = result.optimizer_state
-    exempt = _weight_decay_exempt(named_params)
 
     start_epoch = 0
     global_step = 0
@@ -421,11 +433,17 @@ def run_training(
                     step=global_step, labels=batch.y, batch=batch,
                 )
 
+            # backward before queue.update: the loss's closures read the live queue
             tape.backward(loss)
-            grads = {name: tape.grad(p) for name, p in named_params}
             sgd_momentum_step(
-                named_params, grads, opt_state, lr, cfg.sgd_momentum, cfg.weight_decay, exempt
+                extractor.flat, extractor.gather(tape.grad), result.velocity,
+                lr, cfg.sgd_momentum, cfg.weight_decay, extractor.n_decayed,
             )
+            if head is not None:
+                sgd_momentum_step(
+                    head.W.data, tape.grad(head.W), result.head_velocity,
+                    lr, cfg.sgd_momentum, cfg.weight_decay,
+                )
             if cfg.method == METHOD_DCQ:
                 if hooks is not None:
                     queue_before = queue.snapshot()

@@ -7,7 +7,7 @@ from dcq.baseline import FcHead, fc_cosface_loss, filter_head_classes
 from dcq.errors import ConfigError
 from dcq.numerics import Tape, Tensor
 from dcq.synthdata import LongTailSpec, assign_longtail_counts
-from dcq.trainer import create_optimizer_state, sgd_momentum_step
+from dcq.trainer import sgd_momentum_step
 
 
 def _head_with(weights: np.ndarray) -> FcHead:
@@ -129,7 +129,7 @@ class TestPullPushLedger:
         labels = np.array([0, 1, 2, 0, 1, 2])
         w = Tensor(rng.standard_normal((d, c)), requires_grad=True)
         w0 = w.data.copy()
-        state = create_optimizer_state([("w", w)])
+        velocity = np.zeros_like(w.data)
         lr = 0.1
 
         ledger = np.zeros((d, c))
@@ -142,7 +142,7 @@ class TestPullPushLedger:
             tape = Tape()
             loss, diag = margin_softmax_ce(matmul(f, w, tape), y, 1.0, 0.0, tape)
             tape.backward(loss)
-            sgd_momentum_step([("w", w)], {"w": tape.grad(w)}, state, lr, 0.0, 0.0)
+            sgd_momentum_step(w.data, tape.grad(w), velocity, lr, 0.0, 0.0)
 
             for i in range(b):
                 p_row = np.insert(diag.p_neg[i], y[i], diag.p_pos[i])

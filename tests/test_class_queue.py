@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,6 +97,22 @@ class TestEmaGenerator:
                 for name, s in gen.shadow.named_parameters():
                     expected = at * shadow0[name] + (1 - at) * theta[name]
                     assert np.abs(s.data - expected).max() < 1e-12, (alpha, t, name)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.999])
+    def test_flat_update_bit_equal_to_per_parameter_loop(self, alpha):
+        extractor = init_extractor([6, 8, 5, 3], seed=4)
+        gen = EmaGenerator(extractor, alpha=alpha)
+        reference = {name: s.data.copy() for name, s in gen.shadow.named_parameters()}
+        rng = np.random.default_rng(4)
+        for _ in range(5):
+            extractor.flat[...] = rng.standard_normal(extractor.flat.size)
+            gen.update(extractor)
+            # the per-parameter update the flat one replaced
+            for name, p in extractor.named_parameters():
+                reference[name] *= alpha
+                reference[name] += (1.0 - alpha) * p.data
+        for name, s in gen.shadow.named_parameters():
+            np.testing.assert_array_equal(s.data, reference[name])
 
     def test_shape_mismatch_rejected(self):
         gen = EmaGenerator(init_extractor([4, 5, 3], seed=0), alpha=0.5)
@@ -408,3 +426,35 @@ class TestDcqLoss:
         np.testing.assert_array_equal(queue.weights, queue_weights_before)
         # while the extractor does receive gradient
         assert tape.grad(extractor.layers[0].weight).any()
+
+
+class TestBackwardBeforeUpdate:
+    def test_live_queue_gradient_equals_copied_queue_gradient(self):
+        # the logits multiply against queue.weights itself; until the next
+        # update that gives the same gradient as a private copy would
+        extractor = init_extractor([5, 6, 4], seed=17)
+        gen = EmaGenerator(extractor, alpha=0.9)
+        rng = np.random.default_rng(17)
+        queue = ClassQueue(4, 6)
+        queue.update(gen.generate(Tensor(rng.standard_normal((5, 5)))), np.arange(5))
+        copied = copy.deepcopy(queue)
+        x_t = Tensor(rng.standard_normal((4, 5)))
+        w_pos = gen.generate(Tensor(rng.standard_normal((4, 5))))
+        y = np.array([0, 3, 7, 2])
+
+        def grads(q, between=lambda: None):
+            tape = Tape()
+            feats = extract_features(extractor, x_t, tape)
+            l_pos, l_neg = dcq_logits_with_mask(feats, w_pos, q, y, tape)
+            loss, _ = dcq_cosface_loss(l_pos, l_neg, 50.0, 0.3, tape)
+            between()
+            tape.backward(loss)
+            return [tape.grad(p) for _, p in extractor.named_parameters()]
+
+        assert not np.shares_memory(copied.weights, queue.weights)
+        for live, private in zip(grads(queue), grads(copied)):
+            np.testing.assert_array_equal(live, private)
+        # an update between forward and backward breaks the contract and shows
+        early = copy.deepcopy(queue)
+        broken = grads(early, between=lambda: early.update(w_pos, y))
+        assert any(not np.array_equal(a, b) for a, b in zip(broken, grads(copied)))

@@ -1,6 +1,7 @@
 import csv
 import json
 import struct
+import warnings
 import zlib
 
 import numpy as np
@@ -126,6 +127,19 @@ class TestTrain:
         assert (out / "notes.txt").exists()
         assert not (out / "manifest.json").exists()
 
+    def test_diverged_run_prints_one_line(self, tmp_path, capsys):
+        # numpy's floating-point warnings become errors here, so one that
+        # escaped the command would fail the run instead of printing
+        config = _write_config(tmp_path)
+        out = tmp_path / "boom"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["train", "--config", config, "--set", "lr0=1e300", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: non-finite loss") and err.count("\n") == 1, err
+        assert not out.exists()
+
     def test_unwritable_out_is_runtime_failure(self, tmp_path):
         config = _write_config(tmp_path)
         target = tmp_path / "file"
@@ -220,6 +234,15 @@ class TestBadConfigValues:
 
     def test_negative_sigma(self, tmp_path, capsys):
         assert "sigma" in self._train_error(tmp_path, capsys, "sigma=-1")
+
+    @pytest.mark.parametrize(
+        "setting",
+        ["lr0=-1", "lr0=0", "lr0=NaN", "lr0=Infinity", "sgd_momentum=-5", "sgd_momentum=1",
+         "weight_decay=-1e9", "weight_decay=Infinity", "decay_epochs=[-1]", "checkpoint_every=-1"],
+    )
+    def test_bad_optimizer_value(self, tmp_path, capsys, setting):
+        field = setting.partition("=")[0]
+        assert field in self._train_error(tmp_path, capsys, setting)
 
 
 class TestEvalBadCheckpoint:

@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from dcq.errors import ConfigError, ShapeError
 from dcq.model import extract_features, init_extractor
-from dcq.numerics import Tensor, finite_difference_check, sum_all
+from dcq.numerics import Tape, Tensor, finite_difference_check, sum_all
 
 
 def test_same_seed_is_bit_identical():
@@ -103,3 +105,51 @@ def test_gradients_match_finite_differences():
 
     leaves = [p for _, p in params.named_parameters()]
     assert finite_difference_check(fn, leaves) < 1e-5
+
+
+class TestFlatLayout:
+    def test_parameters_are_views_of_one_buffer(self):
+        params = init_extractor([8, 16, 12, 4], seed=0)
+        assert params.flat.dtype == np.float64 and params.flat.flags["C_CONTIGUOUS"]
+        named = params.named_parameters()
+        assert sum(p.data.size for _, p in named) == params.flat.size
+        for name, p in named:
+            assert np.shares_memory(p.data, params.flat), name
+        for (name_a, a), (name_b, b) in itertools.combinations(named, 2):
+            assert not np.shares_memory(a.data, b.data), (name_a, name_b)
+
+    def test_weights_lead_and_biases_and_slopes_form_the_exempt_tail(self):
+        params = init_extractor([8, 16, 12, 4], seed=0)
+        weights, tail = params.flat[: params.n_decayed], params.flat[params.n_decayed :]
+        assert params.n_decayed == 8 * 16 + 16 * 12 + 12 * 4
+        for name, p in params.named_parameters():
+            exempt = name.endswith((".bias", ".slope"))
+            assert np.shares_memory(p.data, tail) == exempt, name
+            assert np.shares_memory(p.data, weights) != exempt, name
+
+    def test_copy_shares_no_memory(self):
+        params = init_extractor([8, 16, 4], seed=0)
+        dup = params.copy()
+        assert not np.shares_memory(dup.flat, params.flat)
+        np.testing.assert_array_equal(dup.flat, params.flat)
+        for (name, a), (_, b) in zip(dup.named_parameters(), params.named_parameters()):
+            assert np.shares_memory(a.data, dup.flat), name
+            assert not np.shares_memory(a.data, params.flat), name
+            assert not a.requires_grad and b.requires_grad
+
+    def test_views_and_gather_follow_the_layout(self):
+        params = init_extractor([8, 16, 4], seed=0)
+        buf = np.arange(params.flat.size, dtype=np.float64)
+        for (name, view), (_, p) in zip(params.views(buf), params.named_parameters()):
+            assert np.shares_memory(view, buf) and view.shape == p.shape, name
+        np.testing.assert_array_equal(params.gather(lambda p: p.data), params.flat)
+        with pytest.raises(ShapeError):
+            params.views(buf[:-1])
+
+
+def test_extract_features_records_one_tape_node_per_layer():
+    for dims in ([8, 16, 4], [5, 6, 7, 3]):
+        params = init_extractor(dims, seed=0)
+        tape = Tape()
+        extract_features(params, Tensor(np.ones((3, dims[0]))), tape)
+        assert len(tape._nodes) == len(params.layers)

@@ -7,16 +7,16 @@ from hypothesis import strategies as st
 
 from dcq.errors import ContractError, NumericError, ShapeError
 from dcq.class_queue import MASK_VALUE
+from dcq import numerics
 from dcq.numerics import (
     Tape,
     Tensor,
-    add_rowvec,
     concat_cols,
+    dense,
     finite_difference_check,
     l2_normalize,
     margin_softmax_ce,
     matmul,
-    prelu,
     rowwise_dot,
     sum_all,
 )
@@ -68,24 +68,112 @@ class TestMatmul:
         np.testing.assert_allclose(tape.grad(b), a.data.T @ g, atol=1e-15)
 
 
+def _prelu_only(x, slope, tape=None):
+    """dense with identity weights and zero bias: the PReLU stage alone."""
+    width = x.shape[1]
+    return dense(x, Tensor(np.eye(width)), Tensor(np.zeros(width)), slope, tape)
+
+
 class TestPrelu:
+    """The PReLU stage of numerics.dense."""
+
     def test_negative_input(self):
-        out = prelu(Tensor([[-2.0]]), Tensor(np.asarray(0.25)))
+        out = _prelu_only(Tensor([[-2.0]]), Tensor(np.asarray(0.25)))
         assert out.data[0, 0] == -0.5
 
     def test_positive_input_ignores_slope(self):
         for slope in (0.0, 0.25, 2.0):
-            out = prelu(Tensor([[3.0]]), Tensor(np.asarray(slope)))
+            out = _prelu_only(Tensor([[3.0]]), Tensor(np.asarray(slope)))
             assert out.data[0, 0] == 3.0
 
     def test_slope_gradient_is_input(self):
         slope = Tensor(np.asarray(0.25), requires_grad=True)
         x = Tensor([[-2.0]], requires_grad=True)
         tape = Tape()
-        loss = sum_all(prelu(x, slope, tape), tape)
+        loss = sum_all(_prelu_only(x, slope, tape), tape)
         tape.backward(loss)
         assert tape.grad(slope) == -2.0
         assert tape.grad(x)[0, 0] == 0.25
+
+
+def _add_rowvec_reference(x, b, tape=None):
+    # the bias op dense replaced, kept verbatim as its reference
+    out = Tensor(x.data + b.data)
+    numerics._register(tape, out, [
+        (x, lambda g: g),
+        (b, lambda g: g.sum(axis=0)),
+    ])
+    return out
+
+
+def _prelu_reference(x, slope, tape=None):
+    # the activation op dense replaced, kept verbatim as its reference
+    a = float(slope.data)
+    neg = x.data < 0
+    out = Tensor(np.where(neg, a * x.data, x.data))
+    numerics._register(tape, out, [
+        (x, lambda g, neg=neg: np.where(neg, a * g, g)),
+        (slope, lambda g, neg=neg, xd=x.data: np.asarray(np.sum(xd * g, where=neg))),
+    ])
+    return out
+
+
+def _three_op_reference(x, w, b, slope, tape):
+    h = _add_rowvec_reference(matmul(x, w, tape), b, tape)
+    return h if slope is None else _prelu_reference(h, slope, tape)
+
+
+class TestDense:
+    def _case(self, seed, with_slope, slope_value=0.3):
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 6)) / 2, requires_grad=True)
+        b = Tensor(rng.standard_normal(6) / 2, requires_grad=True)
+        slope = Tensor(np.asarray(slope_value), requires_grad=True) if with_slope else None
+        probe = Tensor(rng.standard_normal((5, 6)))
+        h = x.data @ w.data + b.data
+        assert (h < 0).any() and (h > 0).any()  # both PReLU branches are exercised
+        return x, w, b, slope, probe
+
+    @pytest.mark.parametrize("with_slope", [True, False])
+    def test_matches_finite_differences(self, with_slope):
+        x, w, b, slope, probe = self._case(21, with_slope)
+
+        def fn(tape):
+            return sum_all(rowwise_dot(dense(x, w, b, slope, tape), probe, tape), tape)
+
+        leaves = [x, w, b] + ([slope] if with_slope else [])
+        assert finite_difference_check(fn, leaves) < 1e-5
+
+    # learned slopes leave [0, 1] during training, so cover both sides
+    @pytest.mark.parametrize("with_slope,slope_value", [(True, 0.3), (True, -1.7), (False, 0.0)])
+    def test_bit_equal_to_three_op_composition(self, with_slope, slope_value):
+        x, w, b, slope, probe = self._case(22, with_slope, slope_value)
+        leaves = [x, w, b] + ([slope] if with_slope else [])
+        results = []
+        for op in (dense, _three_op_reference):
+            tape = Tape()
+            out = op(x, w, b, slope, tape)
+            tape.backward(sum_all(rowwise_dot(out, probe, tape), tape))
+            results.append([out.data] + [tape.grad(t) for t in leaves])
+        for fused, reference in zip(*results):
+            assert fused.shape == reference.shape
+            assert fused.tobytes() == reference.tobytes()
+
+    def test_one_tape_node(self):
+        x, w, b, slope, _ = self._case(23, True)
+        tape = Tape()
+        dense(x, w, b, slope, tape)
+        assert len(tape._nodes) == 1
+
+    def test_shape_errors(self):
+        x, w, b = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.zeros(4))
+        with pytest.raises(ShapeError):
+            dense(x, Tensor(np.ones((2, 4))), b)
+        with pytest.raises(ShapeError):
+            dense(x, w, Tensor(np.zeros(3)))
+        with pytest.raises(ShapeError):
+            dense(x, w, b, Tensor(np.ones(1)))
 
 
 class TestNormalizeRows:
@@ -271,7 +359,7 @@ class TestBackwardPass:
         y = np.array([0, 2, 1])
 
         def fn(tape):
-            h = prelu(add_rowvec(matmul(x, w1, tape), b1, tape), slope, tape)
+            h = dense(x, w1, b1, slope, tape)
             loss, _ = margin_softmax_ce(matmul(h, w2, tape), y, 1.0, 0.0, tape)
             return loss
 

@@ -16,12 +16,11 @@ from dcq.errors import (
     ShapeError,
     TrainingDiverged,
 )
-from dcq.model import extract_features
-from dcq.numerics import Tensor
+from dcq.model import extract_features, init_extractor
+from dcq.numerics import Tape
 from dcq.synthdata import build_instance_table, build_universe, make_pair_batch
 from dcq.trainer import (
     TrainConfig,
-    create_optimizer_state,
     lr_at_step,
     run_training,
     save_result_checkpoint,
@@ -43,44 +42,77 @@ TINY = dict(
 
 
 class TestSgdMomentumStep:
-    def _param(self, value):
-        return Tensor(np.asarray(value), requires_grad=True)
-
     def test_plain_sgd(self):
-        p = self._param([[1.0, 2.0]])
-        state = create_optimizer_state([("p", p)])
+        p, v = np.array([[1.0, 2.0]]), np.zeros((1, 2))
         g = np.array([[0.5, -1.0]])
-        sgd_momentum_step([("p", p)], {"p": g}, state, lr=0.1, momentum=0.0, weight_decay=0.0)
-        np.testing.assert_allclose(p.data, [[0.95, 2.1]], atol=1e-15)
+        sgd_momentum_step(p, g, v, lr=0.1, momentum=0.0, weight_decay=0.0)
+        np.testing.assert_allclose(p, [[0.95, 2.1]], atol=1e-15)
 
     def test_momentum_recursion(self):
         # constant gradient 1, lr 1, momentum 0.9: theta = 0 -> -1 -> -2.9
-        p = self._param([[0.0]])
-        state = create_optimizer_state([("p", p)])
+        p, v = np.array([[0.0]]), np.zeros((1, 1))
         for _ in range(2):
-            sgd_momentum_step([("p", p)], {"p": np.array([[1.0]])}, state, 1.0, 0.9, 0.0)
-        assert p.data[0, 0] == pytest.approx(-2.9, abs=1e-15)
+            sgd_momentum_step(p, np.array([[1.0]]), v, 1.0, 0.9, 0.0)
+        assert p[0, 0] == pytest.approx(-2.9, abs=1e-15)
 
     def test_weight_decay_only(self):
-        p = self._param([[1.0]])
-        state = create_optimizer_state([("p", p)])
-        sgd_momentum_step([("p", p)], {"p": np.array([[0.0]])}, state, 1.0, 0.0, 0.1)
-        assert p.data[0, 0] == pytest.approx(0.9, abs=1e-15)
+        p, v = np.array([[1.0]]), np.zeros((1, 1))
+        sgd_momentum_step(p, np.array([[0.0]]), v, 1.0, 0.0, 0.1)
+        assert p[0, 0] == pytest.approx(0.9, abs=1e-15)
 
     def test_exempt_parameters_skip_decay(self):
-        p = self._param([[1.0]])
-        state = create_optimizer_state([("b.bias", p)])
-        sgd_momentum_step(
-            [("b.bias", p)], {"b.bias": np.array([[0.0]])}, state, 1.0, 0.0, 0.1,
-            exempt=frozenset({"b.bias"}),
-        )
-        assert p.data[0, 0] == 1.0
+        # entries from n_decayed on form the exempt tail
+        p, v = np.array([1.0]), np.zeros(1)
+        sgd_momentum_step(p, np.array([0.0]), v, 1.0, 0.0, 0.1, n_decayed=0)
+        assert p[0] == 1.0
 
     def test_shape_mismatch(self):
-        p = self._param([[1.0, 2.0]])
-        state = create_optimizer_state([("p", p)])
+        p, v = np.array([[1.0, 2.0]]), np.zeros((1, 2))
         with pytest.raises(ShapeError):
-            sgd_momentum_step([("p", p)], {"p": np.zeros((2, 2))}, state, 0.1, 0.9, 0.0)
+            sgd_momentum_step(p, np.zeros((2, 2)), v, 0.1, 0.9, 0.0)
+
+
+def _sgd_per_parameter_reference(named, grads, state, lr, momentum, weight_decay, exempt):
+    # the per-parameter step the flat one replaced, kept as its reference
+    for name, p in named.items():
+        g = grads[name]
+        if weight_decay and name not in exempt:
+            tmp = np.multiply(p, weight_decay)
+            tmp += g
+        else:
+            tmp = g.copy()
+        v = state[name]
+        v *= momentum
+        v += tmp
+        np.multiply(v, lr, out=tmp)
+        p -= tmp
+
+
+class TestFlatSgdStep:
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+    def test_bit_equal_to_per_parameter_loop(self, momentum, weight_decay):
+        extractor = init_extractor([6, 8, 5, 3], seed=9)
+        velocity = np.zeros_like(extractor.flat)
+        names = {p.uid: name for name, p in extractor.named_parameters()}
+        ref = {name: p.data.copy() for name, p in extractor.named_parameters()}
+        ref_state = {name: np.zeros_like(p) for name, p in ref.items()}
+        exempt = {name for name in ref if name.endswith((".bias", ".slope"))}
+        gen = np.random.default_rng(9)
+        for step in range(6):
+            grads = {name: gen.standard_normal(p.shape) for name, p in ref.items()}
+            if step % 2:  # signed zeros tell g from 0·θ + g
+                for g in grads.values():
+                    g[gen.random(g.shape) < 0.5] = -0.0
+            sgd_momentum_step(
+                extractor.flat, extractor.gather(lambda p: grads[names[p.uid]]), velocity,
+                0.05, momentum, weight_decay, extractor.n_decayed,
+            )
+            _sgd_per_parameter_reference(ref, grads, ref_state, 0.05, momentum, weight_decay, exempt)
+        velocities = dict(extractor.views(velocity))
+        for name, p in extractor.named_parameters():
+            assert p.data.tobytes() == ref[name].tobytes(), name
+            assert velocities[name].tobytes() == ref_state[name].tobytes(), name
 
 
 class TestLrSchedule:
@@ -238,6 +270,32 @@ class TestRunTraining:
         full = run_training(TrainConfig(method="cosface-full", **TINY))
         assert "head.W" in full.optimizer_state
         assert list(full.optimizer_state) == [name for name, _ in full.named_parameters()]
+
+    def test_velocities_are_views_of_one_buffer_per_model(self):
+        full = run_training(TrainConfig(method="cosface-full", **{**TINY, "epochs": 1}))
+        assert full.velocity.shape == full.extractor.flat.shape and full.velocity.any()
+        for name, v in full.optimizer_state.items():
+            owner = full.head_velocity if name == "head.W" else full.velocity
+            assert np.shares_memory(v, owner), name
+        assert not np.shares_memory(full.velocity, full.head_velocity)
+
+    def test_backward_runs_before_every_queue_update(self, monkeypatch):
+        events = []
+        backward, update = Tape.backward, ClassQueue.update
+
+        def recording_backward(self, loss):
+            events.append("backward")
+            return backward(self, loss)
+
+        def recording_update(self, w, y):
+            events.append("update")
+            return update(self, w, y)
+
+        monkeypatch.setattr(Tape, "backward", recording_backward)
+        monkeypatch.setattr(ClassQueue, "update", recording_update)
+        result = run_training(TrainConfig(method="dcq", **TINY))
+        assert result.final_step > 0
+        assert events == ["backward", "update"] * result.final_step
 
     def test_head_only_filters_and_remaps(self):
         cfg = TrainConfig(method="cosface-head-only", min_instances=5, **TINY)
@@ -461,6 +519,22 @@ class TestResume:
             load_result_checkpoint(path)
         with pytest.raises(CheckpointError, match=key):
             run_training(cfg, resume_from=path)
+
+    def test_restore_writes_through_the_views(self, tmp_path):
+        from dcq.trainer import _build_run_state, _checkpoint_meta, _restore_from_checkpoint
+
+        result = run_training(TrainConfig(method="dcq", **{**TINY, "epochs": 1}))
+        path = tmp_path / "final.ckpt"
+        save_result_checkpoint(path, result)
+        meta, arrays = load_checkpoint(path)
+        state = _build_run_state(result.config)
+        buffers = (state.extractor.flat, state.generator.shadow.flat, state.velocity)
+        _restore_from_checkpoint(state, _checkpoint_meta(meta)[1], arrays)
+        restored = (state.extractor.flat, state.generator.shadow.flat, state.velocity)
+        trained = (result.extractor.flat, result.generator.shadow.flat, result.velocity)
+        for before, after, expected in zip(buffers, restored, trained):
+            assert after is before
+            assert after.tobytes() == expected.tobytes()
 
     def test_final_checkpoint_roundtrip(self, tmp_path):
         from dcq.trainer import load_result_checkpoint
