@@ -26,11 +26,13 @@ from .synthdata import (
     IdentityUniverse,
     LongTailSpec,
     PairBatch,
+    PairPlan,
     assign_longtail_counts,
     build_eval_protocol,
     build_universe,
     draw_instance,
     make_pair_batch,
+    sample_pair_batch,
 )
 from .class_queue import ClassQueue, EmaGenerator, dcq_cosface_loss, dcq_logits_with_mask
 from .baseline import FcHead, fc_cosface_loss, filter_head_classes
@@ -52,7 +54,7 @@ __all__ = [
     "CheckpointVersionError", "ClassQueue", "ConfigError", "ContractError",
     "CostReport", "DcqError", "EmaGenerator", "EvalProtocol", "FcHead",
     "IdentityUniverse", "LongTailSpec", "LossDiagnostics", "MlpParams",
-    "NumericError", "PairBatch", "ShapeError", "Tape", "Tensor",
+    "NumericError", "PairBatch", "PairPlan", "ShapeError", "Tape", "Tensor",
     "TrainConfig", "TrainResult", "TrainingDiverged",
     "assign_longtail_counts", "build_eval_protocol", "build_universe",
     "dcq_cosface_loss", "dcq_logits_with_mask", "draw_instance",
@@ -60,5 +62,5 @@ __all__ = [
     "filter_head_classes", "finite_difference_check", "head_cost_report",
     "identification_rank1", "init_extractor", "lr_at_step",
     "make_pair_batch", "run_experiment_grid", "run_training",
-    "sgd_momentum_step", "tail_alignment_diagnostic", "verification_accuracy",
+    "sample_pair_batch", "sgd_momentum_step", "tail_alignment_diagnostic", "verification_accuracy",
 ]

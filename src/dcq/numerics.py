@@ -180,6 +180,8 @@ def l2_normalize(x: Tensor, axis: int = 1, eps: float = 1e-12, tape: Tape | None
     denom = np.maximum(norms, eps)
     y = x.data / denom
     out = Tensor(y)
+    if tape is None:
+        return out
 
     def vjp(g, y=y, denom=denom, clamped=(norms <= eps)):
         # normalization Jacobian (I − yyᵀ)/r per vector; clamped vectors have

@@ -16,8 +16,6 @@ definition: removing it would re-key every stream and change every drawn
 value, so ``philox_keys`` reproduces it.
 """
 
-from collections.abc import Iterator
-
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -84,44 +82,39 @@ def philox_keys(seed: int, *path) -> np.ndarray:
     return keys
 
 
-def _rekeyed(keys: np.ndarray) -> Iterator[np.random.Generator]:
-    """One Philox generator, re-keyed in place (counter 0, empty buffer) per key row.
+class Rekeyer:
+    """One Philox generator that ``rekey`` resets to a key (counter 0, empty buffer).
 
     Re-keying costs a fraction of constructing a generator per key.
     """
-    bitgen = np.random.Philox(0)
-    gen = np.random.Generator(bitgen)
-    # plain ints: the state setter reads them faster than numpy scalars
-    key_state = {"counter": [0, 0, 0, 0], "key": None}
-    state = {
-        "bit_generator": "Philox",
-        "state": key_state,
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    for lo in range(0, keys.shape[0], _KEY_CHUNK):
-        for key in keys[lo : lo + _KEY_CHUNK].tolist():
-            key_state["key"] = key
-            bitgen.state = state
-            yield gen
 
+    def __init__(self):
+        self._bitgen = np.random.Philox(0)
+        self._gen = np.random.Generator(self._bitgen)
+        # plain ints: the state setter reads them faster than numpy scalars
+        self._key_state = {"counter": [0, 0, 0, 0], "key": None}
+        self._state = {
+            "bit_generator": "Philox",
+            "state": self._key_state,
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
-def streams(seed: int, *path) -> Iterator[np.random.Generator]:
-    """``stream(seed, *path_i)`` for each broadcast path row i, lazily.
-
-    Every item is the same generator object, re-keyed to row i's key; its
-    draws equal those of ``stream(seed, *path_i)`` until the next item is
-    taken.
-    """
-    return _rekeyed(philox_keys(seed, *path))
+    def rekey(self, key: list[int]) -> np.random.Generator:
+        """The generator, drawing what ``np.random.Philox(key=key)`` would draw."""
+        self._key_state["key"] = key
+        self._bitgen.state = self._state
+        return self._gen
 
 
 def normal_rows(d: int, seed: int, *path) -> np.ndarray:
     """N × d standard normals; row i is ``stream(seed, *path_i).standard_normal(d)``."""
     keys = philox_keys(seed, *path)
     out = np.empty((keys.shape[0], d))
-    for gen, row in zip(_rekeyed(keys), out):
-        gen.standard_normal(out=row)
+    rekey = Rekeyer().rekey
+    for lo in range(0, keys.shape[0], _KEY_CHUNK):
+        for key, row in zip(keys[lo : lo + _KEY_CHUNK].tolist(), out[lo : lo + _KEY_CHUNK]):
+            rekey(key).standard_normal(out=row)
     return out

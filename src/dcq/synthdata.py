@@ -10,7 +10,10 @@ from counter-based streams keyed by (seed, stream, identity, index), so
 regeneration is order-independent and bit-identical. Training reads an
 ``InstanceTable`` drawn once per run through the bulk key path;
 ``draw_instance`` and ``heldout_instance`` stay the single-key definitions
-the table and the eval protocol must match.
+the table and the eval protocol must match. Likewise ``make_pair_batch``
+plans training batches a block of steps at a time, and
+``sample_pair_batch`` on one step's generator stays the definition it must
+match.
 """
 
 from __future__ import annotations
@@ -207,7 +210,7 @@ def build_instance_table(universe: IdentityUniverse, counts: np.ndarray) -> Inst
     return InstanceTable(universe, counts, starts, data, eligible, cdf)
 
 
-def make_pair_batch(
+def sample_pair_batch(
     table: InstanceTable,
     batch_size: int,
     mode: str,
@@ -221,12 +224,12 @@ def make_pair_batch(
     distinct instance index whenever the identity has two or more
     instances; single-instance identities get a reference drawn as the
     center plus fresh noise from the batch stream.
+
+    This is the definition of a batch: ``make_pair_batch`` must return what
+    this draws from step t's batch stream.
     """
-    if mode not in ("instance", "class"):
-        raise ConfigError(f"sampling mode must be 'instance' or 'class', got {mode!r}")
+    _check_sampling(table, mode)
     counts, eligible = table.counts, table.eligible
-    if eligible.size == 0:
-        raise ConfigError("no identity has a positive instance count")
 
     # the draws Generator.choice(eligible, size, p=weights) makes
     if mode == "instance":
@@ -254,6 +257,159 @@ def make_pair_batch(
     if noise:
         x_w[single] = universe.centers[idents[single]] + universe.sigma * np.array(noise)
     return PairBatch(x_t=Tensor(table.data[starts + q]), x_w=Tensor(x_w), y=idents.astype(np.int64))
+
+
+def _check_sampling(table: InstanceTable, mode: str) -> None:
+    if mode not in ("instance", "class"):
+        raise ConfigError(f"sampling mode must be 'instance' or 'class', got {mode!r}")
+    if table.eligible.size == 0:
+        raise ConfigError("no identity has a positive instance count")
+
+
+# Steps whose draws make_pair_batch plans at once: enough to spread each
+# block's fixed cost (key derivation, about 20 numpy calls) thin, while a
+# block's arrays stay near 32 kB each at B=32.
+PLAN_BLOCK_STEPS = 64
+
+
+class PairPlan:
+    """One run's batch draws, planned ``PLAN_BLOCK_STEPS`` steps at a time.
+
+    Step t's batch is ``sample_pair_batch(table, batch_size, mode,
+    rng.stream(seed, rng.BATCH, t))``. Row i of the block arrays belongs to
+    step ``first + i``: its stream key, its labels, its query then reference
+    table rows, and whether it falls back to ``sample_pair_batch``.
+    """
+
+    def __init__(self, table: InstanceTable, batch_size: int, mode: str, seed: int):
+        _check_sampling(table, mode)
+        self.table, self.batch_size, self.mode, self.seed = table, batch_size, mode, seed
+        # the eligible index owning each instance slot, and each eligible
+        # identity's lower CDF edge: instance picks without a search
+        counts = table.counts[table.eligible]
+        self.slot_owner = np.repeat(np.arange(counts.size), counts)
+        self.cdf_low = np.concatenate([[0.0], table.cdf[:-1]])
+        self.rekeyer = rng.Rekeyer()
+        self.first = 0
+        self.keys = np.empty((0, 2), dtype=np.uint64)
+        self.labels = np.empty((0, batch_size), dtype=np.int64)
+        self.rows = np.empty((0, 2 * batch_size), dtype=np.int64)
+        self.fallback = np.empty(0, dtype=bool)
+
+
+def make_pair_batch(plan: PairPlan, step: int) -> PairBatch:
+    """Step ``step``'s batch, bit-identical to ``sample_pair_batch`` on its stream.
+
+    A step outside the planned block plans the ``PLAN_BLOCK_STEPS`` steps
+    from it on. Rows are gathered from the table when a step is served.
+    """
+    i = step - plan.first
+    if not 0 <= i < plan.fallback.size:
+        plan.keys = rng.philox_keys(plan.seed, rng.BATCH, np.arange(step, step + PLAN_BLOCK_STEPS))
+        words = _block_words(plan.rekeyer, plan.keys, _words_per_step(plan.batch_size, plan.mode))
+        plan.labels, plan.rows, plan.fallback = _plan_words(plan, words)
+        plan.first, i = step, 0
+    if plan.fallback[i]:
+        gen = plan.rekeyer.rekey(plan.keys[i].tolist())
+        return sample_pair_batch(plan.table, plan.batch_size, plan.mode, gen)
+    x = np.take(plan.table.data, plan.rows[i], axis=0)
+    B = plan.batch_size
+    return PairBatch(x_t=Tensor(x[:B]), x_w=Tensor(x[B:]), y=plan.labels[i].copy())
+
+
+def _words_per_step(batch_size: int, mode: str) -> int:
+    """Raw words one step's draws take when no draw is rejected.
+
+    Instance mode: B doubles of a word each, then at most 2B index draws
+    of half a word. Class mode: B identity draws then at most 2B index
+    draws, all of half a word.
+    """
+    return 2 * batch_size if mode == "instance" else (3 * batch_size + 1) // 2
+
+
+def _block_words(rekeyer: rng.Rekeyer, keys: np.ndarray, n_words: int) -> np.ndarray:
+    """S × n_words: the first raw 64-bit words of the stream of each key row."""
+    words = np.empty((keys.shape[0], n_words), dtype=np.uint64)
+    for row, key in zip(words, keys.tolist()):
+        row[:] = rekeyer.rekey(key).bit_generator.random_raw(n_words)
+    return words
+
+
+def _halves(words: np.ndarray) -> np.ndarray:
+    """Each word's low then high 32 bits, in numpy's ``next_uint32`` order, as uint64."""
+    return words.astype("<u8", copy=False).view("<u4").astype(np.uint64)
+
+
+def _lemire(halves: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row s: the draws of ``integers(0, bounds[s])`` from the 32-bit values ``halves[s]``.
+
+    numpy draws a bound below 2**32 as ``(u32 * bound) >> 32`` from the next
+    unused 32-bit value (Lemire's method); a bound of 1 consumes nothing.
+    numpy rejects and redraws a draw whose low product word falls below
+    ``(2**32 - bound) % bound``; rows with such a draw are flagged, not
+    reproduced. Returns the int64 draws and the per-row flags.
+    """
+    # a bound-1 draw reads the value before it, which is harmless:
+    # u32 * 1 >> 32 is 0 and never rejected
+    pos = np.cumsum(bounds > 1, axis=1)
+    pos += np.arange(-1, halves.size - 1, halves.shape[1])[:, None]
+    b = bounds.astype(np.uint64)
+    m = halves.ravel()[pos] * b
+    low = m & np.uint64(0xFFFFFFFF)
+    rejected = low < b  # the redraw threshold is below the bound
+    if rejected.any():
+        rejected &= low < (np.uint64(1 << 32) - b) % b
+    return (m >> np.uint64(32)).astype(np.int64), rejected.any(axis=1)
+
+
+def _cdf_picks(plan: PairPlan, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(plan.table.cdf, u, side="right")`` for u in [0, 1).
+
+    Instance slot ``floor(u * total)`` names the answer except within
+    rounding of a CDF edge; each pick is checked against its identity's
+    edges and a search settles the rest.
+    """
+    owner, cdf = plan.slot_owner, plan.table.cdf
+    picks = owner[np.minimum((u * owner.size).astype(np.intp), owner.size - 1)]
+    wrong = (u < plan.cdf_low[picks]) | (u >= cdf[picks])
+    if wrong.any():
+        picks[wrong] = np.searchsorted(cdf, u[wrong], side="right")
+    return picks
+
+
+def _plan_words(plan: PairPlan, words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Labels, query then reference rows, and fallback flags from raw words.
+
+    Row s of ``words`` starts step s's batch stream. Every step not flagged
+    gets exactly the batch ``sample_pair_batch`` draws from that stream. A
+    step is flagged when it holds a single-instance identity, whose
+    reference noise is a normal draw between the index draws, or when numpy
+    would reject one of its bounded draws.
+    """
+    table, B, eligible = plan.table, plan.batch_size, plan.table.eligible
+    if plan.mode == "instance":
+        # Generator.random: (w >> 11) * 2**-53 per word
+        picks = _cdf_picks(plan, (words[:, :B] >> np.uint64(11)) * 2.0**-53)
+        halves = _halves(words[:, B:])
+        rejected = False
+    else:
+        halves = _halves(words)
+        picks, rejected = _lemire(halves, np.full((words.shape[0], B), eligible.size))
+        # the index draws go on from the next 32-bit value, which may be the
+        # high half of the identity draws' last word
+        halves = halves[:, B if eligible.size > 1 else 0 :]
+    labels = eligible[picks]
+    n = table.counts[labels]
+    # integers(n) then integers(n - 1) per row
+    bounds = np.repeat(n, 2, axis=1)
+    bounds[:, 1::2] -= 1
+    np.maximum(bounds, 1, out=bounds)
+    draws, redrawn = _lemire(halves, bounds)
+    q, r = draws[:, 0::2], draws[:, 1::2]
+    starts = table.starts[labels]
+    # a distinct reference index; single-instance rows fall back anyway
+    rows = np.concatenate([starts + q, starts + r + (r >= q)], axis=1)
+    return labels, rows, rejected | redrawn | (n == 1).any(axis=1)
 
 
 def build_eval_protocol(

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import baseline as fc
 from . import class_queue as cq
-from . import rng
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import CheckpointError, ConfigError, ShapeError, TrainingDiverged
 from .evalbench import evaluate_protocol
@@ -33,6 +32,7 @@ from .synthdata import (
     EvalProtocol,
     IdentityUniverse,
     LongTailSpec,
+    PairPlan,
     assign_longtail_counts,
     build_eval_protocol,
     build_instance_table,
@@ -131,6 +131,9 @@ class TrainConfig:
         self._check_types()
         if self.sampling not in ("instance", "class"):
             raise ConfigError(f"sampling must be 'instance' or 'class', got {self.sampling!r}")
+        # chained comparisons reject NaN and infinities
+        if self.s is not None and not 0.0 < self.s < math.inf:
+            raise ConfigError(f"s must be finite and > 0, got {self.s}")
         if self.m is not None and not 0.0 <= self.m < 1.0:
             raise ConfigError(f"margin must lie in [0, 1), got {self.m}")
         if not 0.0 <= self.alpha <= 1.0:
@@ -141,7 +144,6 @@ class TrainConfig:
             raise ConfigError(f"queue size K={self.K} must be >= batch size B={self.B}")
         if not 0.0 < self.decay_factor <= 1.0:
             raise ConfigError(f"decay factor must lie in (0, 1], got {self.decay_factor}")
-        # chained comparisons reject NaN and infinities
         if self.lr0 is not None and not 0.0 < self.lr0 < math.inf:
             raise ConfigError(f"lr0 must be finite and > 0, got {self.lr0}")
         if not 0.0 <= self.sgd_momentum < 1.0:
@@ -152,8 +154,8 @@ class TrainConfig:
             raise ConfigError(f"decay_epochs must be >= 0, got {list(self.decay_epochs)}")
         if self.checkpoint_every < 0:
             raise ConfigError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
-        if not self.sigma >= 0.0:
-            raise ConfigError(f"sigma must be >= 0, got {self.sigma}")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ConfigError(f"sigma must be finite and >= 0, got {self.sigma}")
         if min(self.n_classes, self.eval_probes, *self.layer_dims) < 1 or self.eval_pairs < 2:
             raise ConfigError(
                 "n_classes, layer dims and eval_probes must be positive, eval_pairs >= 2"
@@ -401,9 +403,7 @@ def run_training(
     counts_eff = counts if label_map is None else np.where(label_map >= 0, counts, 0)
     table = build_instance_table(result.universe, counts_eff)
     steps_per_epoch = max(1, int(counts_eff.sum()) // cfg.B)
-    # step t's batch stream is rng.stream(seed, BATCH, t), re-keyed in place
-    last_step = global_step + max(0, cfg.epochs - start_epoch) * steps_per_epoch
-    batch_streams = rng.streams(cfg.seed, rng.BATCH, np.arange(global_step, last_step))
+    plan = PairPlan(table, cfg.B, cfg.sampling, cfg.seed)
 
     scores = None
     for epoch in range(start_epoch, cfg.epochs):
@@ -411,7 +411,7 @@ def run_training(
         lr = lr_at_step(cfg, epoch)
         epoch_losses = []
         for _ in range(steps_per_epoch):
-            batch = make_pair_batch(table, cfg.B, cfg.sampling, next(batch_streams))
+            batch = make_pair_batch(plan, global_step)
             tape = Tape()
             feats = extract_features(extractor, batch.x_t, tape)
             w_pos = None

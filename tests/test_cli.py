@@ -216,8 +216,8 @@ class TestEval:
 
 
 class TestBadConfigValues:
-    def _train_error(self, tmp_path, capsys, setting):
-        config = _write_config(tmp_path)
+    def _train_error(self, tmp_path, capsys, setting, **config):
+        config = _write_config(tmp_path, **config)
         out = tmp_path / "run"
         code = cli.main(["train", "--config", config, "--set", setting, "--out", str(out)])
         err = capsys.readouterr().err
@@ -234,6 +234,16 @@ class TestBadConfigValues:
 
     def test_negative_sigma(self, tmp_path, capsys):
         assert "sigma" in self._train_error(tmp_path, capsys, "sigma=-1")
+
+    @pytest.mark.parametrize("setting", ["sigma=1e309", "sigma=NaN"])
+    def test_non_finite_sigma(self, tmp_path, capsys, setting):
+        assert "sigma must be finite" in self._train_error(tmp_path, capsys, setting)
+
+    @pytest.mark.parametrize("method", ["dcq", "cosface-full", "cosface-head-only"])
+    @pytest.mark.parametrize("value", ["-1", "0", "NaN", "Infinity"])
+    def test_bad_scale(self, tmp_path, capsys, method, value):
+        err = self._train_error(tmp_path, capsys, f"s={value}", method=method)
+        assert "s must be finite and > 0" in err
 
     @pytest.mark.parametrize(
         "setting",

@@ -7,9 +7,11 @@ is the SHA-256 of the same run's ``final.ckpt`` bytes, which cover the
 parameters, the optimizer velocities and the queue that the metrics only
 see through evaluation. Each alignment pin is the SHA-256 of the tail
 alignment report for a CosFace run's head; each full-FC run has 45
-single-instance classes. A change that means to alter numerics re-pins
-these and says so; a performance or refactor change must pass them
-unchanged.
+single-instance classes. The multi-instance pins are the metrics and
+checkpoint pins of the dcq runs again with ``min_count=2``, where no batch
+falls back to the reference sampler. A change that means to alter
+numerics re-pins these and says so; a performance or refactor change must
+pass them unchanged.
 """
 
 import functools
@@ -21,8 +23,9 @@ import pytest
 from dcq import evalbench
 from dcq.trainer import TrainConfig, run_training, save_result_checkpoint
 
-# min_count=1 gives single-instance identities, so the batch-stream
-# reference fallback runs; min_instances=9 keeps 3 head-only classes.
+# min_count=1 gives single-instance identities, so nearly every batch
+# falls back to the reference sampler; min_instances=9 keeps 3 head-only
+# classes.
 GOLDEN_BASE = dict(
     n_classes=60, n_reserved=20, epochs=2, B=16, K=32, d_in=8, embed_dim=8,
     hidden_dims=(16,), sigma=0.1, zipf_exponent=1.2, min_count=1, max_count=40,
@@ -59,6 +62,21 @@ CHECKPOINT_PINS = {
         "8596c7e37cb31a033f1a572a1c2dccb79ac5d826ba40a69dcba23f0f9ea63b2c",
 }
 
+# min_count=2 leaves no single-instance identity, so every batch of these
+# runs comes from the planned path. Recorded before batch planning existed.
+MULTI_INSTANCE_BASE = {**GOLDEN_BASE, "min_count": 2}
+
+MULTI_INSTANCE_PINS = {
+    "instance": (
+        "ade39be0c4a4a46df758b06c3e5d47dadd6645ef62817826061cdf7cb884f0ad",
+        "3805b038063a59655c429e0dcf3d419cb1efe72aba46949d4f6b8c1aa9b12e13",
+    ),
+    "class": (
+        "ff074b2d42c11202c5260feb8decebc1b28e35ccd221d7d8def744a3f60ce5a5",
+        "9a490d33f2f696655ea08018bada214ed512fcb76649a1d6bbdfb2cff6e2c0cd",
+    ),
+}
+
 ALIGNMENT_PINS = {
     ("cosface-full", "instance"):
         "c2afa5becafa9cb41135820e86d60aeb774ffecb2486fb75321b98f1312f9a3a",
@@ -72,20 +90,21 @@ ALIGNMENT_PINS = {
 
 
 @functools.lru_cache(maxsize=None)
-def golden_run(method: str, sampling: str):
-    return run_training(TrainConfig(method=method, sampling=sampling, **GOLDEN_BASE))
+def golden_run(method: str, sampling: str, min_count: int = 1):
+    base = GOLDEN_BASE if min_count == 1 else MULTI_INSTANCE_BASE
+    return run_training(TrainConfig(method=method, sampling=sampling, **base))
 
 
-def run_digest(method: str, sampling: str) -> str:
-    result = golden_run(method, sampling)
+def run_digest(method: str, sampling: str, min_count: int = 1) -> str:
+    result = golden_run(method, sampling, min_count)
     rows = [{k: v for k, v in row.items() if k != "wall_seconds"} for row in result.metrics]
     payload = json.dumps({"metrics": rows, "final_eval": result.final_eval}, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def checkpoint_digest(method: str, sampling: str, tmp_path) -> str:
+def checkpoint_digest(method: str, sampling: str, tmp_path, min_count: int = 1) -> str:
     path = tmp_path / "final.ckpt"
-    save_result_checkpoint(path, golden_run(method, sampling))
+    save_result_checkpoint(path, golden_run(method, sampling, min_count))
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
@@ -112,3 +131,14 @@ def test_golden_checkpoint(method, sampling, tmp_path):
 @pytest.mark.parametrize("method,sampling", sorted(ALIGNMENT_PINS))
 def test_golden_alignment(method, sampling):
     assert alignment_digest(method, sampling) == ALIGNMENT_PINS[(method, sampling)]
+
+
+@pytest.mark.parametrize("sampling", sorted(MULTI_INSTANCE_PINS))
+def test_golden_multi_instance_run(sampling):
+    assert run_digest("dcq", sampling, min_count=2) == MULTI_INSTANCE_PINS[sampling][0]
+
+
+@pytest.mark.parametrize("sampling", sorted(MULTI_INSTANCE_PINS))
+def test_golden_multi_instance_checkpoint(sampling, tmp_path):
+    digest = checkpoint_digest("dcq", sampling, tmp_path, min_count=2)
+    assert digest == MULTI_INSTANCE_PINS[sampling][1]

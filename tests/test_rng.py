@@ -48,8 +48,8 @@ class TestNormalRows:
         assert rng.normal_rows(4, 1, rng.CENTERS, np.arange(0)).shape == (0, 4)
 
 
-class TestStreams:
-    def test_each_item_matches_single_key_stream(self):
+class TestRekeyer:
+    def test_each_key_matches_single_key_stream(self):
         # batch keys of steps 0..299 include both-low, both-high and
         # straddling word pairs
         steps = np.arange(300)
@@ -57,19 +57,18 @@ class TestStreams:
             tuple(w >= HIGH for w in rng.derive_key(5, rng.BATCH, int(t))) for t in steps
         ]
         assert {(False, False), (True, True), (False, True), (True, False)} <= set(words)
-        for t, gen in zip(steps, rng.streams(5, rng.BATCH, steps), strict=True):
+        rekeyer = rng.Rekeyer()
+        for t, key in zip(steps, rng.philox_keys(5, rng.BATCH, steps).tolist(), strict=True):
+            gen = rekeyer.rekey(key)
             ref = rng.stream(5, rng.BATCH, int(t))
             np.testing.assert_array_equal(
                 gen.bit_generator.state["state"]["key"], ref.bit_generator.state["state"]["key"]
             )
-            # a 32-bit draw leaves half a word buffered; the next item drops it
+            # a 32-bit draw leaves half a word buffered; the next re-key drops it
             assert gen.integers(10) == ref.integers(10)
             np.testing.assert_array_equal(gen.standard_normal(3), ref.standard_normal(3))
 
     def test_offset_range_starts_at_its_first_key(self):
         ref = rng.stream(2, rng.BATCH, 70)
-        gen = next(rng.streams(2, rng.BATCH, np.arange(70, 90)))
+        gen = rng.Rekeyer().rekey(rng.philox_keys(2, rng.BATCH, np.arange(70, 90))[0].tolist())
         np.testing.assert_array_equal(gen.random(5), ref.random(5))
-
-    def test_empty_range_yields_nothing(self):
-        assert list(rng.streams(1, rng.BATCH, np.arange(4, 4))) == []

@@ -3,10 +3,12 @@ import struct
 import numpy as np
 import pytest
 
-from dcq import rng
+from dcq import rng, synthdata
 from dcq.errors import ConfigError
 from dcq.synthdata import (
     LongTailSpec,
+    PLAN_BLOCK_STEPS,
+    PairPlan,
     assign_longtail_counts,
     build_eval_protocol,
     build_instance_table,
@@ -15,6 +17,7 @@ from dcq.synthdata import (
     heldout_instance,
     make_pair_batch,
     read_dataset,
+    sample_pair_batch,
     tail_summary,
     write_dataset,
 )
@@ -150,7 +153,7 @@ class TestPairBatch:
         gen = rng.stream(5, rng.BATCH, 0)
         table = build_instance_table(u, counts)
         for _ in range(100):
-            batch = make_pair_batch(table, 1000, "class", gen)
+            batch = sample_pair_batch(table, 1000, "class", gen)
             seen += np.bincount(batch.y, minlength=10)
         freq = seen / total
         assert np.abs(freq - 0.1).max() < 0.01
@@ -164,7 +167,7 @@ class TestPairBatch:
         seen = np.zeros(2)
         table = build_instance_table(u, counts)
         for _ in range(100):
-            batch = make_pair_batch(table, 1000, "instance", gen)
+            batch = sample_pair_batch(table, 1000, "instance", gen)
             seen += np.bincount(batch.y, minlength=2)
         assert abs(seen[0] / 100_000 - 0.9) < 0.02
         assert abs(seen[0] / 100_000 - 0.9) < 3 * np.sqrt(0.9 * 0.1 / 100_000)
@@ -173,7 +176,7 @@ class TestPairBatch:
         u = build_universe(6, 8, 0.2, seed=7)
         counts = np.array([5, 4, 3, 2, 2, 2])
         gen = rng.stream(7, rng.BATCH, 1)
-        batch = make_pair_batch(build_instance_table(u, counts), 64, "instance", gen)
+        batch = sample_pair_batch(build_instance_table(u, counts), 64, "instance", gen)
         assert batch.x_t.shape == (64, 8) and batch.x_w.shape == (64, 8)
         # label sharing is structural; multi-instance identities must give
         # distinct query/reference vectors
@@ -185,7 +188,7 @@ class TestPairBatch:
         u = build_universe(1, 8, 0.2, seed=8)
         counts = np.array([1])
         gen = rng.stream(8, rng.BATCH, 0)
-        batch = make_pair_batch(build_instance_table(u, counts), 4, "instance", gen)
+        batch = sample_pair_batch(build_instance_table(u, counts), 4, "instance", gen)
         stored = draw_instance(u, 0, 0)
         for i in range(4):
             np.testing.assert_array_equal(batch.x_t.data[i], stored)
@@ -195,8 +198,8 @@ class TestPairBatch:
         u = build_universe(6, 8, 0.2, seed=7)
         counts = np.array([5, 4, 3, 2, 2, 2])
         table = build_instance_table(u, counts)
-        a = make_pair_batch(table, 16, "instance", rng.stream(7, rng.BATCH, 3))
-        b = make_pair_batch(table, 16, "instance", rng.stream(7, rng.BATCH, 3))
+        a = sample_pair_batch(table, 16, "instance", rng.stream(7, rng.BATCH, 3))
+        b = sample_pair_batch(table, 16, "instance", rng.stream(7, rng.BATCH, 3))
         np.testing.assert_array_equal(a.x_t.data, b.x_t.data)
         np.testing.assert_array_equal(a.x_w.data, b.x_w.data)
         np.testing.assert_array_equal(a.y, b.y)
@@ -212,7 +215,7 @@ class TestPairBatch:
         for seed in range(200):
             for mode, p in (("instance", weights), ("class", None)):
                 gen, ref = rng.stream(seed, rng.BATCH, 0), rng.stream(seed, rng.BATCH, 0)
-                batch = make_pair_batch(table, 16, mode, gen)
+                batch = sample_pair_batch(table, 16, mode, gen)
                 idents = ref.choice(eligible, size=16, p=p)
                 x_t, x_w = [], []
                 for ident in idents:
@@ -232,7 +235,131 @@ class TestPairBatch:
     def test_bad_mode(self):
         u = build_universe(2, 4, 0.1, seed=0)
         with pytest.raises(ConfigError):
-            make_pair_batch(build_instance_table(u, np.array([1, 1])), 2, "epoch", rng.stream(0, 0))
+            sample_pair_batch(build_instance_table(u, np.array([1, 1])), 2, "epoch", rng.stream(0, 0))
+
+
+def _table(counts, seed=4, d_in=6):
+    counts = np.asarray(counts, dtype=np.int64)
+    return build_instance_table(build_universe(counts.size, d_in, 0.1, seed), counts)
+
+
+def _longtail_table(min_count, seed=4):
+    return _table(assign_longtail_counts(LongTailSpec(1.2, min_count, 40), 60), seed)
+
+
+class TestPairPlan:
+    """Planned batches against the reference sampler on each step's stream."""
+
+    def _assert_reference(self, plan, steps):
+        """Every step's planned batch equals the reference; returns the fallback flags."""
+        flags = []
+        for step in steps:
+            batch = make_pair_batch(plan, step)
+            flags.append(bool(plan.fallback[step - plan.first]))
+            gen = rng.stream(plan.seed, rng.BATCH, step)
+            ref = sample_pair_batch(plan.table, plan.batch_size, plan.mode, gen)
+            assert batch.y.dtype == ref.y.dtype
+            np.testing.assert_array_equal(batch.y, ref.y)
+            np.testing.assert_array_equal(batch.x_t.data, ref.x_t.data)
+            np.testing.assert_array_equal(batch.x_w.data, ref.x_w.data)
+            # the same steps fall back as hold a single-instance identity
+            assert flags[-1] == bool((plan.table.counts[ref.y] == 1).any())
+        return flags
+
+    @pytest.mark.parametrize("mode", ["instance", "class"])
+    @pytest.mark.parametrize("seed", [1, 17, 29])
+    def test_blocks_match_reference(self, mode, seed):
+        # both block edges and the first step of the next block
+        plan = PairPlan(_longtail_table(2, seed), 16, mode, seed)
+        flags = self._assert_reference(plan, range(PLAN_BLOCK_STEPS + 2))
+        assert not any(flags)
+
+    @pytest.mark.parametrize("mode", ["instance", "class"])
+    def test_resume_mid_block(self, mode):
+        plan = PairPlan(_longtail_table(2), 16, mode, 3)
+        start = PLAN_BLOCK_STEPS // 2 + 5
+        self._assert_reference(plan, range(start, start + PLAN_BLOCK_STEPS + 1))
+        assert plan.first == start + PLAN_BLOCK_STEPS
+
+    @pytest.mark.parametrize("mode", ["instance", "class"])
+    def test_count_two_rows_draw_no_reference_word(self, mode):
+        # a count of 2 makes the reference draw integers(1), which takes no word
+        plan = PairPlan(_table([2, 2, 2, 3]), 8, mode, 5)
+        self._assert_reference(plan, range(20))
+        assert (plan.table.counts[plan.labels] == 2).any()
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 33])
+    def test_odd_batch_in_class_mode(self, batch_size):
+        # the identity draws leave a buffered high half for the index draws
+        plan = PairPlan(_longtail_table(2), batch_size, "class", 6)
+        self._assert_reference(plan, range(12))
+
+    @pytest.mark.parametrize("batch_size", [4, 7])
+    def test_one_eligible_identity_in_class_mode(self, batch_size):
+        # integers(0, 1) draws nothing, so the index draws start the stream
+        plan = PairPlan(_table([0, 5, 0]), batch_size, "class", 8)
+        self._assert_reference(plan, range(12))
+        assert (plan.labels == 1).all()
+
+    @pytest.mark.parametrize("mode", ["instance", "class"])
+    def test_single_instance_steps_fall_back(self, mode):
+        plan = PairPlan(_table([6, 5, 4, 3, 2, 1]), 4, mode, 9)
+        flags = self._assert_reference(plan, range(PLAN_BLOCK_STEPS + 20))
+        assert any(flags) and not all(flags)
+
+    def test_planning_opens_no_single_streams(self, monkeypatch):
+        calls = []
+        real = rng.stream
+        monkeypatch.setattr(rng, "stream", lambda *a: calls.append(a) or real(*a))
+        plan = PairPlan(_longtail_table(1), 4, "instance", 9)
+        for step in range(40):
+            make_pair_batch(plan, step)
+        assert calls == []
+
+    def test_cdf_picks_match_search_at_the_edges(self):
+        # at some of these edges the instance slot names the wrong identity
+        plan = PairPlan(_table([8, 0, 6, 3, 4, 1, 1, 1]), 4, "instance", 0)
+        cdf = plan.table.cdf
+        edges = np.concatenate([[0.0], cdf[:-1]])
+        u = np.concatenate([
+            edges, np.nextafter(edges, -1.0)[1:], np.nextafter(edges, 2.0),
+            [np.nextafter(1.0, 0.0)], rng.stream(0, 0).random(1000),
+        ])
+        expected = np.searchsorted(cdf, u, side="right")
+        np.testing.assert_array_equal(synthdata._cdf_picks(plan, u), expected)
+
+    def test_rejected_draw_is_flagged(self):
+        plan = PairPlan(_table([5, 3]), 4, "instance", 0)
+        words = np.zeros((2, 8), dtype=np.uint64)
+        words[1] = np.uint64(0x8000_0000_8000_0000)  # 2**31 per half: no draw rejected
+        _, _, fallback = synthdata._plan_words(plan, words)
+        # a zero 32-bit value leaves 0 < (2**32 - 5) % 5 == 1: numpy redraws
+        assert fallback.tolist() == [True, False]
+
+    @pytest.mark.parametrize("mode", ["instance", "class"])
+    def test_rejected_step_serves_the_reference_batch(self, mode, monkeypatch):
+        real = synthdata._block_words
+
+        def crafted(rekeyer, keys, n_words):
+            words = real(rekeyer, keys, n_words)
+            words[3] = 0  # every draw of step first + 3 is rejected
+            return words
+
+        monkeypatch.setattr(synthdata, "_block_words", crafted)
+        plan = PairPlan(_table([5, 3, 6]), 4, mode, 2)
+        make_pair_batch(plan, 0)
+        assert plan.fallback.tolist() == [i == 3 for i in range(PLAN_BLOCK_STEPS)]
+        batch = make_pair_batch(plan, 3)
+        ref = sample_pair_batch(plan.table, 4, mode, rng.stream(2, rng.BATCH, 3))
+        np.testing.assert_array_equal(batch.y, ref.y)
+        np.testing.assert_array_equal(batch.x_t.data, ref.x_t.data)
+        np.testing.assert_array_equal(batch.x_w.data, ref.x_w.data)
+
+    def test_bad_mode_and_empty_table(self):
+        with pytest.raises(ConfigError):
+            PairPlan(_table([2, 2]), 2, "epoch", 0)
+        with pytest.raises(ConfigError):
+            PairPlan(_table([0, 0]), 2, "class", 0)
 
 
 class TestEvalProtocol:

@@ -4,6 +4,7 @@ import zlib
 import numpy as np
 import pytest
 
+import dcq.trainer
 from dcq import rng
 from dcq.baseline import fc_cosface_loss
 from dcq.checkpoint import load_checkpoint, save_checkpoint
@@ -18,7 +19,7 @@ from dcq.errors import (
 )
 from dcq.model import extract_features, init_extractor
 from dcq.numerics import Tape
-from dcq.synthdata import build_instance_table, build_universe, make_pair_batch
+from dcq.synthdata import build_instance_table, build_universe, sample_pair_batch
 from dcq.trainer import (
     TrainConfig,
     lr_at_step,
@@ -318,7 +319,7 @@ class TestRunTraining:
         ).resolve()
         universe = build_universe(7, 8, sigma, cfg.seed)
         counts = np.full(3, 20)
-        probe = make_pair_batch(
+        probe = sample_pair_batch(
             build_instance_table(universe, counts), 12, "instance", rng.stream(99, 0)
         )
         series, frozen = [], {}
@@ -458,6 +459,26 @@ class TestResume:
         for ra, rb in zip(tail, resumed.metrics):
             for key in ("epoch", "lr", "train_loss", "ver_acc", "id_rank1"):
                 assert ra[key] == rb[key], key
+
+    def test_one_batch_call_per_step(self, tmp_path, monkeypatch):
+        # the desk benchmark times batch synthesis through this name and
+        # divides its per-step figures by the number of calls
+        steps = []
+        make = dcq.trainer.make_pair_batch
+
+        def counted(plan, step):
+            steps.append(step)
+            return make(plan, step)
+
+        monkeypatch.setattr(dcq.trainer, "make_pair_batch", counted)
+        cfg = TrainConfig(method="dcq", checkpoint_every=2, **{**TINY, "epochs": 5})
+        full = run_training(cfg, checkpoint_dir=str(tmp_path))
+        assert steps == list(range(full.final_step))
+        start = load_checkpoint(tmp_path / "epoch_002.ckpt")[0]["state"]["global_step"]
+        steps.clear()
+        resumed = run_training(cfg, resume_from=tmp_path / "epoch_002.ckpt")
+        assert resumed.final_step == full.final_step
+        assert steps == list(range(start, resumed.final_step))
 
     def test_resume_config_mismatch_rejected(self, tmp_path):
         cfg = TrainConfig(method="dcq", checkpoint_every=2, **{**TINY, "epochs": 5})
