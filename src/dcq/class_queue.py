@@ -115,9 +115,6 @@ class ClassQueue:
         self.labels[slots] = y
         self.cursor = int((self.cursor + n_new) % self.capacity)
 
-    def snapshot(self) -> tuple[np.ndarray, np.ndarray, int]:
-        return self.weights.copy(), self.labels.copy(), self.cursor
-
 
 def dcq_logits_with_mask(
     f: Tensor,

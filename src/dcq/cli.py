@@ -8,6 +8,7 @@ diverged training).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import shutil
@@ -18,12 +19,13 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__, evalbench
-from .errors import DcqError, UsageError
+from .errors import ConfigError, DcqError, UsageError
 from .synthdata import LongTailSpec, assign_longtail_counts, build_universe, write_dataset
 from .trainer import (
     METRICS_COLUMNS,
     TrainConfig,
     load_result_checkpoint,
+    periodic_checkpoints,
     run_training,
     save_result_checkpoint,
 )
@@ -86,8 +88,11 @@ def load_config(path: str | None, overrides: dict) -> TrainConfig:
     data: dict = {}
     if path:
         with open(path) as fh:
-            loaded = json.load(fh)
-        data = dict(loaded.get("config", loaded))  # accept a manifest directly
+            data = json.load(fh)
+        if isinstance(data, dict):
+            data = data.get("config", data)  # accept a manifest directly
+        if not isinstance(data, dict):
+            raise ConfigError(f"{path}: config must be a JSON object, got {type(data).__name__}")
     data.update(overrides)
     if "seed" not in data and os.environ.get(SEED_ENV_VAR):
         data["seed"] = int(os.environ[SEED_ENV_VAR])
@@ -132,25 +137,23 @@ def _cmd_train(args) -> int:
     try:
         _write_manifest(run_dir, cfg, overrides)
         with np.errstate(**QUIET_DIVERGENCE):
-            result = run_training(
-                cfg,
-                resume_from=args.resume,
-                checkpoint_dir=run_dir if cfg.checkpoint_every else None,
-            )
+            result = run_training(cfg, resume_from=args.resume, checkpoint_dir=run_dir)
         write_metrics(result.metrics, os.path.join(run_dir, "metrics.csv"), "csv")
         write_metrics(result.metrics, os.path.join(run_dir, "metrics.json"), "json")
         save_result_checkpoint(os.path.join(run_dir, "final.ckpt"), result)
     except BaseException:
         # a run directory holds either the full artifact set or nothing; a
-        # pre-existing --out dir only loses the artifacts we wrote
+        # pre-existing --out dir only loses the artifacts we wrote, never the
+        # checkpoint the run resumed from
         if created_dir:
             shutil.rmtree(run_dir, ignore_errors=True)
         else:
-            for name in RUN_ARTIFACTS:
-                try:
-                    os.remove(os.path.join(run_dir, name))
-                except OSError:
-                    pass
+            resumed_from = args.resume and os.path.realpath(args.resume)
+            for name in (*RUN_ARTIFACTS, *periodic_checkpoints(cfg).values()):
+                path = os.path.join(run_dir, name)
+                with contextlib.suppress(OSError):
+                    if os.path.realpath(path) != resumed_from:
+                        os.remove(path)
         raise
     summary = {k: v for k, v in result.final_eval.items() if v is not None}
     print(json.dumps({"run_dir": run_dir, "final": summary}, indent=2))
@@ -232,6 +235,8 @@ def _cmd_bench(args) -> int:
 def _cmd_gradcheck(args) -> int:
     from .gradcheck import run_gradient_suite
 
+    if args.configs < 1:
+        raise UsageError(f"--configs must be >= 1, got {args.configs}")
     results = run_gradient_suite(n_configs=args.configs, seed=args.seed, h=1e-5)
     worst = max(err for _, err in results)
     for name, err in results:

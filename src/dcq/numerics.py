@@ -243,7 +243,6 @@ class LossDiagnostics:
     """
 
     p_pos: np.ndarray
-    loss: float
     probs: np.ndarray
     targets: np.ndarray
 
@@ -293,7 +292,7 @@ def margin_softmax_ce(
         return d
 
     _register(tape, loss, [(cos, vjp)])
-    return loss, LossDiagnostics(probs[rows, targets], float(loss.data), probs, targets)
+    return loss, LossDiagnostics(probs[rows, targets], probs, targets)
 
 
 def finite_difference_check(

@@ -247,7 +247,6 @@ class TrainResult:
     velocity: np.ndarray  # laid out as extractor.flat
     head_velocity: np.ndarray | None
     metrics: list[dict] = field(default_factory=list)
-    iter_losses: list[float] = field(default_factory=list)
     final_eval: dict = field(default_factory=dict)
     final_step: int = 0
 
@@ -267,17 +266,11 @@ class TrainResult:
         return state
 
 
-def _build_run_state(
-    cfg: TrainConfig,
-    universe: IdentityUniverse | None = None,
-    counts: np.ndarray | None = None,
-) -> TrainResult:
+def _build_run_state(cfg: TrainConfig) -> TrainResult:
     """Data, eval protocol, freshly initialised model and zero optimizer state."""
-    if universe is None:
-        universe = build_universe(cfg.n_classes + cfg.n_reserved, cfg.d_in, cfg.sigma, cfg.seed)
-    if counts is None:
-        spec = LongTailSpec(cfg.zipf_exponent, cfg.min_count, cfg.max_count)
-        counts = assign_longtail_counts(spec, cfg.n_classes)
+    universe = build_universe(cfg.n_classes + cfg.n_reserved, cfg.d_in, cfg.sigma, cfg.seed)
+    spec = LongTailSpec(cfg.zipf_exponent, cfg.min_count, cfg.max_count)
+    counts = assign_longtail_counts(spec, cfg.n_classes)
     protocol = build_eval_protocol(
         universe, counts, cfg.eval_pairs, cfg.eval_probes, cfg.eval_distractors, cfg.seed
     )
@@ -367,24 +360,33 @@ def _restore_from_checkpoint(state: TrainResult, progress: dict, arrays: dict) -
         state.queue.cursor = progress["queue_cursor"]
 
 
+def periodic_checkpoints(cfg: TrainConfig) -> dict[int, str]:
+    """File names by epochs done: every ``checkpoint_every`` epochs and the last, if set."""
+    if cfg.checkpoint_every == 0:
+        return {}
+    done = [*range(cfg.checkpoint_every, cfg.epochs, cfg.checkpoint_every), cfg.epochs]
+    return {n: f"epoch_{n:03d}.ckpt" for n in done}
+
+
 def run_training(
     config: TrainConfig,
-    universe: IdentityUniverse | None = None,
-    counts: np.ndarray | None = None,
     hooks: Callable[[dict], None] | None = None,
     resume_from=None,
     checkpoint_dir=None,
 ) -> TrainResult:
     """Train one model per the config; returns parameters and metric series.
 
-    ``hooks`` receives a record per iteration (step, loss, labels and for
-    the queue method the positive weights plus queue snapshots around the
-    enqueue) for diagnostics. ``resume_from`` continues from a checkpoint
-    written with the same config; only epochs after the checkpoint are run
-    and reported.
+    ``hooks`` is called after each step's updates with a record of ``step``,
+    ``epoch``, ``loss``, ``labels``, ``diagnostics``, ``w_pos`` (the B × D
+    positive weights for dcq, None otherwise) and ``state``, the live
+    ``TrainResult``, which hooks only read. The record's arrays belong to the
+    step and are not written after the hook returns, so it copies nothing.
+    ``resume_from`` continues from a checkpoint written with the same
+    config; only epochs after the checkpoint are run and reported. The
+    config's ``periodic_checkpoints`` are written to ``checkpoint_dir``.
     """
     cfg = config.resolve()
-    result = _build_run_state(cfg, universe, counts)
+    result = _build_run_state(cfg)
     extractor, head = result.extractor, result.head
     generator, queue = result.generator, result.queue
     label_map, counts = result.label_map, result.counts
@@ -404,6 +406,7 @@ def run_training(
     table = build_instance_table(result.universe, counts_eff)
     steps_per_epoch = max(1, int(counts_eff.sum()) // cfg.B)
     plan = PairPlan(table, cfg.B, cfg.sampling, cfg.seed)
+    checkpoint_names = periodic_checkpoints(cfg) if checkpoint_dir is not None else {}
 
     scores = None
     for epoch in range(start_epoch, cfg.epochs):
@@ -415,7 +418,6 @@ def run_training(
             tape = Tape()
             feats = extract_features(extractor, batch.x_t, tape)
             w_pos = None
-            queue_before = None
             if cfg.method == METHOD_DCQ:
                 w_pos = generator.generate(batch.x_w)
                 l_pos, l_neg = cq.dcq_logits_with_mask(feats, w_pos, queue, batch.y, tape)
@@ -445,8 +447,6 @@ def run_training(
                     lr, cfg.sgd_momentum, cfg.weight_decay,
                 )
             if cfg.method == METHOD_DCQ:
-                if hooks is not None:
-                    queue_before = queue.snapshot()
                 generator.update(extractor)
                 queue.update(w_pos, batch.y)
 
@@ -454,17 +454,11 @@ def run_training(
                 hooks(
                     {
                         "step": global_step, "epoch": epoch, "loss": loss_value,
-                        "labels": batch.y.copy(), "diagnostics": diag,
-                        "w_pos": None if w_pos is None else w_pos.data.copy(),
-                        "queue_before": queue_before,
-                        "queue_after": queue.snapshot() if queue is not None else None,
-                        # live references for read-only diagnostics
-                        "extractor": extractor, "generator": generator,
-                        "queue": queue, "head": head,
+                        "labels": batch.y, "diagnostics": diag,
+                        "w_pos": None if w_pos is None else w_pos.data, "state": result,
                     }
                 )
             epoch_losses.append(loss_value)
-            result.iter_losses.append(loss_value)
             global_step += 1
 
         scores = evaluate_protocol(extractor, result.protocol, counts)
@@ -478,11 +472,10 @@ def run_training(
                 "wall_seconds": time.perf_counter() - epoch_start,
             }
         )
-        if checkpoint_dir is not None and cfg.checkpoint_every > 0:
-            if (epoch + 1) % cfg.checkpoint_every == 0 or epoch + 1 == cfg.epochs:
-                progress = {"epoch_next": epoch + 1, "global_step": global_step}
-                path = f"{checkpoint_dir}/epoch_{epoch + 1:03d}.ckpt"
-                save_checkpoint(path, *_checkpoint_payload(result, progress))
+        name = checkpoint_names.get(epoch + 1)
+        if name is not None:
+            progress = {"epoch_next": epoch + 1, "global_step": global_step}
+            save_checkpoint(f"{checkpoint_dir}/{name}", *_checkpoint_payload(result, progress))
 
     result.final_step = global_step
     # the last epoch already scored the final model

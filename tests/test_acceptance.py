@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+import dcq.class_queue
 from dcq import cli
 from dcq.class_queue import ClassQueue, EmaGenerator, dcq_cosface_loss, dcq_logits_with_mask
 from dcq.evalbench import head_cost_report
@@ -202,16 +203,31 @@ class TestCriterion5EmaClosedForm:
 
 
 class TestCriterion6QueueSemantics:
-    def test_fifo_and_one_iteration_delay(self):
-        records = []
+    def test_fifo_and_one_iteration_delay(self, monkeypatch):
+        # the queue the loss reads is taken inside dcq_logits_with_mask; the
+        # queue after each step's enqueue is taken in the hook
+        seen, records = [], []
+        logits = dcq.class_queue.dcq_logits_with_mask
+
+        def recording_logits(f, w_pos, queue, y, tape=None):
+            seen.append((queue.weights.copy(), queue.labels.copy(), queue.cursor))
+            return logits(f, w_pos, queue, y, tape)
+
+        def hook(rec):
+            queue = rec["state"].queue
+            after = (queue.weights.copy(), queue.labels.copy(), queue.cursor)
+            records.append({**rec, "queue_after": after})
+
+        monkeypatch.setattr(dcq.class_queue, "dcq_logits_with_mask", recording_logits)
         cfg = TrainConfig(
             method="dcq", n_classes=40, n_reserved=10, epochs=3, B=8, K=20,
             sigma=0.05, d_in=8, embed_dim=8, hidden_dims=(16,),
             min_count=2, max_count=20, zipf_exponent=1.0,
             eval_pairs=40, eval_probes=10, eval_distractors=5, decay_epochs=(2,),
         )
-        run_training(cfg, hooks=records.append)
+        run_training(cfg, hooks=hook)
         assert len(records) >= 20 // 8 + 4
+        assert len(seen) == len(records)
 
         # FIFO: stored labels equal the last K enqueued labels in order
         enqueued = []
@@ -230,9 +246,10 @@ class TestCriterion6QueueSemantics:
         for t in range(1, len(records)):
             rec = records[t]
             prev = records[t - 1]
-            ok = ok and np.array_equal(rec["queue_before"][0], prev["queue_after"][0])
-            ok = ok and np.array_equal(rec["queue_before"][1], prev["queue_after"][1])
-            slots = (rec["queue_before"][2] + np.arange(len(rec["labels"]))) % 20
+            ok = ok and np.array_equal(seen[t][0], prev["queue_after"][0])
+            ok = ok and np.array_equal(seen[t][1], prev["queue_after"][1])
+            ok = ok and seen[t][2] == prev["queue_after"][2]
+            slots = (seen[t][2] + np.arange(len(rec["labels"]))) % 20
             ok = ok and np.array_equal(rec["queue_after"][1][slots], rec["labels"])
             ok = ok and np.array_equal(rec["queue_after"][0][:, slots], rec["w_pos"].T)
         _report(6, "queue FIFO semantics and one-iteration positive delay", ok)

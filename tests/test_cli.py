@@ -140,6 +140,26 @@ class TestTrain:
         assert err.startswith("error: non-finite loss") and err.count("\n") == 1, err
         assert not out.exists()
 
+    def test_failed_run_in_existing_dir_removes_its_periodic_checkpoints(self, tmp_path):
+        out = tmp_path / "keep"
+        out.mkdir()
+        (out / "notes.txt").write_text("mine")
+        (out / "metrics.csv").mkdir()  # writing the metrics fails after training
+        config = _write_config(tmp_path, checkpoint_every=1, epochs=2)
+        assert cli.main(["train", "--config", config, "--out", str(out)]) == 2
+        assert sorted(p.name for p in out.iterdir()) == ["metrics.csv", "notes.txt"]
+
+    def test_failed_resume_into_its_own_dir_keeps_the_resumed_checkpoint(self, tmp_path):
+        out = tmp_path / "run"
+        config = _write_config(tmp_path, checkpoint_every=2, epochs=4)
+        assert cli.main(["train", "--config", config, "--out", str(out)]) == 0
+        (out / "metrics.csv").unlink()
+        (out / "metrics.csv").mkdir()
+        resume = str(out / "epoch_002.ckpt")
+        code = cli.main(["train", "--config", config, "--out", str(out), "--resume", resume])
+        assert code == 2
+        assert sorted(p.name for p in out.iterdir()) == ["epoch_002.ckpt", "metrics.csv"]
+
     def test_unwritable_out_is_runtime_failure(self, tmp_path):
         config = _write_config(tmp_path)
         target = tmp_path / "file"
@@ -169,6 +189,25 @@ class TestTrain:
         full_rows = _rows_without_wall(out1 / "metrics.csv")
         resumed_rows = _rows_without_wall(out2 / "metrics.csv")
         assert resumed_rows == full_rows[2:]
+
+
+class TestConfigNotAnObject:
+    @pytest.mark.parametrize(
+        "content", ['[1, 2]', '"x"', '{"config": null}', '{"config": [1]}', '{"config": "ab"}']
+    )
+    @pytest.mark.parametrize("command", ["train", "gen-data", "sweep"])
+    def test_one_line_error(self, tmp_path, capsys, command, content):
+        config = tmp_path / "config.json"
+        config.write_text(content)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(config), "--out", str(out)]
+        if command == "sweep":
+            argv += ["--axis", "alpha", "--values", "0.9"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: config must be a JSON object"), err
+        assert err.count("\n") == 1, err
+        assert not out.exists()
 
 
 class TestGenData:
@@ -388,3 +427,11 @@ class TestGradcheckCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "worst" in out
+
+    @pytest.mark.parametrize("configs", ["0", "-3"])
+    def test_no_configs_is_a_usage_error(self, capsys, configs):
+        assert cli.main(["gradcheck", "--configs", configs]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: --configs must be >= 1")
+        assert captured.err.count("\n") == 1, captured.err
+        assert captured.out == ""

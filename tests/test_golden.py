@@ -9,7 +9,9 @@ see through evaluation. Each alignment pin is the SHA-256 of the tail
 alignment report for a CosFace run's head; each full-FC run has 45
 single-instance classes. The multi-instance pins are the metrics and
 checkpoint pins of the dcq runs again with ``min_count=2``, where no batch
-falls back to the reference sampler. A change that means to alter
+falls back to the reference sampler. The dcq and cosface-full runs are
+repeated with a recording per-step hook, which must leave their metrics and
+checkpoint pins where they are. A change that means to alter
 numerics re-pins these and says so; a performance or refactor change must
 pass them unchanged.
 """
@@ -18,6 +20,7 @@ import functools
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from dcq import evalbench
@@ -95,17 +98,24 @@ def golden_run(method: str, sampling: str, min_count: int = 1):
     return run_training(TrainConfig(method=method, sampling=sampling, **base))
 
 
-def run_digest(method: str, sampling: str, min_count: int = 1) -> str:
-    result = golden_run(method, sampling, min_count)
+def metrics_digest(result) -> str:
     rows = [{k: v for k, v in row.items() if k != "wall_seconds"} for row in result.metrics]
     payload = json.dumps({"metrics": rows, "final_eval": result.final_eval}, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def checkpoint_digest(method: str, sampling: str, tmp_path, min_count: int = 1) -> str:
+def final_checkpoint_digest(result, tmp_path) -> str:
     path = tmp_path / "final.ckpt"
-    save_result_checkpoint(path, golden_run(method, sampling, min_count))
+    save_result_checkpoint(path, result)
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def run_digest(method: str, sampling: str, min_count: int = 1) -> str:
+    return metrics_digest(golden_run(method, sampling, min_count))
+
+
+def checkpoint_digest(method: str, sampling: str, tmp_path, min_count: int = 1) -> str:
+    return final_checkpoint_digest(golden_run(method, sampling, min_count), tmp_path)
 
 
 def alignment_digest(method: str, sampling: str) -> str:
@@ -142,3 +152,35 @@ def test_golden_multi_instance_run(sampling):
 def test_golden_multi_instance_checkpoint(sampling, tmp_path):
     digest = checkpoint_digest("dcq", sampling, tmp_path, min_count=2)
     assert digest == MULTI_INSTANCE_PINS[sampling][1]
+
+
+HOOK_RECORD_KEYS = {"step", "epoch", "loss", "labels", "diagnostics", "w_pos", "state"}
+
+
+@pytest.mark.parametrize("method", ["dcq", "cosface-full"])
+def test_recording_hook_changes_nothing(method, tmp_path):
+    # observing a run through its per-step hook must not move any output bit
+    records, copies = [], []
+
+    def hook(rec):
+        records.append(rec)
+        arrays = (rec["labels"], rec["w_pos"], rec["diagnostics"].probs)
+        copies.append([None if a is None else a.copy() for a in arrays])
+
+    result = run_training(
+        TrainConfig(method=method, sampling="instance", **GOLDEN_BASE), hooks=hook
+    )
+    assert metrics_digest(result) == GOLDEN_PINS[(method, "instance")]
+    assert final_checkpoint_digest(result, tmp_path) == CHECKPOINT_PINS[(method, "instance")]
+    assert [rec["step"] for rec in records] == list(range(result.final_step))
+    for rec, (labels, w_pos, probs) in zip(records, copies):
+        assert set(rec) == HOOK_RECORD_KEYS
+        # the record's arrays are not written after the hook returns
+        np.testing.assert_array_equal(rec["labels"], labels)
+        np.testing.assert_array_equal(rec["diagnostics"].probs, probs)
+        assert rec["state"] is result
+        if method == "dcq":
+            assert rec["w_pos"].shape == (GOLDEN_BASE["B"], GOLDEN_BASE["embed_dim"])
+            np.testing.assert_array_equal(rec["w_pos"], w_pos)
+        else:
+            assert rec["w_pos"] is None

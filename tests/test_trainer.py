@@ -4,6 +4,7 @@ import zlib
 import numpy as np
 import pytest
 
+import dcq.class_queue
 import dcq.trainer
 from dcq import rng
 from dcq.baseline import fc_cosface_loss
@@ -232,32 +233,47 @@ class TestRunTraining:
         assert result.final_eval["ver_acc"] >= 0.95
 
     def test_queue_full_after_expected_batches(self):
-        records = []
+        labels_after = []
         cfg = TrainConfig(method="dcq", **{**TINY, "K": 20, "B": 8})
-        run_training(cfg, hooks=records.append)
+        run_training(cfg, hooks=lambda rec: labels_after.append(rec["state"].queue.labels.copy()))
         fill_batches = -(-20 // 8)  # ceil(K/B)
-        for rec in records[: fill_batches - 1]:
-            assert (rec["queue_after"][1] == SENTINEL_LABEL).any()
-        assert (records[fill_batches - 1]["queue_after"][1] != SENTINEL_LABEL).all()
+        for labels in labels_after[: fill_batches - 1]:
+            assert (labels == SENTINEL_LABEL).any()
+        assert (labels_after[fill_batches - 1] != SENTINEL_LABEL).all()
 
-    def test_algorithm_order_positive_enqueued_after_loss(self):
-        # the queue seen by the loss at step t is exactly step t-1's
-        # post-enqueue state (nothing from batch t in it), and batch t's
-        # positive weights land in the queue only after the loss
-        records = []
+    def test_algorithm_order_positive_enqueued_after_loss(self, monkeypatch):
+        # the queue seen by the loss at step t, taken where the loss reads
+        # it, is exactly step t-1's post-enqueue state (nothing from batch t
+        # in it), and batch t's positive weights land in the queue only
+        # after the loss
+        seen, records = [], []
+        logits = dcq.class_queue.dcq_logits_with_mask
+
+        def recording_logits(f, w_pos, queue, y, tape=None):
+            seen.append((queue.weights.copy(), queue.labels.copy(), queue.cursor))
+            return logits(f, w_pos, queue, y, tape)
+
+        def hook(rec):
+            queue = rec["state"].queue
+            after = (queue.weights.copy(), queue.labels.copy(), queue.cursor)
+            records.append({**rec, "after": after})
+
+        monkeypatch.setattr(dcq.class_queue, "dcq_logits_with_mask", recording_logits)
         cfg = TrainConfig(method="dcq", **TINY)
-        run_training(cfg, hooks=records.append)
+        run_training(cfg, hooks=hook)
         capacity = cfg.resolve().K
+        assert len(seen) == len(records) > 8
+        assert (seen[0][1] == SENTINEL_LABEL).all() and not seen[0][0].any()
         for t in range(1, 8):
             rec = records[t]
-            before_w, before_labels, before_cursor = rec["queue_before"]
-            after_w, after_labels, _ = rec["queue_after"]
-            prev_after_w, prev_after_labels, prev_cursor = records[t - 1]["queue_after"]
-            np.testing.assert_array_equal(before_w, prev_after_w)
-            np.testing.assert_array_equal(before_labels, prev_after_labels)
-            assert before_cursor == prev_cursor
+            seen_w, seen_labels, seen_cursor = seen[t]
+            after_w, after_labels, _ = rec["after"]
+            prev_after_w, prev_after_labels, prev_cursor = records[t - 1]["after"]
+            np.testing.assert_array_equal(seen_w, prev_after_w)
+            np.testing.assert_array_equal(seen_labels, prev_after_labels)
+            assert seen_cursor == prev_cursor
             # the enqueue wrote this batch's weights and labels at the cursor
-            slots = (before_cursor + np.arange(len(rec["labels"]))) % capacity
+            slots = (seen_cursor + np.arange(len(rec["labels"]))) % capacity
             np.testing.assert_array_equal(after_labels[slots], rec["labels"])
             np.testing.assert_array_equal(after_w[:, slots], rec["w_pos"].T)
 
@@ -317,6 +333,8 @@ class TestRunTraining:
             lr0=lr0, sgd_momentum=momentum,
             eval_pairs=20, eval_probes=3, eval_distractors=2, decay_epochs=(12,),
         ).resolve()
+        # the universe and counts the config builds: 3 + 4 identities in
+        # d_in=8, every trained identity with 20 instances
         universe = build_universe(7, 8, sigma, cfg.seed)
         counts = np.full(3, 20)
         probe = sample_pair_batch(
@@ -325,17 +343,17 @@ class TestRunTraining:
         series, frozen = [], {}
 
         def hook(rec):
+            state = rec["state"]
             if method == "dcq":
                 if rec["step"] == 5:
-                    weights, labels, _ = rec["queue"].snapshot()
-                    q = ClassQueue(weights.shape[0], weights.shape[1])
-                    q.weights[...] = weights
-                    q.labels[...] = labels
+                    q = ClassQueue(state.queue.embed_dim, state.queue.capacity)
+                    q.weights[...] = state.queue.weights
+                    q.labels[...] = state.queue.labels
                     frozen["queue"] = q
-                    frozen["w_pos"] = rec["generator"].generate(probe.x_w)
+                    frozen["w_pos"] = state.generator.generate(probe.x_w)
                 if rec["step"] < 5:
                     return
-                feats = extract_features(rec["extractor"], probe.x_t, None)
+                feats = extract_features(state.extractor, probe.x_t, None)
                 l_pos, l_neg = dcq_logits_with_mask(
                     feats, frozen["w_pos"], frozen["queue"], probe.y
                 )
@@ -343,11 +361,13 @@ class TestRunTraining:
             else:
                 if rec["step"] < 5:
                     return
-                feats = extract_features(rec["extractor"], probe.x_t, None)
-                loss, _ = fc_cosface_loss(feats, rec["head"], probe.y, cfg.s, cfg.m)
+                feats = extract_features(state.extractor, probe.x_t, None)
+                loss, _ = fc_cosface_loss(feats, state.head, probe.y, cfg.s, cfg.m)
             series.append(loss.item())
 
-        run_training(cfg, universe=universe, counts=counts, hooks=hook)
+        result = run_training(cfg, hooks=hook)
+        np.testing.assert_array_equal(result.universe.centers, universe.centers)
+        np.testing.assert_array_equal(result.counts, counts)
         window = np.array(series[:51])
         assert (np.diff(window) <= 1e-12).all(), method
 
