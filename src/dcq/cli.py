@@ -94,25 +94,27 @@ def load_config(path: str | None, overrides: dict) -> TrainConfig:
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: config must be a JSON object, got {type(data).__name__}")
     data.update(overrides)
-    if "seed" not in data and os.environ.get(SEED_ENV_VAR):
-        data["seed"] = int(os.environ[SEED_ENV_VAR])
+    raw_seed = os.environ.get(SEED_ENV_VAR)
+    if "seed" not in data and raw_seed:
+        try:
+            data["seed"] = int(raw_seed)
+        except ValueError:
+            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw_seed!r}") from None
     return TrainConfig.from_dict(data)
 
 
-def _write_manifest(run_dir: str, cfg: TrainConfig, overrides: dict) -> str:
+def _write_manifest(path: str, cfg: TrainConfig, overrides: dict) -> None:
     manifest = {
         "tool_version": __version__,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "output_dir": os.path.abspath(run_dir),
+        "output_dir": os.path.abspath(os.path.dirname(path)),
         "seed": cfg.seed,
         "overrides": overrides,
         "config": cfg.to_dict(),
     }
-    path = os.path.join(run_dir, "manifest.json")
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
 
 
 def _default_run_dir(base: str, seed: int) -> str:
@@ -125,7 +127,12 @@ def _default_run_dir(base: str, seed: int) -> str:
     return candidate
 
 
-RUN_ARTIFACTS = ("manifest.json", "metrics.csv", "metrics.json", "final.ckpt")
+def _file_identity(path):
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return st.st_dev, st.st_ino
 
 
 def _cmd_train(args) -> int:
@@ -134,26 +141,39 @@ def _cmd_train(args) -> int:
     run_dir = args.out or _default_run_dir("runs", cfg.seed)
     created_dir = not os.path.isdir(run_dir)
     os.makedirs(run_dir, exist_ok=True)
+    # save_checkpoint writes a temporary file and renames it over the target,
+    # so a checkpoint this run wrote is a new file: its identity changed
+    checkpoints = [
+        os.path.join(run_dir, name + tmp)
+        for name in ("final.ckpt", *periodic_checkpoints(cfg).values())
+        for tmp in ("", ".tmp")
+    ]
+    before = {path: _file_identity(path) for path in checkpoints}
+    opened = []  # files this command opened for writing, so truncated or replaced
+
+    def opening(name):
+        opened.append(os.path.join(run_dir, name))
+        return opened[-1]
+
     try:
-        _write_manifest(run_dir, cfg, overrides)
+        _write_manifest(opening("manifest.json"), cfg, overrides)
         with np.errstate(**QUIET_DIVERGENCE):
             result = run_training(cfg, resume_from=args.resume, checkpoint_dir=run_dir)
-        write_metrics(result.metrics, os.path.join(run_dir, "metrics.csv"), "csv")
-        write_metrics(result.metrics, os.path.join(run_dir, "metrics.json"), "json")
+        write_metrics(result.metrics, opening("metrics.csv"), "csv")
+        write_metrics(result.metrics, opening("metrics.json"), "json")
         save_result_checkpoint(os.path.join(run_dir, "final.ckpt"), result)
     except BaseException:
-        # a run directory holds either the full artifact set or nothing; a
-        # pre-existing --out dir only loses the artifacts we wrote, never the
-        # checkpoint the run resumed from
+        # a directory the run created holds either the full artifact set or
+        # nothing; a pre-existing --out dir loses only the files this run
+        # created or replaced, so an earlier run's outputs and the checkpoint
+        # the run resumed from stay
         if created_dir:
             shutil.rmtree(run_dir, ignore_errors=True)
         else:
-            resumed_from = args.resume and os.path.realpath(args.resume)
-            for name in (*RUN_ARTIFACTS, *periodic_checkpoints(cfg).values()):
-                path = os.path.join(run_dir, name)
+            written = [p for p in checkpoints if _file_identity(p) not in (None, before[p])]
+            for path in opened + written:
                 with contextlib.suppress(OSError):
-                    if os.path.realpath(path) != resumed_from:
-                        os.remove(path)
+                    os.remove(path)
         raise
     summary = {k: v for k, v in result.final_eval.items() if v is not None}
     print(json.dumps({"run_dir": run_dir, "final": summary}, indent=2))

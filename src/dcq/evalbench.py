@@ -19,8 +19,10 @@ from .synthdata import EvalProtocol, IdentityUniverse, build_instance_table
 BUCKET_EDGES = (5, 10, 50)
 
 # Rows per embed call in the alignment diagnostic: enough to amortise the
-# per-op overhead; over a whole desk table PReLU's np.where runs about 3x
-# slower per row, so one call takes almost twice as long as the blocks.
+# per-op overhead. One call over a whole desk table (4393 rows) takes 11-12 ms
+# against 5 ms in 256-row blocks (one thread): at that size every temporary
+# is a fresh multi-megabyte array, and the PReLU factor lookup alone runs
+# about 5x slower per row than on a block.
 EMBED_BLOCK_ROWS = 256
 
 

@@ -139,7 +139,9 @@ def dense(
     takes dx = g_h·Wᵀ, dW = xᵀ·g_h, db = Σ_rows g_h and dslope = Σ h·g over
     the negative entries of h. Both PReLU maps multiply by one factor array,
     slope where h < 0 and 1.0 elsewhere; a product with 1.0 is exact, so
-    the bits are those of the where() forms.
+    the bits are those of the where() forms. The factor is a lookup in the
+    table (1.0, slope) by the mask h < 0, not a where(): numpy's where
+    branches on every entry, and a random sign pattern mispredicts.
     """
     if x.data.ndim != 2 or W.data.ndim != 2 or x.shape[1] != W.shape[0]:
         raise ShapeError(f"dense: incompatible shapes {x.shape} x {W.shape}")
@@ -153,7 +155,7 @@ def dense(
         out = Tensor(h)
     else:
         neg = h < 0
-        factor = np.where(neg, float(slope.data), 1.0)
+        factor = np.array([1.0, float(slope.data)]).take(neg.view(np.uint8))
         out = Tensor(h * factor)
     if tape is None:
         return out

@@ -7,7 +7,7 @@ import zlib
 import numpy as np
 import pytest
 
-from dcq import cli
+from dcq import checkpoint, cli
 from dcq.checkpoint import load_checkpoint, save_checkpoint
 
 TINY_CONFIG = {
@@ -158,7 +158,39 @@ class TestTrain:
         resume = str(out / "epoch_002.ckpt")
         code = cli.main(["train", "--config", config, "--out", str(out), "--resume", resume])
         assert code == 2
-        assert sorted(p.name for p in out.iterdir()) == ["epoch_002.ckpt", "metrics.csv"]
+        # the failed run wrote the manifest and epoch_004.ckpt, never
+        # metrics.json or final.ckpt
+        assert sorted(p.name for p in out.iterdir()) == [
+            "epoch_002.ckpt", "final.ckpt", "metrics.csv", "metrics.json",
+        ]
+
+    def test_failed_rerun_keeps_the_earlier_run_outputs_it_did_not_write(self, tmp_path):
+        config = _write_config(tmp_path)
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", config, "--out", str(out)]) == 0
+        earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(earlier) == ["final.ckpt", "manifest.json", "metrics.csv", "metrics.json"]
+        with np.errstate(all="ignore"):
+            code = cli.main(["train", "--config", config, "--out", str(out), "--set", "lr0=1e300"])
+        assert code == 2
+        # the diverged run replaced only the manifest, which goes with it
+        kept = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert kept == {k: v for k, v in earlier.items() if k != "manifest.json"}
+
+    def test_failed_final_save_keeps_the_earlier_final_checkpoint(self, tmp_path, monkeypatch):
+        config = _write_config(tmp_path)
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", config, "--out", str(out)]) == 0
+        earlier = (out / "final.ckpt").read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError(f"cannot replace {dst}")
+
+        monkeypatch.setattr(checkpoint.os, "replace", failing_replace)
+        assert cli.main(["train", "--config", config, "--out", str(out)]) == 2
+        # the run rewrote the manifest and the metrics, and left final.ckpt.tmp
+        assert sorted(p.name for p in out.iterdir()) == ["final.ckpt"]
+        assert (out / "final.ckpt").read_bytes() == earlier
 
     def test_unwritable_out_is_runtime_failure(self, tmp_path):
         config = _write_config(tmp_path)
@@ -189,6 +221,27 @@ class TestTrain:
         full_rows = _rows_without_wall(out1 / "metrics.csv")
         resumed_rows = _rows_without_wall(out2 / "metrics.csv")
         assert resumed_rows == full_rows[2:]
+
+
+class TestSeedEnvVar:
+    @pytest.mark.parametrize("command,extra", [
+        ("train", []),
+        ("gen-data", []),
+        ("sweep", ["--axis", "alpha", "--values", "0.9"]),
+    ])
+    def test_non_integer_seed_is_a_one_line_error(self, tmp_path, capsys, monkeypatch,
+                                                  command, extra):
+        data = {k: v for k, v in TINY_CONFIG.items() if k != "seed"}
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "abc")
+        code = cli.main([command, "--config", str(config), "--out", str(out), *extra])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1, err
+        assert err.startswith("error: DCQ_SEED") and "'abc'" in err, err
+        assert not out.exists()
 
 
 class TestConfigNotAnObject:

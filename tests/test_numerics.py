@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dcq.errors import ContractError, NumericError, ShapeError
@@ -145,17 +145,30 @@ class TestDense:
         leaves = [x, w, b] + ([slope] if with_slope else [])
         assert finite_difference_check(fn, leaves) < 1e-5
 
-    # learned slopes leave [0, 1] during training, so cover both sides
-    @pytest.mark.parametrize("with_slope,slope_value", [(True, 0.3), (True, -1.7), (False, 0.0)])
+    # learned slopes leave [0, 1] during training, so cover both sides; the
+    # signed zero and huge slopes check the lookup's factor against where()'s
+    @pytest.mark.parametrize("with_slope,slope_value", [
+        (True, 0.3), (True, -1.7), (False, 0.0), (True, 0.0), (True, -0.0), (True, 1e300),
+    ])
     def test_bit_equal_to_three_op_composition(self, with_slope, slope_value):
         x, w, b, slope, probe = self._case(22, with_slope, slope_value)
+        # exact zeros in h: p − p in row 0, and a zero input row plus a −0.0
+        # bias in row 1 (−0.0 where the BLAS sums the zero products to −0.0)
+        x.data[1] = 0.0
+        b.data[:2] = -(x.data @ w.data)[0, :2]
+        b.data[2] = -0.0
+        h = x.data @ w.data + b.data
+        assert (h[0, :2] == 0).all() and h[1, 2] == 0
         leaves = [x, w, b] + ([slope] if with_slope else [])
+        # and a whole desk table's row count, untaped as evaluation runs
+        table_x = Tensor(np.random.default_rng(23).standard_normal((4400, 4)))
         results = []
         for op in (dense, _three_op_reference):
             tape = Tape()
             out = op(x, w, b, slope, tape)
             tape.backward(sum_all(rowwise_dot(out, probe, tape), tape))
             results.append([out.data] + [tape.grad(t) for t in leaves])
+            results[-1].append(op(table_x, w, b, slope, None).data)
         for fused, reference in zip(*results):
             assert fused.shape == reference.shape
             assert fused.tobytes() == reference.tobytes()
@@ -432,29 +445,34 @@ class TestOpPlumbing:
         np.testing.assert_array_equal(tape.grad(a), [[2.0, 2.0]])
         np.testing.assert_array_equal(tape.grad(b), [[2.0]])
 
+    @staticmethod
+    def _check_normalize_jacobian(x, probe, axis):
+        # d/dv of pᵀ(v/r) is (p − y(yᵀp))/r with r = ‖v‖ and y = v/r, per
+        # vector along the axis; finite differences are no oracle here, since
+        # a gradient entry can be ~1e-7 against their ~1e-11 error
+        tape = Tape()
+        x_t = Tensor(x, requires_grad=True)
+        y_t = l2_normalize(x_t, axis, tape=tape)
+        tape.backward(sum_all(rowwise_dot(y_t, Tensor(probe), tape), tape))
+        r = np.linalg.norm(x, axis=axis, keepdims=True)
+        y = x / r
+        expected = (probe - y * np.sum(y * probe, axis=axis, keepdims=True)) / r
+        np.testing.assert_allclose(tape.grad(x_t), expected, rtol=1e-9, atol=1e-15)
+
     @given(st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
-    def test_normalize_jacobian_matches_finite_differences(self, seed):
+    def test_normalize_jacobian_matches_closed_form(self, seed):
         rng = np.random.default_rng(seed)
-        x = Tensor(rng.standard_normal((2, 4)) + 0.1, requires_grad=True)
-        probe = Tensor(rng.standard_normal((2, 4)))
-
-        def fn(tape):
-            return sum_all(rowwise_dot(l2_normalize(x, tape=tape), probe, tape), tape)
-
-        assert finite_difference_check(fn, [x]) < 1e-5
+        x = rng.standard_normal((2, 4)) + 0.1
+        self._check_normalize_jacobian(x, rng.standard_normal((2, 4)), axis=1)
 
     @given(st.integers(0, 10**6))
+    @example(26623)  # a ~4e-7 entry for which central differences read 2.5e-5
     @settings(max_examples=30, deadline=None)
-    def test_column_normalize_jacobian_matches_finite_differences(self, seed):
+    def test_column_normalize_jacobian_matches_closed_form(self, seed):
         rng = np.random.default_rng(seed)
-        x = Tensor(rng.standard_normal((4, 3)) + 0.1, requires_grad=True)
-        probe = Tensor(rng.standard_normal((4, 3)))
-
-        def fn(tape):
-            return sum_all(rowwise_dot(l2_normalize(x, axis=0, tape=tape), probe, tape), tape)
-
-        assert finite_difference_check(fn, [x]) < 1e-5
+        x = rng.standard_normal((4, 3)) + 0.1
+        self._check_normalize_jacobian(x, rng.standard_normal((4, 3)), axis=0)
 
     def test_column_case_is_the_row_case_transposed(self):
         rng = np.random.default_rng(13)
