@@ -27,25 +27,31 @@ FORMAT_VERSION = 2
 
 
 def save_checkpoint(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-    """Write ``meta`` (JSON-serializable) and named arrays atomically."""
-    chunks = [MAGIC, struct.pack("<I", FORMAT_VERSION)]
+    """Write ``meta`` (JSON-serializable) and named arrays atomically.
+
+    Each block goes straight to a temporary file under a running CRC32, so
+    no array is copied; the file is then renamed over ``path``.
+    """
     payload = json.dumps(meta, sort_keys=True).encode("utf-8")
-    chunks.append(struct.pack("<I", len(payload)))
-    chunks.append(payload)
-    chunks.append(struct.pack("<I", len(arrays)))
-    for name, arr in arrays.items():
-        arr = np.asarray(arr, dtype="<f8")
-        encoded = name.encode("utf-8")
-        chunks.append(struct.pack("<H", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<B", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(arr.tobytes())
-    body = b"".join(chunks)
-    blob = body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
     tmp = str(path) + ".tmp"
+    crc = 0
     with open(tmp, "wb") as fh:
-        fh.write(blob)
+
+        def put(chunk):
+            nonlocal crc
+            crc = zlib.crc32(chunk, crc)
+            fh.write(chunk)
+
+        put(MAGIC + struct.pack("<II", FORMAT_VERSION, len(payload)))
+        put(payload)
+        put(struct.pack("<I", len(arrays)))
+        for name, arr in arrays.items():
+            arr = np.asarray(arr, dtype="<f8", order="C")
+            encoded = name.encode("utf-8")
+            put(struct.pack("<H", len(encoded)) + encoded)
+            put(struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
+            put(arr)
+        fh.write(struct.pack("<I", crc & 0xFFFFFFFF))
     os.replace(tmp, str(path))
 
 
@@ -56,13 +62,13 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     CheckpointIntegrityError, as truncation and corruption do.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
+        blob = memoryview(fh.read())
     if len(blob) < len(MAGIC) + 12:
         raise CheckpointIntegrityError(f"checkpoint truncated ({len(blob)} bytes)")
     if blob[:4] != MAGIC:
-        raise CheckpointError(f"not a checkpoint file (magic {blob[:4]!r})")
-    body, crc_bytes = blob[:-4], blob[-4:]
-    (stored_crc,) = struct.unpack("<I", crc_bytes)
+        raise CheckpointError(f"not a checkpoint file (magic {bytes(blob[:4])!r})")
+    body = blob[:-4]
+    (stored_crc,) = struct.unpack_from("<I", blob, len(body))
     if zlib.crc32(body) & 0xFFFFFFFF != stored_crc:
         raise CheckpointIntegrityError("checkpoint checksum mismatch")
     (version,) = struct.unpack_from("<I", body, 4)
@@ -76,11 +82,11 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         raise CheckpointIntegrityError(f"malformed checkpoint body: {exc}") from exc
 
 
-def _parse_body(body: bytes) -> tuple[dict, dict[str, np.ndarray]]:
+def _parse_body(body: memoryview) -> tuple[dict, dict[str, np.ndarray]]:
     offset = 8  # past the magic and the version
     (json_len,) = struct.unpack_from("<I", body, offset)
     offset += 4
-    meta = json.loads(body[offset : offset + json_len].decode("utf-8"))
+    meta = json.loads(str(body[offset : offset + json_len], "utf-8"))
     offset += json_len
     (n_arrays,) = struct.unpack_from("<I", body, offset)
     offset += 4
@@ -88,18 +94,17 @@ def _parse_body(body: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     for _ in range(n_arrays):
         (name_len,) = struct.unpack_from("<H", body, offset)
         offset += 2
-        name = body[offset : offset + name_len].decode("utf-8")
+        name = str(body[offset : offset + name_len], "utf-8")
         offset += name_len
         (rank,) = struct.unpack_from("<B", body, offset)
         offset += 1
         dims = struct.unpack_from(f"<{rank}I", body, offset)
         offset += 4 * rank
-        size = 8 * math.prod(dims)
-        raw = body[offset : offset + size]
-        if len(raw) != size:
+        count = math.prod(dims)
+        if offset + 8 * count > len(body):
             raise CheckpointIntegrityError(f"array block {name!r} truncated")
-        arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
-        offset += size
+        arrays[name] = np.frombuffer(body, "<f8", count, offset).reshape(dims).copy()
+        offset += 8 * count
     if offset != len(body):
         raise CheckpointIntegrityError(f"{len(body) - offset} trailing bytes in checkpoint")
     return meta, arrays

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -395,6 +396,35 @@ class TestBackwardPass:
         tape.backward(loss)
         np.testing.assert_array_equal(tape.grad(const), np.zeros((3, 2)))
         assert tape.grad(x).any()
+
+    def test_grad_of_op_output_is_refused(self):
+        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        tape = Tape()
+        h = matmul(x, x, tape)
+        tape.backward(sum_all(h, tape))
+        with pytest.raises(ContractError, match="leaf gradients only"):
+            tape.grad(h)
+        np.testing.assert_array_equal(tape.grad(x), [[4.0, 4.0], [4.0, 4.0]])
+
+    def test_tape_does_not_keep_an_uncaptured_op_output(self):
+        # the cosine matrix of a head: its VJPs read only the matmul's
+        # inputs and the loss's own copy, so nothing should keep it alive
+        rng = np.random.default_rng(10)
+        f = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+        y = np.array([0, 4, 2])
+        tape = Tape()
+        cos = matmul(f, w, tape)
+        cos_data = weakref.ref(cos.data)
+        loss, _ = margin_softmax_ce(cos, y, 30.0, 0.3, tape)
+        del cos
+        assert cos_data() is None
+        tape.backward(loss)
+        reference = Tape()
+        ref_loss, _ = margin_softmax_ce(matmul(f, w, reference), y, 30.0, 0.3, reference)
+        reference.backward(ref_loss)
+        for leaf in (f, w):
+            assert tape.grad(leaf).tobytes() == reference.grad(leaf).tobytes()
 
     def test_detach_blocks_gradient_flow(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 import dcq.class_queue
 import dcq.trainer
 from dcq import rng
-from dcq.baseline import fc_cosface_loss
+from dcq.baseline import FcHead, fc_cosface_loss
 from dcq.checkpoint import load_checkpoint, save_checkpoint
 from dcq.class_queue import SENTINEL_LABEL, ClassQueue, dcq_cosface_loss, dcq_logits_with_mask
 from dcq.errors import (
@@ -19,7 +20,7 @@ from dcq.errors import (
     TrainingDiverged,
 )
 from dcq.model import extract_features, init_extractor
-from dcq.numerics import Tape
+from dcq.numerics import Tape, Tensor
 from dcq.synthdata import build_instance_table, build_universe, sample_pair_batch
 from dcq.trainer import (
     TrainConfig,
@@ -28,6 +29,20 @@ from dcq.trainer import (
     save_result_checkpoint,
     sgd_momentum_step,
 )
+
+
+def traced_peak(fn) -> tuple[int, object]:
+    """(peak bytes that ``fn()`` holds at once among its own allocations, its result)."""
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn()
+        return tracemalloc.get_traced_memory()[1] - base, out
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def with_crc(body: bytes) -> bytes:
@@ -115,6 +130,35 @@ class TestFlatSgdStep:
         for name, p in extractor.named_parameters():
             assert p.data.tobytes() == ref[name].tobytes(), name
             assert velocities[name].tobytes() == ref_state[name].tobytes(), name
+
+
+class TestFullFcStepMemory:
+    def test_step_holds_about_four_head_sized_temporaries(self):
+        # one run_training step of cosface-full at C=20000, B=D=32, so B×C
+        # and D×C arrays are the same size. The tape drops the cosine matrix
+        # once the loss has copied it, and each op output's gradient once
+        # its node has run.
+        c, b, d = 20000, 32, 32
+        extractor = init_extractor([32, 64, d], seed=1)
+        head = FcHead(d, c, seed=1)
+        velocity, head_velocity = np.zeros_like(extractor.flat), np.zeros_like(head.W.data)
+        rng_ = np.random.default_rng(0)
+
+        def step():
+            x, y = Tensor(rng_.standard_normal((b, 32))), rng_.integers(0, c, size=b)
+            tape = Tape()
+            feats = extract_features(extractor, x, tape)
+            loss, _ = fc_cosface_loss(feats, head, y, 64.0, 0.35, tape)
+            tape.backward(loss)
+            sgd_momentum_step(
+                extractor.flat, extractor.gather(tape.grad), velocity,
+                0.1, 0.9, 1e-4, extractor.n_decayed,
+            )
+            sgd_momentum_step(head.W.data, tape.grad(head.W), head_velocity, 0.1, 0.9, 1e-4)
+
+        step()  # warm up: the next step starts with a live velocity
+        peak, _ = traced_peak(step)
+        assert peak <= 4.6 * head.W.data.nbytes
 
 
 class TestLrSchedule:
@@ -461,6 +505,22 @@ class TestCheckpointFormat:
             path.write_bytes(with_crc(bytes(blob)))
             with pytest.raises(CheckpointVersionError, match=f"version {version}, expected 2"):
                 load_checkpoint(path)
+
+    def test_save_and_load_copy_no_whole_file(self, tmp_path):
+        # save streams blocks into the file; load holds the file's bytes once,
+        # beside the arrays it returns
+        rng_ = np.random.default_rng(1)
+        meta, arrays = self._payload()
+        arrays["head.W"] = rng_.standard_normal((32, 2000))
+        arrays["head.velocity"] = rng_.standard_normal((32, 2000))
+        path = tmp_path / "x.ckpt"
+        save_peak, _ = traced_peak(lambda: save_checkpoint(path, meta, arrays))
+        size = path.stat().st_size
+        load_peak, (_, loaded) = traced_peak(lambda: load_checkpoint(path))
+        assert save_peak <= 0.1 * size
+        assert load_peak <= 2.1 * size
+        for name in arrays:
+            assert loaded[name].tobytes() == arrays[name].tobytes()
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "x.ckpt"
