@@ -32,7 +32,6 @@ from .synthdata import (
     build_universe,
     draw_instance,
     make_pair_batch,
-    sample_pair_batch,
 )
 from .class_queue import ClassQueue, EmaGenerator, dcq_cosface_loss, dcq_logits_with_mask
 from .baseline import FcHead, fc_cosface_loss, filter_head_classes
@@ -62,5 +61,5 @@ __all__ = [
     "filter_head_classes", "finite_difference_check", "head_cost_report",
     "identification_rank1", "init_extractor", "lr_at_step",
     "make_pair_batch", "run_experiment_grid", "run_training",
-    "sample_pair_batch", "sgd_momentum_step", "tail_alignment_diagnostic", "verification_accuracy",
+    "sgd_momentum_step", "tail_alignment_diagnostic", "verification_accuracy",
 ]

@@ -33,6 +33,7 @@ INSTANCE_NOISE = 2
 BATCH = 3
 PROTOCOL = 4
 PARAM_INIT = 5
+BATCH_REFERENCE = 6  # a single-instance identity's reference noise
 
 
 def _splitmix64(z: int) -> int:

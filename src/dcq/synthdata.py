@@ -10,10 +10,9 @@ from counter-based streams keyed by (seed, stream, identity, index), so
 regeneration is order-independent and bit-identical. Training reads an
 ``InstanceTable`` drawn once per run through the bulk key path;
 ``draw_instance`` and ``heldout_instance`` stay the single-key definitions
-the table and the eval protocol must match. Likewise ``make_pair_batch``
-plans training batches a block of steps at a time, and
-``sample_pair_batch`` on one step's generator stays the definition it must
-match.
+the table and the eval protocol must match. A training batch is defined on
+the first raw Philox words of its step's stream; ``make_pair_batch`` plans
+them a block of steps at a time.
 """
 
 from __future__ import annotations
@@ -80,7 +79,8 @@ class InstanceTable:
 
     Row ``starts[i] + k`` equals ``draw_instance(universe, i, k)`` for
     ``k < counts[i]``; identities with a zero count own no rows. ``cdf`` is
-    the count-weighted CDF over ``eligible`` that ``Generator.choice`` builds.
+    the count-weighted CDF over ``eligible``, which instance-mode batches
+    invert to pick identities.
     """
 
     universe: IdentityUniverse
@@ -210,62 +210,6 @@ def build_instance_table(universe: IdentityUniverse, counts: np.ndarray) -> Inst
     return InstanceTable(universe, counts, starts, data, eligible, cdf)
 
 
-def sample_pair_batch(
-    table: InstanceTable,
-    batch_size: int,
-    mode: str,
-    gen: np.random.Generator,
-) -> PairBatch:
-    """Sample B (query, reference, label) triples from the instance table.
-
-    Instance mode picks identities with probability proportional to their
-    instance count; class mode picks uniformly over identities with at
-    least one instance. The reference comes from the same identity with a
-    distinct instance index whenever the identity has two or more
-    instances; single-instance identities get a reference drawn as the
-    center plus fresh noise from the batch stream.
-
-    This is the definition of a batch: ``make_pair_batch`` must return what
-    this draws from step t's batch stream.
-    """
-    _check_sampling(table, mode)
-    counts, eligible = table.counts, table.eligible
-
-    # the draws Generator.choice(eligible, size, p=weights) makes
-    if mode == "instance":
-        idents = eligible[np.searchsorted(table.cdf, gen.random(batch_size), side="right")]
-    else:
-        idents = eligible[gen.integers(0, eligible.size, size=batch_size)]
-
-    # the draws of integers(n) then integers(n - 1) per row, in one call:
-    # integers(1) consumes nothing, so a single-instance row's reference
-    # noise follows its index draws once the call is split after that row
-    n = counts[idents]  # >= 1: only identities with instances are drawn
-    highs = np.maximum(n[:, None] - (0, 1), 1)
-    single = np.flatnonzero(n == 1)
-    universe = table.universe
-    draws, noise, lo = [], [], 0
-    for row in single.tolist():
-        draws.append(gen.integers(0, highs[lo : row + 1]))
-        noise.append(gen.standard_normal(universe.d_in))
-        lo = row + 1
-    draws.append(gen.integers(0, highs[lo:]))
-    q, r = np.concatenate(draws).T
-    r += (r >= q) & (n > 1)  # a distinct reference index; row 0 when n == 1
-    starts = table.starts[idents]
-    x_w = table.data[starts + r]
-    if noise:
-        x_w[single] = universe.centers[idents[single]] + universe.sigma * np.array(noise)
-    return PairBatch(x_t=Tensor(table.data[starts + q]), x_w=Tensor(x_w), y=idents.astype(np.int64))
-
-
-def _check_sampling(table: InstanceTable, mode: str) -> None:
-    if mode not in ("instance", "class"):
-        raise ConfigError(f"sampling mode must be 'instance' or 'class', got {mode!r}")
-    if table.eligible.size == 0:
-        raise ConfigError("no identity has a positive instance count")
-
-
 # Steps whose draws make_pair_batch plans at once: enough to spread each
 # block's fixed cost (key derivation, about 20 numpy calls) thin, while a
 # block's arrays stay near 32 kB each at B=32.
@@ -275,14 +219,16 @@ PLAN_BLOCK_STEPS = 64
 class PairPlan:
     """One run's batch draws, planned ``PLAN_BLOCK_STEPS`` steps at a time.
 
-    Step t's batch is ``sample_pair_batch(table, batch_size, mode,
-    rng.stream(seed, rng.BATCH, t))``. Row i of the block arrays belongs to
-    step ``first + i``: its stream key, its labels, its query then reference
-    table rows, and whether it falls back to ``sample_pair_batch``.
+    Row i of the block arrays belongs to step ``first + i``: its labels, its
+    query then reference table rows, and whether it holds a single-instance
+    identity, whose reference is fresh noise.
     """
 
     def __init__(self, table: InstanceTable, batch_size: int, mode: str, seed: int):
-        _check_sampling(table, mode)
+        if mode not in ("instance", "class"):
+            raise ConfigError(f"sampling mode must be 'instance' or 'class', got {mode!r}")
+        if table.eligible.size == 0:
+            raise ConfigError("no identity has a positive instance count")
         self.table, self.batch_size, self.mode, self.seed = table, batch_size, mode, seed
         # the eligible index owning each instance slot, and each eligible
         # identity's lower CDF edge: instance picks without a search
@@ -291,36 +237,46 @@ class PairPlan:
         self.cdf_low = np.concatenate([[0.0], table.cdf[:-1]])
         self.rekeyer = rng.Rekeyer()
         self.first = 0
-        self.keys = np.empty((0, 2), dtype=np.uint64)
         self.labels = np.empty((0, batch_size), dtype=np.int64)
         self.rows = np.empty((0, 2 * batch_size), dtype=np.int64)
-        self.fallback = np.empty(0, dtype=bool)
+        self.single = np.empty(0, dtype=bool)
 
 
 def make_pair_batch(plan: PairPlan, step: int) -> PairBatch:
-    """Step ``step``'s batch, bit-identical to ``sample_pair_batch`` on its stream.
+    """Step ``step``'s B (query, reference, label) triples.
 
+    The batch is a pure function of the first raw words of
+    ``rng.stream(seed, rng.BATCH, step)``. Instance mode picks identities
+    with probability proportional to their instance count, class mode
+    uniformly over identities with at least one instance; each row then
+    draws a query index and a distinct reference index of its identity.
+    Every bounded draw is a multiply-shift of a 32-bit half-word, biased by
+    less than bound / 2**32 (``_lemire``). A single-instance identity's reference is its center plus
+    ``sigma * rng.normal_rows(d_in, seed, rng.BATCH_REFERENCE, step, row)``.
     A step outside the planned block plans the ``PLAN_BLOCK_STEPS`` steps
-    from it on. Rows are gathered from the table when a step is served.
+    from it on; rows are gathered from the table when a step is served.
     """
     i = step - plan.first
-    if not 0 <= i < plan.fallback.size:
-        plan.keys = rng.philox_keys(plan.seed, rng.BATCH, np.arange(step, step + PLAN_BLOCK_STEPS))
-        words = _block_words(plan.rekeyer, plan.keys, _words_per_step(plan.batch_size, plan.mode))
-        plan.labels, plan.rows, plan.fallback = _plan_words(plan, words)
+    if not 0 <= i < plan.single.size:
+        keys = rng.philox_keys(plan.seed, rng.BATCH, np.arange(step, step + PLAN_BLOCK_STEPS))
+        words = _block_words(plan.rekeyer, keys, _words_per_step(plan.batch_size, plan.mode))
+        plan.labels, plan.rows, plan.single = _plan_words(plan, words)
         plan.first, i = step, 0
-    if plan.fallback[i]:
-        gen = plan.rekeyer.rekey(plan.keys[i].tolist())
-        return sample_pair_batch(plan.table, plan.batch_size, plan.mode, gen)
-    x = np.take(plan.table.data, plan.rows[i], axis=0)
-    B = plan.batch_size
-    return PairBatch(x_t=Tensor(x[:B]), x_w=Tensor(x[B:]), y=plan.labels[i].copy())
+    table, B = plan.table, plan.batch_size
+    x = np.take(table.data, plan.rows[i], axis=0)
+    y = plan.labels[i].copy()
+    if plan.single[i]:
+        single = np.flatnonzero(table.counts[y] == 1)
+        universe = table.universe
+        noise = rng.normal_rows(universe.d_in, plan.seed, rng.BATCH_REFERENCE, step, single)
+        x[B + single] = universe.centers[y[single]] + universe.sigma * noise
+    return PairBatch(x_t=Tensor(x[:B]), x_w=Tensor(x[B:]), y=y)
 
 
 def _words_per_step(batch_size: int, mode: str) -> int:
-    """Raw words one step's draws take when no draw is rejected.
+    """Raw words one step's draws take.
 
-    Instance mode: B doubles of a word each, then at most 2B index draws
+    Instance mode: B uniforms of a word each, then at most 2B index draws
     of half a word. Class mode: B identity draws then at most 2B index
     draws, all of half a word.
     """
@@ -336,30 +292,23 @@ def _block_words(rekeyer: rng.Rekeyer, keys: np.ndarray, n_words: int) -> np.nda
 
 
 def _halves(words: np.ndarray) -> np.ndarray:
-    """Each word's low then high 32 bits, in numpy's ``next_uint32`` order, as uint64."""
+    """Each word's low then high 32 bits, in that order, as uint64."""
     return words.astype("<u8", copy=False).view("<u4").astype(np.uint64)
 
 
-def _lemire(halves: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row s: the draws of ``integers(0, bounds[s])`` from the 32-bit values ``halves[s]``.
+def _lemire(halves: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Row s: draws in [0, bounds[s]) from the 32-bit values ``halves[s]``.
 
-    numpy draws a bound below 2**32 as ``(u32 * bound) >> 32`` from the next
-    unused 32-bit value (Lemire's method); a bound of 1 consumes nothing.
-    numpy rejects and redraws a draw whose low product word falls below
-    ``(2**32 - bound) % bound``; rows with such a draw are flagged, not
-    reproduced. Returns the int64 draws and the per-row flags.
+    Each draw is the multiply-shift ``(u32 * bound) >> 32`` on the next
+    unused value (Lemire's method, without its rejection step), so a draw's
+    bias is below bound / 2**32; a bound of 1 takes no value and draws 0.
     """
     # a bound-1 draw reads the value before it, which is harmless:
-    # u32 * 1 >> 32 is 0 and never rejected
+    # u32 * 1 >> 32 is 0
     pos = np.cumsum(bounds > 1, axis=1)
     pos += np.arange(-1, halves.size - 1, halves.shape[1])[:, None]
-    b = bounds.astype(np.uint64)
-    m = halves.ravel()[pos] * b
-    low = m & np.uint64(0xFFFFFFFF)
-    rejected = low < b  # the redraw threshold is below the bound
-    if rejected.any():
-        rejected &= low < (np.uint64(1 << 32) - b) % b
-    return (m >> np.uint64(32)).astype(np.int64), rejected.any(axis=1)
+    m = halves.ravel()[pos] * bounds.astype(np.uint64)
+    return (m >> np.uint64(32)).astype(np.int64)
 
 
 def _cdf_picks(plan: PairPlan, u: np.ndarray) -> np.ndarray:
@@ -378,38 +327,38 @@ def _cdf_picks(plan: PairPlan, u: np.ndarray) -> np.ndarray:
 
 
 def _plan_words(plan: PairPlan, words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Labels, query then reference rows, and fallback flags from raw words.
+    """Labels, query then reference rows, and single-instance flags from raw words.
 
-    Row s of ``words`` starts step s's batch stream. Every step not flagged
-    gets exactly the batch ``sample_pair_batch`` draws from that stream. A
-    step is flagged when it holds a single-instance identity, whose
-    reference noise is a normal draw between the index draws, or when numpy
-    would reject one of its bounded draws.
+    Row s of ``words`` starts step s's batch stream. Instance mode turns
+    each of the first B words into a uniform ``(w >> 11) * 2**-53`` and
+    picks through the count CDF; class mode draws B identities from the
+    half-words. The index draws then take the next half-words, query then
+    reference per row.
     """
     table, B, eligible = plan.table, plan.batch_size, plan.table.eligible
     if plan.mode == "instance":
-        # Generator.random: (w >> 11) * 2**-53 per word
         picks = _cdf_picks(plan, (words[:, :B] >> np.uint64(11)) * 2.0**-53)
         halves = _halves(words[:, B:])
-        rejected = False
     else:
         halves = _halves(words)
-        picks, rejected = _lemire(halves, np.full((words.shape[0], B), eligible.size))
+        picks = _lemire(halves, np.full((words.shape[0], B), eligible.size))
         # the index draws go on from the next 32-bit value, which may be the
         # high half of the identity draws' last word
         halves = halves[:, B if eligible.size > 1 else 0 :]
     labels = eligible[picks]
     n = table.counts[labels]
-    # integers(n) then integers(n - 1) per row
+    # a query index in [0, n), then a reference index in [0, n - 1) per row
     bounds = np.repeat(n, 2, axis=1)
     bounds[:, 1::2] -= 1
     np.maximum(bounds, 1, out=bounds)
-    draws, redrawn = _lemire(halves, bounds)
+    draws = _lemire(halves, bounds)
     q, r = draws[:, 0::2], draws[:, 1::2]
     starts = table.starts[labels]
-    # a distinct reference index; single-instance rows fall back anyway
-    rows = np.concatenate([starts + q, starts + r + (r >= q)], axis=1)
-    return labels, rows, rejected | redrawn | (n == 1).any(axis=1)
+    # a distinct reference index; a single-instance row reads its own row,
+    # which make_pair_batch replaces with noise
+    multi = n > 1
+    rows = np.concatenate([starts + q, starts + r + ((r >= q) & multi)], axis=1)
+    return labels, rows, ~multi.all(axis=1)
 
 
 def build_eval_protocol(
@@ -435,6 +384,8 @@ def build_eval_protocol(
         raise ConfigError(f"{n_distractors} distractors requested, only {n_reserved} reserved")
     if n_probe > n_train:
         raise ConfigError(f"{n_probe} probes requested from {n_train} training identities")
+    if n_pairs and n_train < 2:
+        raise ConfigError(f"impostor pairs need 2 or more training identities, got {n_train}")
 
     gen = rng.stream(seed, rng.PROTOCOL)
     half = n_pairs // 2

@@ -162,6 +162,9 @@ class TrainConfig:
             )
         if min(self.eval_distractors, self.n_reserved) < 0:
             raise ConfigError("eval_distractors and n_reserved must be >= 0")
+        # keys reduce the seed modulo 2**64, so a seed outside would rerun another
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
 
     @property
     def layer_dims(self) -> list[int]:

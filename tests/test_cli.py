@@ -243,6 +243,20 @@ class TestSeedEnvVar:
         assert err.startswith("error: DCQ_SEED") and "'abc'" in err, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_is_a_one_line_error(self, tmp_path, capsys, monkeypatch,
+                                                      value):
+        data = {k: v for k, v in TINY_CONFIG.items() if k != "seed"}
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        monkeypatch.setenv(cli.SEED_ENV_VAR, value)
+        code = cli.main(["train", "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: seed must lie in [0, 2**64), got {value}\n", err
+        assert not out.exists()
+
 
 class TestConfigNotAnObject:
     @pytest.mark.parametrize(
@@ -323,6 +337,10 @@ class TestBadConfigValues:
 
     def test_string_batch_size(self, tmp_path, capsys):
         assert "B must be int" in self._train_error(tmp_path, capsys, 'B="x"')
+
+    def test_one_training_identity(self, tmp_path, capsys):
+        err = self._train_error(tmp_path, capsys, "n_classes=1", eval_probes=1)
+        assert "impostor pairs need 2 or more training identities, got 1" in err
 
     def test_negative_sigma(self, tmp_path, capsys):
         assert "sigma" in self._train_error(tmp_path, capsys, "sigma=-1")

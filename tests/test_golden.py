@@ -9,7 +9,7 @@ see through evaluation. Each alignment pin is the SHA-256 of the tail
 alignment report for a CosFace run's head; each full-FC run has 45
 single-instance classes. The multi-instance pins are the metrics and
 checkpoint pins of the dcq runs again with ``min_count=2``, where no batch
-falls back to the reference sampler. The dcq and cosface-full runs are
+holds a single-instance identity. The dcq and cosface-full runs are
 repeated with a recording per-step hook, which must leave their metrics and
 checkpoint pins where they are. A change that means to alter
 numerics re-pins these and says so; a performance or refactor change must
@@ -27,8 +27,8 @@ from dcq import evalbench
 from dcq.trainer import TrainConfig, run_training, save_result_checkpoint
 
 # min_count=1 gives single-instance identities, so nearly every batch
-# falls back to the reference sampler; min_instances=9 keeps 3 head-only
-# classes.
+# draws fresh reference noise for some row; min_instances=9 keeps 3
+# head-only classes, none of them single-instance.
 GOLDEN_BASE = dict(
     n_classes=60, n_reserved=20, epochs=2, B=16, K=32, d_in=8, embed_dim=8,
     hidden_dims=(16,), sigma=0.1, zipf_exponent=1.2, min_count=1, max_count=40,
@@ -37,13 +37,13 @@ GOLDEN_BASE = dict(
 
 GOLDEN_PINS = {
     ("dcq", "instance"):
-        "d8f5bddc5873ef67e4e60de9202e353010e71d26c249d361359fa7b9b0dae740",
+        "976c92552845e996e4e0a7e28812ae3e4451f6464ca464109743bc447d300091",
     ("dcq", "class"):
-        "6628e5a29faa453b130d52e43a5d7109f90c530bde017d17f432b5f5fe615131",
+        "63047b3bfb028a989fecc25fa1a178b594667c3889ac52c865b0a4b605b7e1b0",
     ("cosface-full", "instance"):
-        "5b66b57a7b2f2ec9386b1158107be35888ce9052c90e772b44b1a6ef068cda7e",
+        "e9938962ee1d022d3f738b5e3168b81b37d4499805ab33f3d7550f0b3a61a130",
     ("cosface-full", "class"):
-        "8935941a85f620425f47fe02270e32cb94045e6fdb9fb43a2b28058eb2ce27c3",
+        "c9c84c45cfbe2f8bf382ada84f521495a48d22ecf46f9bcab8469a2d6c8f8cf6",
     ("cosface-head-only", "instance"):
         "aa959c51b860660cee9e68941a831ce3a71899900efee559cb9239da4cfdee02",
     ("cosface-head-only", "class"):
@@ -52,13 +52,13 @@ GOLDEN_PINS = {
 
 CHECKPOINT_PINS = {
     ("dcq", "instance"):
-        "efca01afd32dc8175eb9efe359ec9c56b0746bb9485ebbf183ac5ab307598131",
+        "b90ab9f5fc5934e9cff4f3c96ecebb44398391481476a405271ba31fd0392264",
     ("dcq", "class"):
-        "8d4db9246f0edb674348cd6cda438660b7d5e349e7698db3d228630e91f98bf7",
+        "bf7bf2d5d0fd4c33db085f8907b1bce6f4a6ac1f2a664ac4c58f14d89243ea86",
     ("cosface-full", "instance"):
-        "bcfb7b152ac5858565c5f396fcfa7fb541c6073a1e349feaa36269d99ccd51e0",
+        "48d9a2b2664239e4e6c8885d8e4faa450fa3c601fb56779c6cc2c39a2f949bff",
     ("cosface-full", "class"):
-        "468a425ed1253374d4938293d44440babf87b6cac1185160374a5982b24dda74",
+        "3d20f6e1cd5d8b74b8386227087b67b01a12c05f570829f4ac81c344866e41fa",
     ("cosface-head-only", "instance"):
         "412d38394c72f557e27d1404cbe19c0c39a4c6262fedeabd961204f01e47c939",
     ("cosface-head-only", "class"):
@@ -82,9 +82,9 @@ MULTI_INSTANCE_PINS = {
 
 ALIGNMENT_PINS = {
     ("cosface-full", "instance"):
-        "c2afa5becafa9cb41135820e86d60aeb774ffecb2486fb75321b98f1312f9a3a",
+        "41679908863f0c68543d0a31aecf6dc0d83152f15f03f5848b687ad3ba6177bb",
     ("cosface-full", "class"):
-        "95f8270aedb8d27313dbfaedbbc0cb02cdcdbefe75d377d84c0c97703205b25b",
+        "dfaafda603d19e52039a21504fa3e6756ca96ddeae9e99186b48b08d96e18385",
     ("cosface-head-only", "instance"):
         "a0548fb46aed421eec0b1b2fd101dff93faa56cf2f8d1073e35bf66d4c5eb22e",
     ("cosface-head-only", "class"):

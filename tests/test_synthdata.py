@@ -1,7 +1,10 @@
+import bisect
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dcq import rng, synthdata
 from dcq.errors import ConfigError
@@ -17,7 +20,6 @@ from dcq.synthdata import (
     heldout_instance,
     make_pair_batch,
     read_dataset,
-    sample_pair_batch,
     tail_summary,
     write_dataset,
 )
@@ -144,100 +146,6 @@ class TestInstanceTable:
             build_instance_table(u, np.ones(4, dtype=np.int64))
 
 
-class TestPairBatch:
-    def test_class_mode_uniform_frequencies(self):
-        u = build_universe(10, 4, 0.1, seed=5)
-        counts = np.arange(1, 11) * 3
-        total = 100_000
-        seen = np.zeros(10)
-        gen = rng.stream(5, rng.BATCH, 0)
-        table = build_instance_table(u, counts)
-        for _ in range(100):
-            batch = sample_pair_batch(table, 1000, "class", gen)
-            seen += np.bincount(batch.y, minlength=10)
-        freq = seen / total
-        assert np.abs(freq - 0.1).max() < 0.01
-        # spec tolerance: three standard errors at 1e5 draws
-        assert np.abs(freq - 0.1).max() < 3 * np.sqrt(0.1 * 0.9 / total)
-
-    def test_instance_mode_count_weighted(self):
-        u = build_universe(2, 4, 0.1, seed=6)
-        counts = np.array([90, 10])
-        gen = rng.stream(6, rng.BATCH, 0)
-        seen = np.zeros(2)
-        table = build_instance_table(u, counts)
-        for _ in range(100):
-            batch = sample_pair_batch(table, 1000, "instance", gen)
-            seen += np.bincount(batch.y, minlength=2)
-        assert abs(seen[0] / 100_000 - 0.9) < 0.02
-        assert abs(seen[0] / 100_000 - 0.9) < 3 * np.sqrt(0.9 * 0.1 / 100_000)
-
-    def test_pairs_share_label_and_instances_differ(self):
-        u = build_universe(6, 8, 0.2, seed=7)
-        counts = np.array([5, 4, 3, 2, 2, 2])
-        gen = rng.stream(7, rng.BATCH, 1)
-        batch = sample_pair_batch(build_instance_table(u, counts), 64, "instance", gen)
-        assert batch.x_t.shape == (64, 8) and batch.x_w.shape == (64, 8)
-        # label sharing is structural; multi-instance identities must give
-        # distinct query/reference vectors
-        assert (batch.y >= 0).all() and (batch.y < 6).all()
-        same = np.all(batch.x_t.data == batch.x_w.data, axis=1)
-        assert not same.any()
-
-    def test_single_instance_identity_gets_fresh_reference(self):
-        u = build_universe(1, 8, 0.2, seed=8)
-        counts = np.array([1])
-        gen = rng.stream(8, rng.BATCH, 0)
-        batch = sample_pair_batch(build_instance_table(u, counts), 4, "instance", gen)
-        stored = draw_instance(u, 0, 0)
-        for i in range(4):
-            np.testing.assert_array_equal(batch.x_t.data[i], stored)
-            assert not np.array_equal(batch.x_w.data[i], stored)
-
-    def test_deterministic_given_stream(self):
-        u = build_universe(6, 8, 0.2, seed=7)
-        counts = np.array([5, 4, 3, 2, 2, 2])
-        table = build_instance_table(u, counts)
-        a = sample_pair_batch(table, 16, "instance", rng.stream(7, rng.BATCH, 3))
-        b = sample_pair_batch(table, 16, "instance", rng.stream(7, rng.BATCH, 3))
-        np.testing.assert_array_equal(a.x_t.data, b.x_t.data)
-        np.testing.assert_array_equal(a.x_w.data, b.x_w.data)
-        np.testing.assert_array_equal(a.y, b.y)
-
-    def test_identity_draws_match_generator_choice(self):
-        # the batch draws what Generator.choice then the per-row index and
-        # reference loop below draw, and leaves the stream in the same state
-        u = build_universe(40, 4, 0.1, seed=9)
-        counts = np.arange(40) % 7  # zeros, single-instance and multi-instance
-        table = build_instance_table(u, counts)
-        eligible = np.flatnonzero(counts)
-        weights = counts[eligible] / counts[eligible].sum()
-        for seed in range(200):
-            for mode, p in (("instance", weights), ("class", None)):
-                gen, ref = rng.stream(seed, rng.BATCH, 0), rng.stream(seed, rng.BATCH, 0)
-                batch = sample_pair_batch(table, 16, mode, gen)
-                idents = ref.choice(eligible, size=16, p=p)
-                x_t, x_w = [], []
-                for ident in idents:
-                    n, start = int(counts[ident]), int(table.starts[ident])
-                    q = int(ref.integers(n))
-                    x_t.append(table.data[start + q])
-                    if n >= 2:
-                        r = int(ref.integers(n - 1))
-                        x_w.append(table.data[start + r + (r >= q)])
-                    else:
-                        x_w.append(u.centers[ident] + u.sigma * ref.standard_normal(u.d_in))
-                np.testing.assert_array_equal(batch.y, idents)
-                np.testing.assert_array_equal(batch.x_t.data, np.array(x_t))
-                np.testing.assert_array_equal(batch.x_w.data, np.array(x_w))
-                np.testing.assert_array_equal(gen.random(4), ref.random(4))
-
-    def test_bad_mode(self):
-        u = build_universe(2, 4, 0.1, seed=0)
-        with pytest.raises(ConfigError):
-            sample_pair_batch(build_instance_table(u, np.array([1, 1])), 2, "epoch", rng.stream(0, 0))
-
-
 def _table(counts, seed=4, d_in=6):
     counts = np.asarray(counts, dtype=np.int64)
     return build_instance_table(build_universe(counts.size, d_in, 0.1, seed), counts)
@@ -247,64 +155,217 @@ def _longtail_table(min_count, seed=4):
     return _table(assign_longtail_counts(LongTailSpec(1.2, min_count, 40), 60), seed)
 
 
-class TestPairPlan:
-    """Planned batches against the reference sampler on each step's stream."""
+class _StepWords:
+    """One step's batch stream, read a raw word at a time in plain Python."""
 
-    def _assert_reference(self, plan, steps):
-        """Every step's planned batch equals the reference; returns the fallback flags."""
+    def __init__(self, seed, step):
+        self.raw = rng.stream(seed, rng.BATCH, step).bit_generator.random_raw
+        self.high = None  # the unused high half of the last split word
+
+    def uniform(self):
+        return (int(self.raw()) >> 11) * 2.0**-53
+
+    def below(self, bound):
+        """``(u32 * bound) >> 32`` on the next unused half-word, low half first."""
+        if bound == 1:
+            return 0  # takes no half-word
+        if self.high is None:
+            word = int(self.raw())
+            u, self.high = word & 0xFFFFFFFF, word >> 32
+        else:
+            u, self.high = self.high, None
+        return (u * bound) >> 32
+
+
+def _oracle_batch(table, batch_size, mode, seed, step):
+    """Step ``step``'s labels, queries and references, one draw at a time."""
+    words = _StepWords(seed, step)
+    eligible, cdf = table.eligible.tolist(), table.cdf.tolist()
+    if mode == "instance":
+        picks = [bisect.bisect_right(cdf, words.uniform()) for _ in range(batch_size)]
+    else:
+        picks = [words.below(len(eligible)) for _ in range(batch_size)]
+    u = table.universe
+    labels, x_t, x_w = [], [], []
+    for row, pick in enumerate(picks):
+        ident = eligible[pick]
+        n, start = int(table.counts[ident]), int(table.starts[ident])
+        q = words.below(n)
+        r = words.below(max(n - 1, 1))
+        labels.append(ident)
+        x_t.append(table.data[start + q])
+        if n > 1:
+            x_w.append(table.data[start + r + (r >= q)])
+        else:
+            noise = rng.stream(seed, rng.BATCH_REFERENCE, step, row).standard_normal(u.d_in)
+            x_w.append(u.centers[ident] + u.sigma * noise)
+    return np.array(labels), np.array(x_t), np.array(x_w)
+
+
+class TestPairBatch:
+    def test_class_mode_uniform_frequencies(self):
+        u = build_universe(10, 4, 0.1, seed=5)
+        counts = np.arange(1, 11) * 3
+        total = 100_000
+        seen = np.zeros(10)
+        plan = PairPlan(build_instance_table(u, counts), 1000, "class", 5)
+        for step in range(100):
+            seen += np.bincount(make_pair_batch(plan, step).y, minlength=10)
+        freq = seen / total
+        assert np.abs(freq - 0.1).max() < 0.01
+        # spec tolerance: three standard errors at 1e5 draws
+        assert np.abs(freq - 0.1).max() < 3 * np.sqrt(0.1 * 0.9 / total)
+
+    def test_instance_mode_count_weighted(self):
+        u = build_universe(2, 4, 0.1, seed=6)
+        counts = np.array([90, 10])
+        seen = np.zeros(2)
+        plan = PairPlan(build_instance_table(u, counts), 1000, "instance", 6)
+        for step in range(100):
+            seen += np.bincount(make_pair_batch(plan, step).y, minlength=2)
+        assert abs(seen[0] / 100_000 - 0.9) < 0.02
+        assert abs(seen[0] / 100_000 - 0.9) < 3 * np.sqrt(0.9 * 0.1 / 100_000)
+
+    def test_pairs_share_label_and_instances_differ(self):
+        u = build_universe(6, 8, 0.2, seed=7)
+        counts = np.array([5, 4, 3, 2, 2, 2])
+        batch = make_pair_batch(PairPlan(build_instance_table(u, counts), 64, "instance", 7), 1)
+        assert batch.x_t.shape == (64, 8) and batch.x_w.shape == (64, 8)
+        # label sharing is structural; multi-instance identities must give
+        # distinct query/reference vectors
+        assert (batch.y >= 0).all() and (batch.y < 6).all()
+        same = np.all(batch.x_t.data == batch.x_w.data, axis=1)
+        assert not same.any()
+
+    def test_single_instance_identity_gets_fresh_reference(self):
+        # the identity's only row is the table's last
+        u = build_universe(1, 8, 0.2, seed=8)
+        plan = PairPlan(build_instance_table(u, np.array([1])), 4, "instance", 8)
+        batch = make_pair_batch(plan, 0)
+        stored = draw_instance(u, 0, 0)
+        for i in range(4):
+            np.testing.assert_array_equal(batch.x_t.data[i], stored)
+            assert not np.array_equal(batch.x_w.data[i], stored)
+        assert np.unique(batch.x_w.data, axis=0).shape[0] == 4
+
+    def test_deterministic_given_stream(self):
+        u = build_universe(6, 8, 0.2, seed=7)
+        counts = np.array([5, 4, 3, 2, 2, 2])
+        table = build_instance_table(u, counts)
+        warm = PairPlan(table, 16, "instance", 7)
+        make_pair_batch(warm, 0)
+        a = make_pair_batch(warm, 3)
+        b = make_pair_batch(PairPlan(table, 16, "instance", 7), 3)
+        np.testing.assert_array_equal(a.x_t.data, b.x_t.data)
+        np.testing.assert_array_equal(a.x_w.data, b.x_w.data)
+        np.testing.assert_array_equal(a.y, b.y)
+
+    def test_identity_draws_match_generator_choice(self):
+        # with no single-instance identity, the batch is what Generator.choice
+        # then the per-row index draws below make on the step's stream, as
+        # long as numpy redraws none of them
+        u = build_universe(40, 4, 0.1, seed=9)
+        counts = np.arange(40) % 7
+        counts[counts == 1] = 0  # zeros, count-2 and larger
+        table = build_instance_table(u, counts)
+        eligible = np.flatnonzero(counts)
+        weights = counts[eligible] / counts[eligible].sum()
+        for seed in range(200):
+            for mode, p in (("instance", weights), ("class", None)):
+                batch = make_pair_batch(PairPlan(table, 16, mode, seed), 0)
+                ref = rng.stream(seed, rng.BATCH, 0)
+                idents = ref.choice(eligible, size=16, p=p)
+                x_t, x_w = [], []
+                for ident in idents:
+                    n, start = int(counts[ident]), int(table.starts[ident])
+                    q = int(ref.integers(n))
+                    r = int(ref.integers(n - 1))
+                    x_t.append(table.data[start + q])
+                    x_w.append(table.data[start + r + (r >= q)])
+                np.testing.assert_array_equal(batch.y, idents)
+                np.testing.assert_array_equal(batch.x_t.data, np.array(x_t))
+                np.testing.assert_array_equal(batch.x_w.data, np.array(x_w))
+
+    def test_bad_mode(self):
+        u = build_universe(2, 4, 0.1, seed=0)
+        with pytest.raises(ConfigError):
+            PairPlan(build_instance_table(u, np.array([1, 1])), 2, "epoch", 0)
+
+
+class TestPairPlan:
+    """Planned batches against the scalar oracle on each step's raw words."""
+
+    def _assert_oracle(self, plan, steps):
+        """Every step's planned batch equals the oracle; returns the single-instance flags."""
         flags = []
         for step in steps:
             batch = make_pair_batch(plan, step)
-            flags.append(bool(plan.fallback[step - plan.first]))
-            gen = rng.stream(plan.seed, rng.BATCH, step)
-            ref = sample_pair_batch(plan.table, plan.batch_size, plan.mode, gen)
-            assert batch.y.dtype == ref.y.dtype
-            np.testing.assert_array_equal(batch.y, ref.y)
-            np.testing.assert_array_equal(batch.x_t.data, ref.x_t.data)
-            np.testing.assert_array_equal(batch.x_w.data, ref.x_w.data)
-            # the same steps fall back as hold a single-instance identity
-            assert flags[-1] == bool((plan.table.counts[ref.y] == 1).any())
+            flags.append(bool(plan.single[step - plan.first]))
+            y, x_t, x_w = _oracle_batch(plan.table, plan.batch_size, plan.mode, plan.seed, step)
+            assert batch.y.dtype == np.int64
+            np.testing.assert_array_equal(batch.y, y)
+            np.testing.assert_array_equal(batch.x_t.data, x_t)
+            np.testing.assert_array_equal(batch.x_w.data, x_w)
+            assert flags[-1] == bool((plan.table.counts[y] == 1).any())
         return flags
+
+    @given(
+        counts=st.lists(st.integers(0, 4), min_size=1, max_size=12).filter(any),
+        mode=st.sampled_from(["instance", "class"]),
+        batch_size=st.sampled_from([1, 7, 33]),
+        seed=st.integers(0, 2**64 - 1),
+        start=st.integers(0, 2 * PLAN_BLOCK_STEPS),
+    )
+    @example(counts=[0, 1, 2], mode="instance", batch_size=33, seed=0, start=0)
+    @example(counts=[0, 1, 2], mode="class", batch_size=7, seed=1, start=PLAN_BLOCK_STEPS // 2)
+    @example(counts=[0, 3, 0], mode="class", batch_size=7, seed=2, start=5)
+    @example(counts=[0, 1, 0], mode="instance", batch_size=1, seed=3, start=1)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scalar_oracle(self, counts, mode, batch_size, seed, start):
+        # a plan opened mid-block, a step inside that block, then the next block
+        plan = PairPlan(_table(counts), batch_size, mode, seed)
+        self._assert_oracle(plan, [start, start + 1, start + PLAN_BLOCK_STEPS])
 
     @pytest.mark.parametrize("mode", ["instance", "class"])
     @pytest.mark.parametrize("seed", [1, 17, 29])
     def test_blocks_match_reference(self, mode, seed):
         # both block edges and the first step of the next block
         plan = PairPlan(_longtail_table(2, seed), 16, mode, seed)
-        flags = self._assert_reference(plan, range(PLAN_BLOCK_STEPS + 2))
+        flags = self._assert_oracle(plan, range(PLAN_BLOCK_STEPS + 2))
         assert not any(flags)
 
     @pytest.mark.parametrize("mode", ["instance", "class"])
     def test_resume_mid_block(self, mode):
         plan = PairPlan(_longtail_table(2), 16, mode, 3)
         start = PLAN_BLOCK_STEPS // 2 + 5
-        self._assert_reference(plan, range(start, start + PLAN_BLOCK_STEPS + 1))
+        self._assert_oracle(plan, range(start, start + PLAN_BLOCK_STEPS + 1))
         assert plan.first == start + PLAN_BLOCK_STEPS
 
     @pytest.mark.parametrize("mode", ["instance", "class"])
     def test_count_two_rows_draw_no_reference_word(self, mode):
-        # a count of 2 makes the reference draw integers(1), which takes no word
+        # a count of 2 makes the reference draw's bound 1, which takes no word
         plan = PairPlan(_table([2, 2, 2, 3]), 8, mode, 5)
-        self._assert_reference(plan, range(20))
+        self._assert_oracle(plan, range(20))
         assert (plan.table.counts[plan.labels] == 2).any()
 
     @pytest.mark.parametrize("batch_size", [1, 7, 33])
     def test_odd_batch_in_class_mode(self, batch_size):
-        # the identity draws leave a buffered high half for the index draws
+        # the identity draws leave a high half-word for the index draws
         plan = PairPlan(_longtail_table(2), batch_size, "class", 6)
-        self._assert_reference(plan, range(12))
+        self._assert_oracle(plan, range(12))
 
     @pytest.mark.parametrize("batch_size", [4, 7])
     def test_one_eligible_identity_in_class_mode(self, batch_size):
-        # integers(0, 1) draws nothing, so the index draws start the stream
+        # a bound of 1 draws nothing, so the index draws start the stream
         plan = PairPlan(_table([0, 5, 0]), batch_size, "class", 8)
-        self._assert_reference(plan, range(12))
+        self._assert_oracle(plan, range(12))
         assert (plan.labels == 1).all()
 
     @pytest.mark.parametrize("mode", ["instance", "class"])
-    def test_single_instance_steps_fall_back(self, mode):
+    def test_single_instance_steps_match_oracle(self, mode):
+        # the last identity has one instance: its row is the table's last
         plan = PairPlan(_table([6, 5, 4, 3, 2, 1]), 4, mode, 9)
-        flags = self._assert_reference(plan, range(PLAN_BLOCK_STEPS + 20))
+        flags = self._assert_oracle(plan, range(PLAN_BLOCK_STEPS + 20))
         assert any(flags) and not all(flags)
 
     def test_planning_opens_no_single_streams(self, monkeypatch):
@@ -315,6 +376,7 @@ class TestPairPlan:
         for step in range(40):
             make_pair_batch(plan, step)
         assert calls == []
+        assert plan.single.any()
 
     def test_cdf_picks_match_search_at_the_edges(self):
         # at some of these edges the instance slot names the wrong identity
@@ -328,32 +390,28 @@ class TestPairPlan:
         expected = np.searchsorted(cdf, u, side="right")
         np.testing.assert_array_equal(synthdata._cdf_picks(plan, u), expected)
 
-    def test_rejected_draw_is_flagged(self):
-        plan = PairPlan(_table([5, 3]), 4, "instance", 0)
-        words = np.zeros((2, 8), dtype=np.uint64)
-        words[1] = np.uint64(0x8000_0000_8000_0000)  # 2**31 per half: no draw rejected
-        _, _, fallback = synthdata._plan_words(plan, words)
-        # a zero 32-bit value leaves 0 < (2**32 - 5) % 5 == 1: numpy redraws
-        assert fallback.tolist() == [True, False]
-
     @pytest.mark.parametrize("mode", ["instance", "class"])
-    def test_rejected_step_serves_the_reference_batch(self, mode, monkeypatch):
+    def test_zero_words_draw_zero_without_fallback(self, mode, monkeypatch):
+        # all-zero words make every draw 0, among them draws numpy would
+        # reject and redraw: a zero product word falls below
+        # (2**32 - bound) % bound == 1 for the bounds 3 and 5
         real = synthdata._block_words
 
         def crafted(rekeyer, keys, n_words):
             words = real(rekeyer, keys, n_words)
-            words[3] = 0  # every draw of step first + 3 is rejected
+            words[3] = 0
             return words
 
         monkeypatch.setattr(synthdata, "_block_words", crafted)
         plan = PairPlan(_table([5, 3, 6]), 4, mode, 2)
         make_pair_batch(plan, 0)
-        assert plan.fallback.tolist() == [i == 3 for i in range(PLAN_BLOCK_STEPS)]
         batch = make_pair_batch(plan, 3)
-        ref = sample_pair_batch(plan.table, 4, mode, rng.stream(2, rng.BATCH, 3))
-        np.testing.assert_array_equal(batch.y, ref.y)
-        np.testing.assert_array_equal(batch.x_t.data, ref.x_t.data)
-        np.testing.assert_array_equal(batch.x_w.data, ref.x_w.data)
+        assert not plan.single.any()
+        assert batch.y.tolist() == [0] * 4
+        # query index 0, then reference index 0 shifted past it
+        data = plan.table.data
+        np.testing.assert_array_equal(batch.x_t.data, np.repeat(data[:1], 4, axis=0))
+        np.testing.assert_array_equal(batch.x_w.data, np.repeat(data[1:2], 4, axis=0))
 
     def test_bad_mode_and_empty_table(self):
         with pytest.raises(ConfigError):
@@ -401,6 +459,8 @@ class TestEvalProtocol:
             build_eval_protocol(u, counts, 100, 51, 5, seed=0)
         with pytest.raises(ConfigError):
             build_eval_protocol(u, counts, 101, 10, 5, seed=0)
+        with pytest.raises(ConfigError, match="impostor pairs"):
+            build_eval_protocol(u, counts[:1], 2, 1, 5, seed=0)
 
     def test_probe_and_gallery_rows_are_heldout_draws(self):
         p, _ = self._protocol()

@@ -21,7 +21,7 @@ from dcq.errors import (
 )
 from dcq.model import extract_features, init_extractor
 from dcq.numerics import Tape, Tensor
-from dcq.synthdata import build_instance_table, build_universe, sample_pair_batch
+from dcq.synthdata import PairPlan, build_instance_table, build_universe, make_pair_batch
 from dcq.trainer import (
     TrainConfig,
     lr_at_step,
@@ -227,6 +227,14 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 TrainConfig(**bad).resolve()
 
+    def test_seed_range(self):
+        # every key reduces the seed modulo 2**64: 2**64 would rerun seed 0
+        for bad in (-1, 2**64, 2**64 + 1, -(2**63)):
+            with pytest.raises(ConfigError, match="seed"):
+                TrainConfig(seed=bad).resolve()
+        for good in (0, 2**63, 2**64 - 1):
+            assert TrainConfig(seed=good).resolve().seed == good
+
     def test_dict_roundtrip(self):
         cfg = TrainConfig(method="dcq", K=40, B=8).resolve()
         again = TrainConfig.from_dict(cfg.to_dict())
@@ -381,9 +389,8 @@ class TestRunTraining:
         # d_in=8, every trained identity with 20 instances
         universe = build_universe(7, 8, sigma, cfg.seed)
         counts = np.full(3, 20)
-        probe = sample_pair_batch(
-            build_instance_table(universe, counts), 12, "instance", rng.stream(99, 0)
-        )
+        plan = PairPlan(build_instance_table(universe, counts), 12, "instance", 99)
+        probe = make_pair_batch(plan, 0)
         series, frozen = [], {}
 
         def hook(rec):
