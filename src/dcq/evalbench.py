@@ -13,7 +13,7 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .model import MlpParams, extract_features
 from .numerics import Tensor
-from .synthdata import EvalProtocol, IdentityUniverse, build_instance_table
+from .synthdata import TAIL_THRESHOLD, EvalProtocol, IdentityUniverse, build_instance_table
 
 # Bucket edges straddle the <10-instances tail definition.
 BUCKET_EDGES = (5, 10, 50)
@@ -93,13 +93,11 @@ def identification_rank1(
     return float(identification_hits(probe_emb, gallery_emb, probe_labels, gallery_labels).mean())
 
 
-def evaluate_protocol(
-    extractor: MlpParams,
-    protocol: EvalProtocol,
-    counts: np.ndarray | None = None,
-    tail_threshold: int = 10,
-) -> dict:
-    """Verification accuracy and rank-1 rate, split by head/tail when counts given."""
+def evaluate_protocol(extractor: MlpParams, protocol: EvalProtocol, counts: np.ndarray) -> dict:
+    """Verification accuracy and rank-1 rate, overall and split by head/tail.
+
+    Tail probes are identities with fewer than ``TAIL_THRESHOLD`` instances.
+    """
     ver_acc, threshold = verification_accuracy(
         embed(extractor, protocol.pair_a),
         embed(extractor, protocol.pair_b),
@@ -111,18 +109,15 @@ def evaluate_protocol(
         protocol.probe_labels,
         protocol.gallery_labels,
     )
-    out = {
+    tail = np.asarray(counts)[protocol.probe_labels] < TAIL_THRESHOLD
+    return {
         "ver_acc": ver_acc,
         "ver_threshold": threshold,
         "id_rank1": float(hits.mean()),
+        "tail_rank1": float(hits[tail].mean()) if tail.any() else None,
+        "head_rank1": float(hits[~tail].mean()) if (~tail).any() else None,
+        "tail_probes": int(tail.sum()),
     }
-    if counts is not None:
-        probe_counts = np.asarray(counts)[protocol.probe_labels]
-        tail = probe_counts < tail_threshold
-        out["tail_rank1"] = float(hits[tail].mean()) if tail.any() else None
-        out["head_rank1"] = float(hits[~tail].mean()) if (~tail).any() else None
-        out["tail_probes"] = int(tail.sum())
-    return out
 
 
 @dataclass
@@ -294,9 +289,10 @@ def run_experiment_grid(base_config, axis: str, values) -> list[dict]:
 
     if axis not in GRID_AXES:
         raise ConfigError(f"grid axis must be one of {GRID_AXES}, got {axis!r}")
+    # every value's config is checked before any training starts
+    configs = [base_config.replace(**{axis: value}).resolve() for value in values]
     rows = []
-    for value in values:
-        cfg = base_config.replace(**{axis: value})
+    for value, cfg in zip(values, configs):
         result = run_training(cfg)
         rows.append(
             {

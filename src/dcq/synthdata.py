@@ -33,6 +33,8 @@ DATASET_VERSION = 1
 INSTANCE_QUERY = 0  # sub-stream of INSTANCE_NOISE used for stored instances
 INSTANCE_HELDOUT = 1  # sub-stream for evaluation-only instances
 
+TAIL_THRESHOLD = 10  # the paper's MF2 tail: identities with fewer instances
+
 
 @dataclass
 class IdentityUniverse:
@@ -58,8 +60,9 @@ class LongTailSpec:
     max_count: int = 1000
 
     def __post_init__(self):
-        if self.zipf_exponent < 0:
-            raise ConfigError(f"zipf exponent must be >= 0, got {self.zipf_exponent}")
+        # a chained comparison rejects NaN and infinities
+        if not 0.0 <= self.zipf_exponent < np.inf:
+            raise ConfigError(f"zipf exponent must be finite and >= 0, got {self.zipf_exponent}")
         if self.min_count < 1 or self.max_count < self.min_count:
             raise ConfigError(f"bad count bounds [{self.min_count}, {self.max_count}]")
 
@@ -78,21 +81,13 @@ class InstanceTable:
     """Every training instance of a universe, drawn once.
 
     Row ``starts[i] + k`` equals ``draw_instance(universe, i, k)`` for
-    ``k < counts[i]``; identities with a zero count own no rows. ``cdf`` is
-    the count-weighted CDF over ``eligible``, which instance-mode batches
-    invert to pick identities.
+    ``k < counts[i]``; identities with a zero count own no rows.
     """
 
     universe: IdentityUniverse
     counts: np.ndarray  # (n,) int64
     starts: np.ndarray  # (n,) int64, row of each identity's instance 0
     data: np.ndarray  # counts.sum() × d_in
-    eligible: np.ndarray  # identities with counts > 0
-    cdf: np.ndarray  # (eligible.size,) float64
-
-    def rows(self, identity: int) -> np.ndarray:
-        start = int(self.starts[identity])
-        return self.data[start : start + int(self.counts[identity])]
 
 
 @dataclass
@@ -136,7 +131,7 @@ def assign_longtail_counts(spec: LongTailSpec, C: int) -> np.ndarray:
     return np.clip(counts, spec.min_count, spec.max_count).astype(np.int64)
 
 
-def tail_summary(counts: np.ndarray, tail_threshold: int = 10) -> dict:
+def tail_summary(counts: np.ndarray) -> dict:
     """Counts histogram plus the fraction of identities below the tail threshold."""
     counts = np.asarray(counts)
     values, freq = np.unique(counts, return_counts=True)
@@ -144,8 +139,8 @@ def tail_summary(counts: np.ndarray, tail_threshold: int = 10) -> dict:
         "identities": int(counts.size),
         "instances": int(counts.sum()),
         "mean_count": float(counts.mean()),
-        "tail_threshold": int(tail_threshold),
-        "tail_fraction": float((counts < tail_threshold).mean()),
+        "tail_threshold": TAIL_THRESHOLD,
+        "tail_fraction": float((counts < TAIL_THRESHOLD).mean()),
         "histogram": {int(v): int(f) for v, f in zip(values, freq)},
     }
 
@@ -204,10 +199,7 @@ def build_instance_table(universe: IdentityUniverse, counts: np.ndarray) -> Inst
     )
     data *= universe.sigma
     data += np.repeat(universe.centers[: counts.size], counts, axis=0)
-    eligible = np.flatnonzero(counts)
-    cdf = (counts[eligible] / counts[eligible].sum()).cumsum()
-    cdf /= cdf[-1:]  # a slice, so a table with no instances still builds
-    return InstanceTable(universe, counts, starts, data, eligible, cdf)
+    return InstanceTable(universe, counts, starts, data)
 
 
 # Steps whose draws make_pair_batch plans at once: enough to spread each
@@ -227,14 +219,13 @@ class PairPlan:
     def __init__(self, table: InstanceTable, batch_size: int, mode: str, seed: int):
         if mode not in ("instance", "class"):
             raise ConfigError(f"sampling mode must be 'instance' or 'class', got {mode!r}")
-        if table.eligible.size == 0:
+        if not table.counts.any():
             raise ConfigError("no identity has a positive instance count")
         self.table, self.batch_size, self.mode, self.seed = table, batch_size, mode, seed
-        # the eligible index owning each instance slot, and each eligible
-        # identity's lower CDF edge: instance picks without a search
-        counts = table.counts[table.eligible]
-        self.slot_owner = np.repeat(np.arange(counts.size), counts)
-        self.cdf_low = np.concatenate([[0.0], table.cdf[:-1]])
+        # the identity owning each table row, which instance mode picks, and
+        # the identities with a row, which class mode picks among
+        self.row_owner = np.repeat(np.arange(table.counts.size), table.counts)
+        self.eligible = np.flatnonzero(table.counts)
         self.rekeyer = rng.Rekeyer()
         self.first = 0
         self.labels = np.empty((0, batch_size), dtype=np.int64)
@@ -246,10 +237,11 @@ def make_pair_batch(plan: PairPlan, step: int) -> PairBatch:
     """Step ``step``'s B (query, reference, label) triples.
 
     The batch is a pure function of the first raw words of
-    ``rng.stream(seed, rng.BATCH, step)``. Instance mode picks identities
-    with probability proportional to their instance count, class mode
-    uniformly over identities with at least one instance; each row then
-    draws a query index and a distinct reference index of its identity.
+    ``rng.stream(seed, rng.BATCH, step)``. Instance mode picks the owner of
+    a uniformly drawn table row, so identities in proportion to their
+    instance counts, class mode uniformly over identities with at least one
+    instance; each row then draws a query index and a distinct reference
+    index of its identity.
     Every bounded draw is a multiply-shift of a 32-bit half-word, biased by
     less than bound / 2**32 (``_lemire``). A single-instance identity's reference is its center plus
     ``sigma * rng.normal_rows(d_in, seed, rng.BATCH_REFERENCE, step, row)``.
@@ -311,41 +303,27 @@ def _lemire(halves: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return (m >> np.uint64(32)).astype(np.int64)
 
 
-def _cdf_picks(plan: PairPlan, u: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(plan.table.cdf, u, side="right")`` for u in [0, 1).
-
-    Instance slot ``floor(u * total)`` names the answer except within
-    rounding of a CDF edge; each pick is checked against its identity's
-    edges and a search settles the rest.
-    """
-    owner, cdf = plan.slot_owner, plan.table.cdf
-    picks = owner[np.minimum((u * owner.size).astype(np.intp), owner.size - 1)]
-    wrong = (u < plan.cdf_low[picks]) | (u >= cdf[picks])
-    if wrong.any():
-        picks[wrong] = np.searchsorted(cdf, u[wrong], side="right")
-    return picks
-
-
 def _plan_words(plan: PairPlan, words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Labels, query then reference rows, and single-instance flags from raw words.
 
     Row s of ``words`` starts step s's batch stream. Instance mode turns
-    each of the first B words into a uniform ``(w >> 11) * 2**-53`` and
-    picks through the count CDF; class mode draws B identities from the
-    half-words. The index draws then take the next half-words, query then
-    reference per row.
+    each of the first B words into a uniform ``u = (w >> 11) * 2**-53`` and
+    picks the owner of table row ``floor(u * N)`` of N rows, which is below
+    N because ``u <= 1 - 2**-53`` and the float64 product rounds below N;
+    class mode draws B identities from the half-words. The index draws then
+    take the next half-words, query then reference per row.
     """
-    table, B, eligible = plan.table, plan.batch_size, plan.table.eligible
+    table, B, eligible = plan.table, plan.batch_size, plan.eligible
     if plan.mode == "instance":
-        picks = _cdf_picks(plan, (words[:, :B] >> np.uint64(11)) * 2.0**-53)
+        u = (words[:, :B] >> np.uint64(11)) * 2.0**-53
+        labels = plan.row_owner[(u * plan.row_owner.size).astype(np.intp)]
         halves = _halves(words[:, B:])
     else:
         halves = _halves(words)
-        picks = _lemire(halves, np.full((words.shape[0], B), eligible.size))
+        labels = eligible[_lemire(halves, np.full((words.shape[0], B), eligible.size))]
         # the index draws go on from the next 32-bit value, which may be the
         # high half of the identity draws' last word
         halves = halves[:, B if eligible.size > 1 else 0 :]
-    labels = eligible[picks]
     n = table.counts[labels]
     # a query index in [0, n), then a reference index in [0, n - 1) per row
     bounds = np.repeat(n, 2, axis=1)

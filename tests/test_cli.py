@@ -7,7 +7,7 @@ import zlib
 import numpy as np
 import pytest
 
-from dcq import checkpoint, cli
+from dcq import checkpoint, cli, trainer
 from dcq.checkpoint import load_checkpoint, save_checkpoint
 
 TINY_CONFIG = {
@@ -290,6 +290,20 @@ class TestGenData:
         header, _, _, _ = read_dataset(out)
         assert header["C"] == 12 and header["d_in"] == 8
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_finite_zipf_exponent(self, tmp_path, capsys, value):
+        config = _write_config(tmp_path)
+        out = tmp_path / "data.dcqd"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(
+                ["gen-data", "--config", config, "--set", f"zipf_exponent={value}", "--out", str(out)]
+            )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: zipf exponent must be finite") and err.count("\n") == 1, err
+        assert not out.exists()
+
 
 class TestEval:
     def test_eval_from_checkpoint(self, tmp_path, capsys):
@@ -348,6 +362,11 @@ class TestBadConfigValues:
     @pytest.mark.parametrize("setting", ["sigma=1e309", "sigma=NaN"])
     def test_non_finite_sigma(self, tmp_path, capsys, setting):
         assert "sigma must be finite" in self._train_error(tmp_path, capsys, setting)
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_finite_zipf_exponent(self, tmp_path, capsys, value):
+        err = self._train_error(tmp_path, capsys, f"zipf_exponent={value}")
+        assert "zipf exponent must be finite and >= 0" in err
 
     @pytest.mark.parametrize("method", ["dcq", "cosface-full", "cosface-head-only"])
     @pytest.mark.parametrize("value", ["-1", "0", "NaN", "Infinity"])
@@ -457,6 +476,20 @@ class TestSweep:
         assert [r["value"] for r in rows] == ["0.9", "0.999"]
         payload = json.loads((out / "results.json").read_text())
         assert len(payload["rows"]) == 2
+
+    def test_bad_last_value_fails_before_any_training(self, tmp_path, capsys, monkeypatch):
+        trained = []
+        monkeypatch.setattr(trainer, "run_training", lambda cfg: trained.append(cfg.K))
+        out = tmp_path / "sweep"
+        code = cli.main([
+            "sweep", "--config", _write_config(tmp_path), "--axis", "K",
+            "--values", "8,9,abc", "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: K must be int") and err.count("\n") == 1, err
+        assert trained == []
+        assert not out.exists()
 
 
 class TestWriteMetrics:

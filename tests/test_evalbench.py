@@ -329,7 +329,8 @@ def _loop_alignment(head_w, universe, counts, extractor, class_ids):
         n = int(counts[ident])
         if n == 0:
             continue
-        mean_emb = _normalize(embed(extractor, table.rows(ident))).mean(axis=0)
+        rows = table.data[table.starts[ident] : table.starts[ident] + n]
+        mean_emb = _normalize(embed(extractor, rows)).mean(axis=0)
         w = head_w[:, col]
         cos = float(w @ mean_emb / max(np.linalg.norm(w) * np.linalg.norm(mean_emb), 1e-12))
         per_bucket.setdefault(_bucket_name(n), []).append(cos)

@@ -1,4 +1,3 @@
-import bisect
 import struct
 
 import numpy as np
@@ -134,9 +133,9 @@ class TestInstanceTable:
         assert table.data.shape == (11, 6)
         assert table.starts.tolist() == [0, 4, 5, 5, 8, 9, 9]
         for ident, n in enumerate(counts):
-            assert table.rows(ident).shape == (n, 6)
             for k in range(n):
-                np.testing.assert_array_equal(table.rows(ident)[k], draw_instance(u, ident, k))
+                row = table.data[table.starts[ident] + k]
+                np.testing.assert_array_equal(row, draw_instance(u, ident, k))
 
     def test_bad_counts(self):
         u = build_universe(3, 4, 0.1, seed=0)
@@ -180,15 +179,16 @@ class _StepWords:
 def _oracle_batch(table, batch_size, mode, seed, step):
     """Step ``step``'s labels, queries and references, one draw at a time."""
     words = _StepWords(seed, step)
-    eligible, cdf = table.eligible.tolist(), table.cdf.tolist()
+    counts = table.counts.tolist()
     if mode == "instance":
-        picks = [bisect.bisect_right(cdf, words.uniform()) for _ in range(batch_size)]
+        owner = [ident for ident, n in enumerate(counts) for _ in range(n)]
+        idents = [owner[int(words.uniform() * len(owner))] for _ in range(batch_size)]
     else:
-        picks = [words.below(len(eligible)) for _ in range(batch_size)]
+        eligible = [ident for ident, n in enumerate(counts) if n]
+        idents = [eligible[words.below(len(eligible))] for _ in range(batch_size)]
     u = table.universe
     labels, x_t, x_w = [], [], []
-    for row, pick in enumerate(picks):
-        ident = eligible[pick]
+    for row, ident in enumerate(idents):
         n, start = int(table.counts[ident]), int(table.starts[ident])
         q = words.below(n)
         r = words.below(max(n - 1, 1))
@@ -378,17 +378,39 @@ class TestPairPlan:
         assert calls == []
         assert plan.single.any()
 
-    def test_cdf_picks_match_search_at_the_edges(self):
-        # at some of these edges the instance slot names the wrong identity
-        plan = PairPlan(_table([8, 0, 6, 3, 4, 1, 1, 1]), 4, "instance", 0)
-        cdf = plan.table.cdf
-        edges = np.concatenate([[0.0], cdf[:-1]])
-        u = np.concatenate([
-            edges, np.nextafter(edges, -1.0)[1:], np.nextafter(edges, 2.0),
-            [np.nextafter(1.0, 0.0)], rng.stream(0, 0).random(1000),
-        ])
-        expected = np.searchsorted(cdf, u, side="right")
-        np.testing.assert_array_equal(synthdata._cdf_picks(plan, u), expected)
+    def test_largest_uniform_picks_a_row_in_range(self):
+        # floor(u * N) < N for the largest uniform, 1 - 2**-53, at every N
+        # up to 2**24: the float64 product rounds below N
+        u_max = (2**53 - 1) * 2.0**-53
+        for lo in range(1, 2**24 + 1, 2**20):
+            n = np.arange(lo, lo + 2**20, dtype=np.float64)
+            assert ((u_max * n).astype(np.int64) < n).all()
+
+    @pytest.mark.parametrize("counts", [[0, 4, 2, 3, 0], [0, 0, 2, 0, 5, 0, 0, 0]])
+    @pytest.mark.parametrize("mode", ["instance", "class"])
+    @pytest.mark.parametrize("word", [0, 2**64 - 1])
+    def test_extreme_words_pick_the_first_and_last_rows(self, counts, mode, word, monkeypatch):
+        # all-zero words draw row 0 and index 0 throughout; all-ones words
+        # draw the last row and the top index of every bound
+        real = synthdata._block_words
+
+        def crafted(rekeyer, keys, n_words):
+            words = real(rekeyer, keys, n_words)
+            words[3] = word
+            return words
+
+        monkeypatch.setattr(synthdata, "_block_words", crafted)
+        plan = PairPlan(_table(counts), 4, mode, 2)
+        make_pair_batch(plan, 0)
+        batch = make_pair_batch(plan, 3)
+        data, first = plan.table.data, word == 0
+        owner = np.flatnonzero(counts)[0 if first else -1]
+        assert batch.y.tolist() == [owner] * 4
+        # query index 0 then reference 0 shifted past it, or query index
+        # n - 1 then reference n - 2, which stays below it
+        x_t, x_w = (data[0], data[1]) if first else (data[-1], data[-2])
+        np.testing.assert_array_equal(batch.x_t.data, np.repeat(x_t[None], 4, axis=0))
+        np.testing.assert_array_equal(batch.x_w.data, np.repeat(x_w[None], 4, axis=0))
 
     @pytest.mark.parametrize("mode", ["instance", "class"])
     def test_zero_words_draw_zero_without_fallback(self, mode, monkeypatch):
