@@ -48,9 +48,6 @@ def fc_cosface_loss(
 
     Gradients flow to both the features and the head weights.
     """
-    y = np.asarray(y, dtype=np.int64)
-    if y.min(initial=0) < 0 or y.max(initial=-1) >= head.n_classes:
-        raise IndexError(f"label out of range [0, {head.n_classes})")
     f_hat = l2_normalize(f, axis=1, tape=tape)
     w_hat = l2_normalize(head.W, axis=0, tape=tape)
     return margin_softmax_ce(matmul(f_hat, w_hat, tape), y, s, m, tape)

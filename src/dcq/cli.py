@@ -1,8 +1,8 @@
 """Command-line front door: config resolution, subcommands, report writing.
 
 Exit codes: 0 on success, 1 on a usage error (bad flags, unknown
-subcommand), 2 on a runtime failure (bad config, unwritable path,
-diverged training).
+subcommand), 2 on a runtime failure (bad config, unwritable path, an array
+too large to allocate, diverged training).
 """
 
 from __future__ import annotations
@@ -196,9 +196,16 @@ def _cmd_sweep(args) -> int:
     overrides = _collect_overrides(args.set)
     cfg = load_config(args.config, overrides)
     values = [_parse_set_value(v) for v in args.values.split(",")]
-    with np.errstate(**QUIET_DIVERGENCE):
-        rows = evalbench.run_experiment_grid(cfg, args.axis, values)
+    # --out is made before any training and removed on failure only if made here
+    created_dir = not os.path.isdir(args.out)
     os.makedirs(args.out, exist_ok=True)
+    try:
+        with np.errstate(**QUIET_DIVERGENCE):
+            rows = evalbench.run_experiment_grid(cfg, args.axis, values)
+    except BaseException:
+        if created_dir:
+            shutil.rmtree(args.out, ignore_errors=True)
+        raise
     header = ["axis", "value", "ver_acc", "id_rank1", "tail_rank1"]
     lines = [",".join(header)]
     for row in rows:
@@ -321,7 +328,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DcqError, OSError, ValueError) as exc:
+    except (DcqError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -49,9 +49,6 @@ class Tensor:
             raise ContractError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=self.requires_grad)
-
     def __repr__(self) -> str:
         grad = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={list(self.shape)}{grad})"

@@ -80,14 +80,17 @@ class PairBatch:
 class InstanceTable:
     """Every training instance of a universe, drawn once.
 
-    Row ``starts[i] + k`` equals ``draw_instance(universe, i, k)`` for
-    ``k < counts[i]``; identities with a zero count own no rows.
+    Row ``starts[i] + k``, whose ``owner`` is i and ``index`` k, equals
+    ``draw_instance(universe, i, k)`` for ``k < counts[i]``; identities
+    with a zero count own no rows.
     """
 
     universe: IdentityUniverse
     counts: np.ndarray  # (n,) int64
     starts: np.ndarray  # (n,) int64, row of each identity's instance 0
-    data: np.ndarray  # counts.sum() × d_in
+    owner: np.ndarray  # (N,) int64, identity of each row, N = counts.sum()
+    index: np.ndarray  # (N,) int64, instance index of each row
+    data: np.ndarray  # N × d_in
 
 
 @dataclass
@@ -180,12 +183,12 @@ def heldout_instance(universe: IdentityUniverse, identity: int, index: int) -> n
     return universe.centers[identity] + _noise(universe, INSTANCE_HELDOUT, identity, index)
 
 
-def _instance_keys(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(identity, index) of every instance in identity-major order, plus starts."""
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    idents = np.repeat(np.arange(counts.size), counts)
-    return idents, np.arange(idents.size) - starts[idents], starts
+def _instance_rows(universe: IdentityUniverse, idents: np.ndarray, seed: int, *path) -> np.ndarray:
+    """Row i: ``centers[idents[i]] + sigma * stream(seed, *path_i).standard_normal(d_in)``."""
+    rows = rng.normal_rows(universe.d_in, seed, *path)
+    rows *= universe.sigma
+    rows += universe.centers[idents]
+    return rows
 
 
 def build_instance_table(universe: IdentityUniverse, counts: np.ndarray) -> InstanceTable:
@@ -193,13 +196,13 @@ def build_instance_table(universe: IdentityUniverse, counts: np.ndarray) -> Inst
     counts = np.asarray(counts, dtype=np.int64)
     if counts.size > universe.C or (counts < 0).any():
         raise ConfigError(f"counts must be {universe.C} or fewer non-negative entries")
-    idents, index, starts = _instance_keys(counts)
-    data = rng.normal_rows(
-        universe.d_in, universe.seed, rng.INSTANCE_NOISE, INSTANCE_QUERY, idents, index
+    starts = np.cumsum(counts) - counts
+    owner = np.repeat(np.arange(counts.size), counts)
+    index = np.arange(owner.size) - starts[owner]
+    data = _instance_rows(
+        universe, owner, universe.seed, rng.INSTANCE_NOISE, INSTANCE_QUERY, owner, index
     )
-    data *= universe.sigma
-    data += np.repeat(universe.centers[: counts.size], counts, axis=0)
-    return InstanceTable(universe, counts, starts, data)
+    return InstanceTable(universe, counts, starts, owner, index, data)
 
 
 # Steps whose draws make_pair_batch plans at once: enough to spread each
@@ -222,9 +225,7 @@ class PairPlan:
         if not table.counts.any():
             raise ConfigError("no identity has a positive instance count")
         self.table, self.batch_size, self.mode, self.seed = table, batch_size, mode, seed
-        # the identity owning each table row, which instance mode picks, and
         # the identities with a row, which class mode picks among
-        self.row_owner = np.repeat(np.arange(table.counts.size), table.counts)
         self.eligible = np.flatnonzero(table.counts)
         self.rekeyer = rng.Rekeyer()
         self.first = 0
@@ -259,9 +260,9 @@ def make_pair_batch(plan: PairPlan, step: int) -> PairBatch:
     y = plan.labels[i].copy()
     if plan.single[i]:
         single = np.flatnonzero(table.counts[y] == 1)
-        universe = table.universe
-        noise = rng.normal_rows(universe.d_in, plan.seed, rng.BATCH_REFERENCE, step, single)
-        x[B + single] = universe.centers[y[single]] + universe.sigma * noise
+        x[B + single] = _instance_rows(
+            table.universe, y[single], plan.seed, rng.BATCH_REFERENCE, step, single
+        )
     return PairBatch(x_t=Tensor(x[:B]), x_w=Tensor(x[B:]), y=y)
 
 
@@ -316,7 +317,7 @@ def _plan_words(plan: PairPlan, words: np.ndarray) -> tuple[np.ndarray, np.ndarr
     table, B, eligible = plan.table, plan.batch_size, plan.eligible
     if plan.mode == "instance":
         u = (words[:, :B] >> np.uint64(11)) * 2.0**-53
-        labels = plan.row_owner[(u * plan.row_owner.size).astype(np.intp)]
+        labels = table.owner[(u * table.owner.size).astype(np.intp)]
         halves = _halves(words[:, B:])
     else:
         halves = _halves(words)
@@ -393,11 +394,9 @@ def build_eval_protocol(
         np.zeros(n_probe, dtype=np.int64), np.ones(n_probe, dtype=np.int64),
         np.zeros(n_distractors, dtype=np.int64),
     ])
-    rows = rng.normal_rows(
-        universe.d_in, universe.seed, rng.INSTANCE_NOISE, INSTANCE_HELDOUT, idents, index
+    rows = _instance_rows(
+        universe, idents, universe.seed, rng.INSTANCE_NOISE, INSTANCE_HELDOUT, idents, index
     )
-    rows *= universe.sigma
-    rows += universe.centers[idents]
     cuts = [n_pairs, 2 * n_pairs, 2 * n_pairs + n_probe]
     pair_a, pair_b, probe_x, gallery_x = np.split(rows, cuts)
     gallery_labels = np.concatenate([probe_ids, distractor_ids])
@@ -433,15 +432,14 @@ def write_dataset(path, universe: IdentityUniverse, counts: np.ndarray) -> dict:
     """
     table = build_instance_table(universe, counts)
     counts = table.counts
-    idents, index, _ = _instance_keys(counts)
-    records = np.empty(idents.size, dtype=_record_dtype(universe.d_in))
-    records["ident"] = idents
-    records["index"] = index
+    records = np.empty(table.owner.size, dtype=_record_dtype(universe.d_in))
+    records["ident"] = table.owner
+    records["index"] = table.index
     records["x"] = table.data
     path = str(path)
     with open(path, "wb") as fh:
         fh.write(DATASET_MAGIC)
-        fh.write(struct.pack("<IIII", DATASET_VERSION, counts.size, universe.d_in, idents.size))
+        fh.write(struct.pack("<IIII", DATASET_VERSION, counts.size, universe.d_in, records.size))
         fh.write(records)
     summary = tail_summary(counts)
     with open(path + ".json", "w") as fh:

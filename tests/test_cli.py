@@ -9,6 +9,7 @@ import pytest
 
 from dcq import checkpoint, cli, trainer
 from dcq.checkpoint import load_checkpoint, save_checkpoint
+from dcq.errors import ConfigError
 
 TINY_CONFIG = {
     "method": "dcq", "n_classes": 12, "n_reserved": 8, "epochs": 2, "B": 8, "K": 8,
@@ -304,6 +305,18 @@ class TestGenData:
         assert err.startswith("error: zipf exponent must be finite") and err.count("\n") == 1, err
         assert not out.exists()
 
+    def test_class_count_too_large_to_allocate(self, tmp_path, capsys):
+        # numpy refuses the 7 PiB class index array before touching memory
+        out = tmp_path / "data.dcqd"
+        code = cli.main([
+            "gen-data", "--config", _write_config(tmp_path),
+            "--set", "n_classes=1000000000000000", "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1, err
+        assert not out.exists()
+
 
 class TestEval:
     def test_eval_from_checkpoint(self, tmp_path, capsys):
@@ -367,6 +380,11 @@ class TestBadConfigValues:
     def test_non_finite_zipf_exponent(self, tmp_path, capsys, value):
         err = self._train_error(tmp_path, capsys, f"zipf_exponent={value}")
         assert "zipf exponent must be finite and >= 0" in err
+
+    def test_class_count_too_large_to_allocate(self, tmp_path, capsys):
+        # numpy refuses the 7 PiB class index array before touching memory
+        err = self._train_error(tmp_path, capsys, "n_classes=1000000000000000")
+        assert "Unable to allocate" in err
 
     @pytest.mark.parametrize("method", ["dcq", "cosface-full", "cosface-head-only"])
     @pytest.mark.parametrize("value", ["-1", "0", "NaN", "Infinity"])
@@ -490,6 +508,37 @@ class TestSweep:
         assert err.startswith("error: K must be int") and err.count("\n") == 1, err
         assert trained == []
         assert not out.exists()
+
+    def test_existing_file_out_fails_before_any_training(self, tmp_path, capsys, monkeypatch):
+        trained = []
+        monkeypatch.setattr(trainer, "run_training", lambda cfg: trained.append(cfg.K))
+        out = tmp_path / "sweep"
+        out.write_text("x")
+        code = cli.main([
+            "sweep", "--config", _write_config(tmp_path), "--axis", "K",
+            "--values", "8,9", "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert trained == []
+        assert out.read_text() == "x"
+
+    def test_failed_sweep_keeps_an_existing_out_dir(self, tmp_path, capsys, monkeypatch):
+        def fail(cfg):
+            raise ConfigError("training failed")
+
+        monkeypatch.setattr(trainer, "run_training", fail)
+        out = tmp_path / "sweep"
+        out.mkdir()
+        (out / "earlier.txt").write_text("x")
+        code = cli.main([
+            "sweep", "--config", _write_config(tmp_path), "--axis", "K",
+            "--values", "8", "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: training failed\n"
+        assert sorted(p.name for p in out.iterdir()) == ["earlier.txt"]
 
 
 class TestWriteMetrics:

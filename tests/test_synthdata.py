@@ -132,10 +132,12 @@ class TestInstanceTable:
         table = build_instance_table(u, counts)
         assert table.data.shape == (11, 6)
         assert table.starts.tolist() == [0, 4, 5, 5, 8, 9, 9]
+        assert table.owner.tolist() == [0, 0, 0, 0, 1, 3, 3, 3, 4, 6, 6]
         for ident, n in enumerate(counts):
             for k in range(n):
-                row = table.data[table.starts[ident] + k]
-                np.testing.assert_array_equal(row, draw_instance(u, ident, k))
+                row = table.starts[ident] + k
+                assert table.owner[row] == ident and table.index[row] == k
+                np.testing.assert_array_equal(table.data[row], draw_instance(u, ident, k))
 
     def test_bad_counts(self):
         u = build_universe(3, 4, 0.1, seed=0)
