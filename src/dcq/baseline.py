@@ -32,9 +32,6 @@ class FcHead:
     def n_classes(self) -> int:
         return self.W.shape[1]
 
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        return [("head.W", self.W)]
-
 
 def fc_cosface_loss(
     f: Tensor,
@@ -50,7 +47,7 @@ def fc_cosface_loss(
     """
     f_hat = l2_normalize(f, axis=1, tape=tape)
     w_hat = l2_normalize(head.W, axis=0, tape=tape)
-    return margin_softmax_ce(matmul(f_hat, w_hat, tape), y, s, m, tape)
+    return margin_softmax_ce([matmul(f_hat, w_hat, tape)], y, s, m, tape)
 
 
 def filter_head_classes(counts: np.ndarray, min_instances: int) -> tuple[np.ndarray, np.ndarray]:

@@ -26,7 +26,6 @@ from .numerics import (
     LossDiagnostics,
     Tape,
     Tensor,
-    concat_cols,
     l2_normalize,
     margin_softmax_ce,
     matmul,
@@ -142,8 +141,8 @@ def dcq_logits_with_mask(
     # in place: matmul's backward reads its inputs only; a muted logit's
     # softmax probability underflows to 0, so its gradient is exactly 0
     labels = queue.labels
-    mask = (labels[None, :] == y[:, None]) | (labels[None, :] == SENTINEL_LABEL)
-    l_neg.data[mask] = MASK_VALUE
+    l_neg.data[labels[None, :] == y[:, None]] = MASK_VALUE
+    l_neg.data[:, labels == SENTINEL_LABEL] = MASK_VALUE
     return l_pos, l_neg
 
 
@@ -156,13 +155,9 @@ def dcq_cosface_loss(
 ) -> tuple[Tensor, LossDiagnostics]:
     """Margin softmax over [positive, queue] logits with the target at index 0.
 
-    logits = s · (concat(l_pos, l_neg) − m at column 0); mean cross entropy
-    over the batch. Muted queue entries underflow to an exact zero in the
-    softmax denominator.
+    logits = s · ([l_pos, l_neg] − m at column 0), the two blocks scored as
+    one B×(K+1) matrix; mean cross entropy over the batch. Muted queue
+    entries underflow to an exact zero in the softmax denominator.
     """
-    if s <= 0:
-        raise ConfigError(f"scale must be positive, got {s}")
-    if m < 0:
-        raise ConfigError(f"margin must be non-negative, got {m}")
     targets = np.zeros(l_pos.shape[0], dtype=np.int64)
-    return margin_softmax_ce(concat_cols([l_pos, l_neg], tape), targets, s, m, tape)
+    return margin_softmax_ce([l_pos, l_neg], targets, s, m, tape)

@@ -27,7 +27,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import CheckpointError, ConfigError, ShapeError, TrainingDiverged
 from .evalbench import evaluate_protocol
 from .model import MlpParams, extract_features, init_extractor
-from .numerics import Tape, Tensor
+from .numerics import Tape
 from .synthdata import (
     EvalProtocol,
     IdentityUniverse,
@@ -252,13 +252,6 @@ class TrainResult:
     metrics: list[dict] = field(default_factory=list)
     final_eval: dict = field(default_factory=dict)
     final_step: int = 0
-
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        """The trained parameters: the extractor's, then the head's if any."""
-        named = list(self.extractor.named_parameters())
-        if self.head is not None:
-            named += self.head.named_parameters()
-        return named
 
     @property
     def optimizer_state(self) -> dict[str, np.ndarray]:

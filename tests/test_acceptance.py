@@ -98,7 +98,7 @@ class TestCriterion2PullPushIdentity:
             w = Tensor(rng_.standard_normal((d, c)), requires_grad=True)
             y = int(rng_.integers(c))
             tape = Tape()
-            loss, diag = margin_softmax_ce(matmul(f, w, tape), np.array([y]), 1.0, 0.0, tape)
+            loss, diag = margin_softmax_ce([matmul(f, w, tape)], np.array([y]), 1.0, 0.0, tape)
             tape.backward(loss)
             p = np.insert(diag.p_neg[0], y, diag.p_pos[0])
 

@@ -140,7 +140,7 @@ class TestPullPushLedger:
             f = Tensor(features[pick])
             y = labels[pick]
             tape = Tape()
-            loss, diag = margin_softmax_ce(matmul(f, w, tape), y, 1.0, 0.0, tape)
+            loss, diag = margin_softmax_ce([matmul(f, w, tape)], y, 1.0, 0.0, tape)
             tape.backward(loss)
             sgd_momentum_step(w.data, tape.grad(w), velocity, lr, 0.0, 0.0)
 

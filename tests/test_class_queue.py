@@ -2,7 +2,7 @@ import copy
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dcq.class_queue import (
@@ -15,7 +15,7 @@ from dcq.class_queue import (
 )
 from dcq.errors import ConfigError, ContractError
 from dcq.model import extract_features, init_extractor
-from dcq.numerics import Tape, Tensor
+from dcq.numerics import Tape, Tensor, l2_normalize
 
 
 def cosface_full_reference(f, weights, y, s, m):
@@ -274,6 +274,28 @@ class TestLogitsWithMask:
         l_pos, l_neg = dcq_logits_with_mask(f, w_pos, q, np.array([0, 1, 2, 3]))
         assert (np.abs(l_pos.data) <= 1 + 1e-12).all()
         assert (np.abs(l_neg.data) <= 1 + 1e-12).all()
+
+    @given(st.integers(1, 8), st.lists(st.integers(1, 8), max_size=6), st.integers(1, 6),
+           st.integers(0, 10**6))
+    @example(capacity=5, batch_sizes=[2], rows=4, seed=1)  # unfilled slots
+    @example(capacity=3, batch_sizes=[2, 2, 3], rows=5, seed=2)  # wrapped cursor
+    @settings(max_examples=60, deadline=None)
+    def test_muted_set_is_duplicates_and_sentinels(self, capacity, batch_sizes, rows, seed):
+        # labels from a range of 4 force duplicates within the queue and the batch
+        rng = np.random.default_rng(seed)
+        q = ClassQueue(3, capacity)
+        for size in batch_sizes:
+            size = min(size, capacity)
+            w = rng.standard_normal((size, 3))
+            q.update(Tensor(w / np.linalg.norm(w, axis=1, keepdims=True)), rng.integers(0, 4, size))
+        f = Tensor(rng.standard_normal((rows, 3)))
+        w_pos = Tensor(np.eye(3)[rng.integers(0, 3, rows)])
+        y = rng.integers(0, 4, rows)
+        _, l_neg = dcq_logits_with_mask(f, w_pos, q, y)
+        muted = (q.labels[None, :] == y[:, None]) | (q.labels[None, :] == SENTINEL_LABEL)
+        np.testing.assert_array_equal(l_neg.data == MASK_VALUE, muted)
+        f_hat = l2_normalize(f, axis=1).data
+        assert l_neg.data[~muted].tobytes() == (f_hat @ q.weights)[~muted].tobytes()
 
 
 class TestDcqLoss:

@@ -1,12 +1,14 @@
-"""The desk benchmark's trace targets must name attributes that exist.
+"""The desk benchmark's trace targets and head probe must run against the package.
 
 ``deskbench/tracing.py`` shims each ``(owner, attr)`` in ``TARGETS`` by
-looking up ``vars(owner)[attr]``. A refactor that renames or moves one of
-those functions would otherwise only surface as a crash of a traced
+looking up ``vars(owner)[attr]``, and ``deskbench/probe.py`` calls both
+heads' functions directly. A refactor that renames, moves or re-signs one
+of those functions would otherwise only surface as a crash of a traced
 benchmark run.
 """
 
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
@@ -14,17 +16,17 @@ import pytest
 import dcq
 import dcq.cli  # noqa: F401  (the package does not import its CLI itself)
 
-TRACING_PATH = Path(__file__).resolve().parents[1] / "deskbench" / "tracing.py"
+DESKBENCH = Path(__file__).resolve().parents[1] / "deskbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("deskbench_tracing", TRACING_PATH)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"deskbench_{name}", DESKBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-tracing = _load_tracing()
+tracing = _load("tracing")
 
 
 @pytest.mark.parametrize(
@@ -42,3 +44,14 @@ def test_tracer_installs_and_restores_every_target():
     with tracing.Tracer(dcq).installed():
         assert all(vars(owner)[attr] is not fn for (owner, attr), fn in zip(owners, before))
     assert [vars(owner)[attr] for owner, attr in owners] == before
+
+
+def test_head_probe_reports_every_point(monkeypatch):
+    # five rounds of ~10 ms batches per point instead of the 2 s budget
+    probe = _load("probe")
+    monkeypatch.setattr(probe, "PROBE_SECONDS", 0.0)
+    out = probe.head_scaling(dcq, 17)
+    points = [f"class_queue.K{k}" for k in probe.PROBE_K] + [f"baseline.C{c}" for c in probe.PROBE_C]
+    expected = {f"probe.{p}.{unit}" for p in points for unit in ("ms", "ns_per_mac")}
+    assert set(out) == expected and len(out) == 14
+    assert all(math.isfinite(v) and v > 0 for v in out.values())

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dcq.errors import ContractError, NumericError, ShapeError
-from dcq.class_queue import MASK_VALUE
+from dcq.baseline import FcHead, fc_cosface_loss
+from dcq.errors import ConfigError, ContractError, NumericError, ShapeError
+from dcq.class_queue import MASK_VALUE, dcq_cosface_loss
 from dcq import numerics
 from dcq.numerics import (
     Tape,
     Tensor,
-    concat_cols,
     dense,
     finite_difference_check,
     l2_normalize,
@@ -207,27 +207,27 @@ class TestNormalizeRows:
 
 class TestSoftmaxCrossEntropy:
     def test_equal_logits(self):
-        loss, diag = margin_softmax_ce(Tensor(np.zeros((1, 4))), np.array([2]), 1.0, 0.0)
+        loss, diag = margin_softmax_ce([Tensor(np.zeros((1, 4)))], np.array([2]), 1.0, 0.0)
         assert abs(loss.item() - math.log(4)) < 1e-12
         np.testing.assert_allclose(diag.p_pos, [0.25], atol=1e-15)
 
     def test_dominant_target_logit(self):
         logits = np.zeros((1, 5))
         logits[0, 3] = 1000.0
-        loss, _ = margin_softmax_ce(Tensor(logits), np.array([3]), 1.0, 0.0)
+        loss, _ = margin_softmax_ce([Tensor(logits)], np.array([3]), 1.0, 0.0)
         assert loss.item() < 1e-12
 
     def test_hand_computed_value(self):
         # scalar oracle: -ln(e^2 / (e^2 + e + 1))
         expected = math.log(math.e**2 + math.e + 1) - 2.0
-        loss, _ = margin_softmax_ce(Tensor([[2.0, 1.0, 0.0]]), np.array([0]), 1.0, 0.0)
+        loss, _ = margin_softmax_ce([Tensor([[2.0, 1.0, 0.0]])], np.array([0]), 1.0, 0.0)
         assert abs(loss.item() - expected) < 1e-12
 
     def test_out_of_range_target(self):
         with pytest.raises(IndexError):
-            margin_softmax_ce(Tensor(np.zeros((1, 3))), np.array([3]), 1.0, 0.0)
+            margin_softmax_ce([Tensor(np.zeros((1, 3)))], np.array([3]), 1.0, 0.0)
         with pytest.raises(IndexError):
-            margin_softmax_ce(Tensor(np.zeros((1, 3))), np.array([-1]), 1.0, 0.0)
+            margin_softmax_ce([Tensor(np.zeros((1, 3)))], np.array([-1]), 1.0, 0.0)
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=50, deadline=None)
@@ -236,7 +236,7 @@ class TestSoftmaxCrossEntropy:
         b, c = int(rng.integers(1, 5)), int(rng.integers(2, 7))
         logits = Tensor(rng.standard_normal((b, c)) * rng.uniform(0.1, 30))
         targets = rng.integers(0, c, size=b)
-        _, diag = margin_softmax_ce(logits, targets, 1.0, 0.0)
+        _, diag = margin_softmax_ce([logits], targets, 1.0, 0.0)
         total = diag.p_pos + diag.p_neg.sum(axis=1)
         assert np.abs(total - 1.0).max() < 1e-12
         assert (diag.p_pos >= 0).all() and (diag.p_pos <= 1).all()
@@ -250,7 +250,7 @@ class TestSoftmaxCrossEntropy:
         b, c = int(rng.integers(1, 5)), int(rng.integers(2, 7))
         logits = Tensor(rng.standard_normal((b, c)))
         targets = rng.integers(0, c, size=b)
-        _, diag = margin_softmax_ce(logits, targets, 1.0, 0.0)
+        _, diag = margin_softmax_ce([logits], targets, 1.0, 0.0)
         assert np.abs((1.0 - diag.p_pos) - diag.p_neg.sum(axis=1)).max() < 1e-12
 
 
@@ -271,7 +271,7 @@ class TestMarginSoftmaxCe:
     def _check_against_reference(self, cos, targets, s, m):
         x = Tensor(cos.copy(), requires_grad=True)
         tape = Tape()
-        loss, diag = margin_softmax_ce(x, targets, s, m, tape)
+        loss, diag = margin_softmax_ce([x], targets, s, m, tape)
         tape.backward(loss)
         ref_loss, ref_probs, ref_grad = _margin_softmax_reference(cos, targets, s, m)
         rows = np.arange(cos.shape[0])
@@ -315,18 +315,67 @@ class TestMarginSoftmaxCe:
 
     def test_unit_scale_no_margin_is_cross_entropy(self):
         logits = np.array([[0.3, -1.2, 2.0], [1.0, 1.0, -0.5]])
-        loss, _ = margin_softmax_ce(Tensor(logits), np.array([2, 0]), 1.0, 0.0)
+        loss, _ = margin_softmax_ce([Tensor(logits)], np.array([2, 0]), 1.0, 0.0)
         expected = np.mean([
             math.log(sum(math.exp(v) for v in row)) - row[t]
             for row, t in zip(logits.tolist(), (2, 0))
         ])
         assert abs(loss.item() - expected) < 1e-12
 
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=50, deadline=None)
+    def test_column_blocks_equal_their_concatenation_bit_for_bit(self, seed):
+        # the dcq layout generalised: a target in every block, muted entries
+        rng = np.random.default_rng(seed)
+        widths = rng.integers(1, 6, size=3)
+        b = int(rng.integers(3, 7))
+        cos = rng.uniform(-1.0, 1.0, size=(b, int(widths.sum())))
+        cos[rng.random(cos.shape) < 0.3] = MASK_VALUE
+        edges = np.concatenate([[0], np.cumsum(widths)])
+        in_block = np.concatenate([[0, 1, 2], rng.integers(0, 3, size=b - 3)])
+        targets = edges[in_block] + rng.integers(0, widths[in_block])
+        s, m = float(rng.choice([1.0, 50.0, 64.0])), float(rng.uniform(0.0, 0.5))
+
+        blocks = [Tensor(cos[:, lo:hi], requires_grad=True) for lo, hi in zip(edges, edges[1:])]
+        tape = Tape()
+        loss, diag = margin_softmax_ce(blocks, targets, s, m, tape)
+        tape.backward(loss)
+        whole = Tensor(cos, requires_grad=True)
+        ref_tape = Tape()
+        ref_loss, ref_diag = margin_softmax_ce([whole], targets, s, m, ref_tape)
+        ref_tape.backward(ref_loss)
+
+        assert loss.data.tobytes() == ref_loss.data.tobytes()
+        assert diag.probs.tobytes() == ref_diag.probs.tobytes()
+        assert diag.p_pos.tobytes() == ref_diag.p_pos.tobytes()
+        ref_grad = ref_tape.grad(whole)
+        for block, lo, hi in zip(blocks, edges, edges[1:]):
+            assert tape.grad(block).tobytes() == ref_grad[:, lo:hi].tobytes()
+
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
-            margin_softmax_ce(Tensor(np.zeros(3)), np.array([0]), 1.0, 0.0)
+            margin_softmax_ce([], np.array([0]), 1.0, 0.0)
+        with pytest.raises(ShapeError):  # a block that is not a matrix
+            margin_softmax_ce([Tensor(np.zeros(3))], np.array([0]), 1.0, 0.0)
         with pytest.raises(ShapeError):
-            margin_softmax_ce(Tensor(np.zeros((2, 3))), np.array([0]), 1.0, 0.0)
+            margin_softmax_ce([Tensor(np.zeros((1, 1))), Tensor(np.zeros(3))], np.array([0]), 1.0, 0.0)
+        with pytest.raises(ShapeError):  # blocks with different row counts
+            margin_softmax_ce([Tensor(np.zeros((2, 1))), Tensor(np.zeros((1, 3)))], np.array([0, 0]), 1.0, 0.0)
+        with pytest.raises(ShapeError):  # one target for two rows
+            margin_softmax_ce([Tensor(np.zeros((2, 3)))], np.array([0]), 1.0, 0.0)
+
+    @pytest.mark.parametrize("s,m", [
+        (0.0, 0.3), (-1.0, 0.3), (math.nan, 0.3), (math.inf, 0.3), (-math.inf, 0.3),
+        (30.0, -0.1), (30.0, math.nan), (30.0, math.inf),
+    ])
+    def test_scale_and_margin_checked_for_both_heads(self, s, m):
+        rng = np.random.default_rng(11)
+        f = Tensor(rng.standard_normal((2, 4)))
+        l_pos, l_neg = Tensor(rng.uniform(-1, 1, (2, 1))), Tensor(rng.uniform(-1, 1, (2, 5)))
+        with pytest.raises(ConfigError):
+            fc_cosface_loss(f, FcHead(4, 6, seed=3), np.array([0, 5]), s, m)
+        with pytest.raises(ConfigError):
+            dcq_cosface_loss(l_pos, l_neg, s, m)
 
 
 class TestBackwardPass:
@@ -346,7 +395,7 @@ class TestBackwardPass:
         w = Tensor(rng.standard_normal((d, c)), requires_grad=True)
         y = np.array([1])
         tape = Tape()
-        loss, diag = margin_softmax_ce(matmul(f, w, tape), y, 1.0, 0.0, tape)
+        loss, diag = margin_softmax_ce([matmul(f, w, tape)], y, 1.0, 0.0, tape)
         tape.backward(loss)
 
         p_full = np.insert(diag.p_neg[0], y[0], diag.p_pos[0])
@@ -374,7 +423,7 @@ class TestBackwardPass:
 
         def fn(tape):
             h = dense(x, w1, b1, slope, tape)
-            loss, _ = margin_softmax_ce(matmul(h, w2, tape), y, 1.0, 0.0, tape)
+            loss, _ = margin_softmax_ce([matmul(h, w2, tape)], y, 1.0, 0.0, tape)
             return loss
 
         err = finite_difference_check(fn, [w1, b1, slope, w2])
@@ -416,12 +465,12 @@ class TestBackwardPass:
         tape = Tape()
         cos = matmul(f, w, tape)
         cos_data = weakref.ref(cos.data)
-        loss, _ = margin_softmax_ce(cos, y, 30.0, 0.3, tape)
+        loss, _ = margin_softmax_ce([cos], y, 30.0, 0.3, tape)
         del cos
         assert cos_data() is None
         tape.backward(loss)
         reference = Tape()
-        ref_loss, _ = margin_softmax_ce(matmul(f, w, reference), y, 30.0, 0.3, reference)
+        ref_loss, _ = margin_softmax_ce([matmul(f, w, reference)], y, 30.0, 0.3, reference)
         reference.backward(ref_loss)
         for leaf in (f, w):
             assert tape.grad(leaf).tobytes() == reference.grad(leaf).tobytes()
@@ -464,17 +513,6 @@ class TestFiniteDifferenceCheck:
 
 
 class TestOpPlumbing:
-    def test_concat_cols_forward_and_backward(self):
-        a = Tensor([[1.0, 2.0]], requires_grad=True)
-        b = Tensor([[3.0]], requires_grad=True)
-        tape = Tape()
-        out = concat_cols([a, b], tape)
-        np.testing.assert_array_equal(out.data, [[1.0, 2.0, 3.0]])
-        loss = sum_all(matmul(out, Tensor([[2.0]] * 3), tape), tape)
-        tape.backward(loss)
-        np.testing.assert_array_equal(tape.grad(a), [[2.0, 2.0]])
-        np.testing.assert_array_equal(tape.grad(b), [[2.0]])
-
     @staticmethod
     def _check_normalize_jacobian(x, probe, axis):
         # d/dv of pᵀ(v/r) is (p − y(yᵀp))/r with r = ‖v‖ and y = v/r, per

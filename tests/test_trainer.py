@@ -337,8 +337,7 @@ class TestRunTraining:
         assert "layer1.slope" not in extractor_names  # TINY's final layer is linear
         # baseline does carry head state
         full = run_training(TrainConfig(method="cosface-full", **TINY))
-        assert "head.W" in full.optimizer_state
-        assert list(full.optimizer_state) == [name for name, _ in full.named_parameters()]
+        assert list(full.optimizer_state) == extractor_names + ["head.W"]
 
     def test_velocities_are_views_of_one_buffer_per_model(self):
         full = run_training(TrainConfig(method="cosface-full", **{**TINY, "epochs": 1}))
