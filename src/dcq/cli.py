@@ -23,6 +23,7 @@ from .errors import ConfigError, DcqError, UsageError
 from .synthdata import LongTailSpec, assign_longtail_counts, build_universe, write_dataset
 from .trainer import (
     METRICS_COLUMNS,
+    CosFaceHead,
     TrainConfig,
     load_result_checkpoint,
     periodic_checkpoints,
@@ -227,10 +228,10 @@ def _cmd_eval(args) -> int:
     result = load_result_checkpoint(args.checkpoint)
     scores = evalbench.evaluate_protocol(result.extractor, result.protocol, result.counts)
     report = {"checkpoint": args.checkpoint, "method": result.config.method, **scores}
-    if result.head is not None:
+    if isinstance(result.head, CosFaceHead):
         alignment = evalbench.tail_alignment_diagnostic(
             result.head.W.data, result.universe, result.counts,
-            result.extractor, class_ids=result.retained_ids,
+            result.extractor, class_ids=result.head.retained_ids,
         )
         report["head_alignment"] = alignment.mean_cosine
     text = json.dumps(report, indent=2)

@@ -27,7 +27,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import CheckpointError, ConfigError, ShapeError, TrainingDiverged
 from .evalbench import evaluate_protocol
 from .model import MlpParams, extract_features, init_extractor
-from .numerics import Tape
+from .numerics import Tape, Tensor
 from .synthdata import (
     EvalProtocol,
     IdentityUniverse,
@@ -235,6 +235,74 @@ def sgd_momentum_step(
     param -= step
 
 
+class QueueHead:
+    """The dcq head: an EMA generator feeding a K-slot class queue, with no SGD state.
+
+    Both heads' ``arrays`` and ``velocities`` name the live buffers a
+    checkpoint holds; training and restore write them in place.
+    """
+
+    def __init__(self, cfg: TrainConfig, extractor: MlpParams, counts: np.ndarray):
+        self.cfg, self.train_counts, self.w_pos = cfg, counts, None
+        self.generator = cq.EmaGenerator(extractor, cfg.alpha)
+        self.queue = cq.ClassQueue(cfg.embed_dim, cfg.K)
+        shadow = self.generator.shadow.named_parameters()
+        self.arrays = {f"generator.{name}": p.data for name, p in shadow}
+        self.arrays.update({"queue.weights": self.queue.weights, "queue.labels": self.queue.labels})
+        self.velocities = {}
+
+    def loss(self, f: Tensor, batch, tape: Tape):
+        w_pos = self.generator.generate(batch.x_w)
+        self.w_pos = w_pos.data
+        l_pos, l_neg = cq.dcq_logits_with_mask(f, w_pos, self.queue, batch.y, tape)
+        return cq.dcq_cosface_loss(l_pos, l_neg, self.cfg.s, self.cfg.m, tape)
+
+    def update(self, extractor: MlpParams, batch, tape: Tape, lr: float) -> None:
+        self.generator.update(extractor)
+        self.queue.update(Tensor(self.w_pos), batch.y)
+
+    def progress(self) -> dict:
+        return {"queue_cursor": self.queue.cursor}
+
+    def restore(self, arrays: dict, progress: dict) -> None:
+        """Take a checkpoint's cursor; raise CheckpointError unless it and the labels fit."""
+        cursor, K, C = progress.get("queue_cursor"), self.cfg.K, self.cfg.n_classes
+        if not (_is_int(cursor) and 0 <= cursor < K):
+            raise CheckpointError(f"checkpoint state.queue_cursor {cursor!r} is not in [0, {K})")
+        if not np.isin(arrays["queue.labels"], np.arange(-1, C)).all():
+            raise CheckpointError(f"checkpoint queue.labels must be integers in [-1, {C})")
+        self.queue.cursor = cursor
+
+
+class CosFaceHead(fc.FcHead):
+    """A CosFace baseline's head: FC columns for the classes with ``min_instances`` or more.
+
+    ``retained_ids`` are those classes, ``label_map`` maps a class to its
+    column (−1 if dropped) and ``train_counts`` zeroes the dropped counts.
+    """
+
+    def __init__(self, cfg: TrainConfig, counts: np.ndarray, min_instances: int):
+        self.cfg, self.w_pos = cfg, None
+        self.retained_ids, self.label_map = fc.filter_head_classes(counts, min_instances)
+        self.train_counts = np.where(self.label_map >= 0, counts, 0)
+        super().__init__(cfg.embed_dim, self.retained_ids.size, cfg.seed)
+        self.velocity = np.zeros_like(self.W.data)
+        self.arrays, self.velocities = {"head.W": self.W.data}, {"head.W": self.velocity}
+
+    def loss(self, f: Tensor, batch, tape: Tape):
+        return fc.fc_cosface_loss(f, self, self.label_map[batch.y], self.cfg.s, self.cfg.m, tape)
+
+    def update(self, extractor: MlpParams, batch, tape: Tape, lr: float) -> None:
+        momentum, decay = self.cfg.sgd_momentum, self.cfg.weight_decay
+        sgd_momentum_step(self.W.data, tape.grad(self.W), self.velocity, lr, momentum, decay)
+
+    def progress(self) -> dict:
+        return {}
+
+    def restore(self, arrays: dict, progress: dict) -> None:
+        pass
+
+
 @dataclass
 class TrainResult:
     config: TrainConfig
@@ -242,24 +310,16 @@ class TrainResult:
     counts: np.ndarray
     protocol: EvalProtocol
     extractor: MlpParams
-    generator: cq.EmaGenerator | None
-    queue: cq.ClassQueue | None
-    head: fc.FcHead | None
-    retained_ids: np.ndarray | None
-    label_map: np.ndarray | None
+    head: QueueHead | CosFaceHead
     velocity: np.ndarray  # laid out as extractor.flat
-    head_velocity: np.ndarray | None
     metrics: list[dict] = field(default_factory=list)
     final_eval: dict = field(default_factory=dict)
     final_step: int = 0
 
     @property
     def optimizer_state(self) -> dict[str, np.ndarray]:
-        """Each trained parameter's SGD velocity by name, as views of the velocity buffers."""
-        state = dict(self.extractor.views(self.velocity))
-        if self.head is not None:
-            state["head.W"] = self.head_velocity
-        return state
+        """Each trained parameter's SGD velocity by name: the extractor's views, then the head's."""
+        return {**dict(self.extractor.views(self.velocity)), **self.head.velocities}
 
 
 def _build_run_state(cfg: TrainConfig) -> TrainResult:
@@ -271,36 +331,20 @@ def _build_run_state(cfg: TrainConfig) -> TrainResult:
         universe, counts, cfg.eval_pairs, cfg.eval_probes, cfg.eval_distractors, cfg.seed
     )
     extractor = init_extractor(cfg.layer_dims, cfg.seed)
-    generator = queue = head = retained = label_map = None
     if cfg.method == METHOD_DCQ:
-        generator = cq.EmaGenerator(extractor, cfg.alpha)
-        queue = cq.ClassQueue(cfg.embed_dim, cfg.K)
-    elif cfg.method == METHOD_HEAD_ONLY:
-        retained, label_map = fc.filter_head_classes(counts, cfg.min_instances)
-        head = fc.FcHead(cfg.embed_dim, retained.size, cfg.seed)
-    else:
-        head = fc.FcHead(cfg.embed_dim, len(counts), cfg.seed)
+        head = QueueHead(cfg, extractor, counts)
+    else:  # full-FC keeps every class, since each has min_count >= 1 instances
+        head = CosFaceHead(cfg, counts, cfg.min_instances if cfg.method == METHOD_HEAD_ONLY else 1)
     return TrainResult(
         config=cfg, universe=universe, counts=counts, protocol=protocol,
-        extractor=extractor, generator=generator, queue=queue, head=head,
-        retained_ids=retained, label_map=label_map,
-        velocity=np.zeros_like(extractor.flat),
-        head_velocity=None if head is None else np.zeros_like(head.W.data),
+        extractor=extractor, head=head, velocity=np.zeros_like(extractor.flat),
     )
 
 
 def _checkpoint_payload(state: TrainResult, progress: dict) -> tuple[dict, dict[str, np.ndarray]]:
-    meta = {"config": state.config.to_dict(), "state": dict(progress)}
+    meta = {"config": state.config.to_dict(), "state": {**progress, **state.head.progress()}}
     arrays = {f"extractor.{name}": p.data for name, p in state.extractor.named_parameters()}
-    if state.generator is not None:
-        for name, p in state.generator.shadow.named_parameters():
-            arrays[f"generator.{name}"] = p.data
-    if state.queue is not None:
-        arrays["queue.weights"] = state.queue.weights
-        arrays["queue.labels"] = state.queue.labels.astype(np.float64)
-        meta["state"]["queue_cursor"] = state.queue.cursor
-    if state.head is not None:
-        arrays["head.W"] = state.head.W.data
+    arrays.update(state.head.arrays)
     for name, v in state.optimizer_state.items():
         arrays[f"velocity.{name}"] = v
     return meta, arrays
@@ -310,17 +354,14 @@ def _checkpoint_meta(meta) -> tuple[dict, dict]:
     """A checkpoint's config dict and progress, with keys and types checked.
 
     Progress holds non-negative ints ``epoch_next`` and ``global_step``,
-    plus ``queue_cursor`` for a queue-method run; anything else raises
-    CheckpointError.
+    plus the head's own progress, which its ``restore`` checks; anything
+    else raises CheckpointError.
     """
     meta = meta if isinstance(meta, dict) else {}
     config, progress = meta.get("config"), meta.get("state")
     if not isinstance(config, dict) or not isinstance(progress, dict):
         raise CheckpointError("checkpoint metadata lacks its config or state object")
-    keys = ["epoch_next", "global_step"]
-    if config.get("method", METHOD_DCQ) == METHOD_DCQ:
-        keys.append("queue_cursor")
-    for key in keys:
+    for key in ("epoch_next", "global_step"):
         value = progress.get(key)
         if not _is_int(value) or value < 0:
             raise CheckpointError(f"checkpoint state.{key} must be a non-negative int, got {value!r}")
@@ -332,7 +373,7 @@ def _restore_from_checkpoint(state: TrainResult, progress: dict, arrays: dict) -
 
     The checkpoint must hold exactly the arrays that state would save, each
     with the same shape; anything else raises CheckpointError. ``progress``
-    comes from ``_checkpoint_meta``.
+    comes from ``_checkpoint_meta``. The head checks its own state first.
     """
     _, expected = _checkpoint_payload(state, {})
     missing = sorted(expected.keys() - arrays.keys())
@@ -347,13 +388,19 @@ def _restore_from_checkpoint(state: TrainResult, progress: dict, arrays: dict) -
             raise CheckpointError(
                 f"checkpoint array {name} has shape {arrays[name].shape}, expected {ref.shape}"
             )
+    state.head.restore(arrays, progress)
     for name, target in expected.items():
-        if name == "queue.labels":
-            state.queue.labels[...] = arrays[name].astype(np.int64)
-        else:
-            target[...] = arrays[name]
-    if state.queue is not None:
-        state.queue.cursor = progress["queue_cursor"]
+        target[...] = arrays[name]
+
+
+def _load_run_state(path) -> tuple[TrainResult, int]:
+    """The run state a checkpoint holds, built from its own config, and its next epoch."""
+    meta, arrays = load_checkpoint(path)
+    config_dict, progress = _checkpoint_meta(meta)
+    state = _build_run_state(TrainConfig.from_dict(config_dict).resolve())
+    _restore_from_checkpoint(state, progress, arrays)
+    state.final_step = progress["global_step"]
+    return state, progress["epoch_next"]
 
 
 def periodic_checkpoints(cfg: TrainConfig) -> dict[int, str]:
@@ -377,30 +424,23 @@ def run_training(
     positive weights for dcq, None otherwise) and ``state``, the live
     ``TrainResult``, which hooks only read. The record's arrays belong to the
     step and are not written after the hook returns, so it copies nothing.
+    dcq's queue and generator are ``state.head.queue`` and ``state.head.generator``.
     ``resume_from`` continues from a checkpoint written with the same
     config; only epochs after the checkpoint are run and reported. The
     config's ``periodic_checkpoints`` are written to ``checkpoint_dir``.
     """
     cfg = config.resolve()
-    result = _build_run_state(cfg)
-    extractor, head = result.extractor, result.head
-    generator, queue = result.generator, result.queue
-    label_map, counts = result.label_map, result.counts
-
-    start_epoch = 0
-    global_step = 0
-    if resume_from is not None:
-        meta, arrays = load_checkpoint(resume_from)
-        config_dict, progress = _checkpoint_meta(meta)
-        if config_dict != cfg.to_dict():
+    if resume_from is None:
+        result, start_epoch = _build_run_state(cfg), 0
+    else:
+        result, start_epoch = _load_run_state(resume_from)
+        if result.config != cfg:
             raise ConfigError("checkpoint config does not match the requested config")
-        _restore_from_checkpoint(result, progress, arrays)
-        start_epoch = progress["epoch_next"]
-        global_step = progress["global_step"]
+    extractor, head, counts = result.extractor, result.head, result.counts
 
-    counts_eff = counts if label_map is None else np.where(label_map >= 0, counts, 0)
-    table = build_instance_table(result.universe, counts_eff)
-    steps_per_epoch = max(1, int(counts_eff.sum()) // cfg.B)
+    global_step = result.final_step
+    table = build_instance_table(result.universe, head.train_counts)
+    steps_per_epoch = max(1, int(head.train_counts.sum()) // cfg.B)
     plan = PairPlan(table, cfg.B, cfg.sampling, cfg.seed)
     checkpoint_names = periodic_checkpoints(cfg) if checkpoint_dir is not None else {}
 
@@ -413,14 +453,7 @@ def run_training(
             batch = make_pair_batch(plan, global_step)
             tape = Tape()
             feats = extract_features(extractor, batch.x_t, tape)
-            w_pos = None
-            if cfg.method == METHOD_DCQ:
-                w_pos = generator.generate(batch.x_w)
-                l_pos, l_neg = cq.dcq_logits_with_mask(feats, w_pos, queue, batch.y, tape)
-                loss, diag = cq.dcq_cosface_loss(l_pos, l_neg, cfg.s, cfg.m, tape)
-            else:
-                y_loss = batch.y if label_map is None else label_map[batch.y]
-                loss, diag = fc.fc_cosface_loss(feats, head, y_loss, cfg.s, cfg.m, tape)
+            loss, diag = head.loss(feats, batch, tape)
 
             loss_value = float(loss.data)
             if not np.isfinite(loss_value):
@@ -431,27 +464,20 @@ def run_training(
                     step=global_step, labels=batch.y, batch=batch,
                 )
 
-            # backward before queue.update: the loss's closures read the live queue
+            # backward before the head's update: the dcq loss's closures read the live queue
             tape.backward(loss)
             sgd_momentum_step(
                 extractor.flat, extractor.gather(tape.grad), result.velocity,
                 lr, cfg.sgd_momentum, cfg.weight_decay, extractor.n_decayed,
             )
-            if head is not None:
-                sgd_momentum_step(
-                    head.W.data, tape.grad(head.W), result.head_velocity,
-                    lr, cfg.sgd_momentum, cfg.weight_decay,
-                )
-            if cfg.method == METHOD_DCQ:
-                generator.update(extractor)
-                queue.update(w_pos, batch.y)
+            head.update(extractor, batch, tape, lr)
 
             if hooks is not None:
                 hooks(
                     {
                         "step": global_step, "epoch": epoch, "loss": loss_value,
                         "labels": batch.y, "diagnostics": diag,
-                        "w_pos": None if w_pos is None else w_pos.data, "state": result,
+                        "w_pos": head.w_pos, "state": result,
                     }
                 )
             epoch_losses.append(loss_value)
@@ -489,8 +515,4 @@ def save_result_checkpoint(path, result: TrainResult) -> None:
 
 def load_result_checkpoint(path) -> TrainResult:
     """Rebuild model state (not metrics) from a checkpoint for evaluation."""
-    meta, arrays = load_checkpoint(path)
-    config_dict, progress = _checkpoint_meta(meta)
-    result = _build_run_state(TrainConfig.from_dict(config_dict).resolve())
-    _restore_from_checkpoint(result, progress, arrays)
-    return result
+    return _load_run_state(path)[0]

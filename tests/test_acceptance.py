@@ -214,7 +214,7 @@ class TestCriterion6QueueSemantics:
             return logits(f, w_pos, queue, y, tape)
 
         def hook(rec):
-            queue = rec["state"].queue
+            queue = rec["state"].head.queue
             after = (queue.weights.copy(), queue.labels.copy(), queue.cursor)
             records.append({**rec, "queue_after": after})
 

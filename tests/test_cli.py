@@ -471,6 +471,12 @@ class TestBadCheckpointMetadata:
         code = cli.main(["eval", "--checkpoint", str(path)])
         self._one_line_error(capsys, code, "queue_cursor")
 
+    def test_eval_with_queue_cursor_past_the_queue(self, tmp_path, capsys):
+        past = {"queue_cursor": 10**9}
+        _, path = self._damaged(tmp_path, capsys, lambda meta: meta["state"].update(past))
+        code = cli.main(["eval", "--checkpoint", str(path)])
+        self._one_line_error(capsys, code, "queue_cursor")
+
     def test_resume_without_epoch_next(self, tmp_path, capsys):
         config, path = self._damaged(
             tmp_path, capsys, lambda meta: meta["state"].pop("epoch_next"), checkpoint_every=1

@@ -7,6 +7,7 @@ of those functions would otherwise only surface as a crash of a traced
 benchmark run.
 """
 
+import collections
 import importlib.util
 import math
 from pathlib import Path
@@ -55,3 +56,37 @@ def test_head_probe_reports_every_point(monkeypatch):
     expected = {f"probe.{p}.{unit}" for p in points for unit in ("ms", "ns_per_mac")}
     assert set(out) == expected and len(out) == 14
     assert all(math.isfinite(v) and v > 0 for v in out.values())
+
+
+TRACED_TINY = dict(
+    n_classes=12, n_reserved=8, epochs=1, B=8, K=8, d_in=8, embed_dim=8, hidden_dims=(16,),
+    min_count=2, max_count=10, eval_pairs=40, eval_probes=10, eval_distractors=5,
+)
+
+
+@pytest.mark.parametrize(
+    "method,per_step",
+    [
+        ("dcq", {
+            "synthdata.make_pair_batch": 1, "trainer.sgd_momentum_step": 1,
+            "class_queue.generate": 1, "class_queue.ema_update": 1, "class_queue.enqueue": 1,
+            "class_queue.dcq_logits_with_mask": 1, "class_queue.dcq_cosface_loss": 1,
+            "baseline.fc_cosface_loss": 0,
+        }),
+        ("cosface-full", {
+            "synthdata.make_pair_batch": 1, "trainer.sgd_momentum_step": 2,
+            "baseline.fc_cosface_loss": 1, "class_queue.dcq_cosface_loss": 0,
+        }),
+    ],
+)
+def test_traced_spans_fire_every_step(method, per_step):
+    # the per-layer metrics divide these spans by the step count, so a call
+    # that stops going through a traced name would read as zero time
+    tracer = tracing.Tracer(dcq)
+    with tracer.installed():
+        result = dcq.trainer.run_training(dcq.trainer.TrainConfig(method=method, **TRACED_TINY))
+    calls = collections.Counter(tracer.names)
+    assert result.final_step > 0
+    assert {name: calls[name] for name in per_step} == {
+        name: n * result.final_step for name, n in per_step.items()
+    }

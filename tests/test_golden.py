@@ -122,7 +122,7 @@ def alignment_digest(method: str, sampling: str) -> str:
     result = golden_run(method, sampling)
     report = evalbench.tail_alignment_diagnostic(
         result.head.W.data, result.universe, result.counts,
-        result.extractor, class_ids=result.retained_ids,
+        result.extractor, class_ids=result.head.retained_ids,
     )
     payload = json.dumps([report.mean_cosine, report.class_counts], sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()

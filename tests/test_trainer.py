@@ -1,5 +1,6 @@
 import struct
 import tracemalloc
+import warnings
 import zlib
 
 import numpy as np
@@ -11,6 +12,7 @@ from dcq import rng
 from dcq.baseline import FcHead, fc_cosface_loss
 from dcq.checkpoint import load_checkpoint, save_checkpoint
 from dcq.class_queue import SENTINEL_LABEL, ClassQueue, dcq_cosface_loss, dcq_logits_with_mask
+from dcq.evalbench import head_cost_report
 from dcq.errors import (
     CheckpointError,
     CheckpointIntegrityError,
@@ -287,7 +289,9 @@ class TestRunTraining:
     def test_queue_full_after_expected_batches(self):
         labels_after = []
         cfg = TrainConfig(method="dcq", **{**TINY, "K": 20, "B": 8})
-        run_training(cfg, hooks=lambda rec: labels_after.append(rec["state"].queue.labels.copy()))
+        run_training(
+            cfg, hooks=lambda rec: labels_after.append(rec["state"].head.queue.labels.copy())
+        )
         fill_batches = -(-20 // 8)  # ceil(K/B)
         for labels in labels_after[: fill_batches - 1]:
             assert (labels == SENTINEL_LABEL).any()
@@ -306,7 +310,7 @@ class TestRunTraining:
             return logits(f, w_pos, queue, y, tape)
 
         def hook(rec):
-            queue = rec["state"].queue
+            queue = rec["state"].head.queue
             after = (queue.weights.copy(), queue.labels.copy(), queue.cursor)
             records.append({**rec, "after": after})
 
@@ -339,13 +343,25 @@ class TestRunTraining:
         full = run_training(TrainConfig(method="cosface-full", **TINY))
         assert list(full.optimizer_state) == extractor_names + ["head.W"]
 
+    @pytest.mark.parametrize("method,report", [("dcq", "dcq"), ("cosface-full", "full")])
+    def test_live_head_bytes_match_the_cost_report(self, method, report):
+        # the closed-form byte counts are the live queue or W and its velocity
+        cfg = TrainConfig(method=method, **{**TINY, "epochs": 1}).resolve()
+        head = run_training(cfg).head
+        cost = head_cost_report(
+            report, C=cfg.n_classes, K=cfg.K, D=cfg.embed_dim, B=cfg.B, bytes_per_float=8
+        )
+        params = head.queue.weights if method == "dcq" else head.W.data
+        assert params.nbytes == cost.head_param_bytes
+        assert sum(v.nbytes for v in head.velocities.values()) == cost.optimizer_state_bytes
+
     def test_velocities_are_views_of_one_buffer_per_model(self):
         full = run_training(TrainConfig(method="cosface-full", **{**TINY, "epochs": 1}))
         assert full.velocity.shape == full.extractor.flat.shape and full.velocity.any()
         for name, v in full.optimizer_state.items():
-            owner = full.head_velocity if name == "head.W" else full.velocity
+            owner = full.head.velocity if name == "head.W" else full.velocity
             assert np.shares_memory(v, owner), name
-        assert not np.shares_memory(full.velocity, full.head_velocity)
+        assert not np.shares_memory(full.velocity, full.head.velocity)
 
     def test_backward_runs_before_every_queue_update(self, monkeypatch):
         events = []
@@ -369,7 +385,7 @@ class TestRunTraining:
         cfg = TrainConfig(method="cosface-head-only", min_instances=5, **TINY)
         result = run_training(cfg)
         assert result.head.n_classes == int((result.counts >= 5).sum())
-        assert result.retained_ids is not None
+        assert result.head.retained_ids is not None
 
     def test_monotone_loss_on_separable_toy(self):
         # frozen probe task: the loss as a pure function of the parameters
@@ -396,11 +412,11 @@ class TestRunTraining:
             state = rec["state"]
             if method == "dcq":
                 if rec["step"] == 5:
-                    q = ClassQueue(state.queue.embed_dim, state.queue.capacity)
-                    q.weights[...] = state.queue.weights
-                    q.labels[...] = state.queue.labels
+                    q = ClassQueue(state.head.queue.embed_dim, state.head.queue.capacity)
+                    q.weights[...] = state.head.queue.weights
+                    q.labels[...] = state.head.queue.labels
                     frozen["queue"] = q
-                    frozen["w_pos"] = state.generator.generate(probe.x_w)
+                    frozen["w_pos"] = state.head.generator.generate(probe.x_w)
                 if rec["step"] < 5:
                     return
                 feats = extract_features(state.extractor, probe.x_t, None)
@@ -596,6 +612,34 @@ class TestResume:
         with pytest.raises(CheckpointError):
             run_training(cfg, resume_from=path)
 
+    @pytest.mark.parametrize("label", [np.nan, 3.7, 1e6])
+    def test_queue_labels_must_be_class_ids(self, tmp_path, label):
+        from dcq.trainer import load_result_checkpoint
+
+        cfg = TrainConfig(method="dcq", **{**TINY, "epochs": 1})
+        path = tmp_path / "final.ckpt"
+        save_result_checkpoint(path, run_training(cfg))
+        meta, arrays = load_checkpoint(path)
+        arrays["queue.labels"][1] = label
+        save_checkpoint(path, meta, arrays)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no label may reach the int64 cast
+            with pytest.raises(CheckpointError, match="queue.labels"):
+                load_result_checkpoint(path)
+            with pytest.raises(CheckpointError, match="queue.labels"):
+                run_training(cfg, resume_from=path)
+
+    @pytest.mark.parametrize("method", ["dcq", "cosface-full"])
+    def test_saving_a_loaded_checkpoint_rewrites_its_bytes(self, tmp_path, method):
+        from dcq.trainer import load_result_checkpoint
+
+        path, again = tmp_path / "final.ckpt", tmp_path / "again.ckpt"
+        save_result_checkpoint(path, run_training(TrainConfig(method=method, **TINY)))
+        loaded = load_result_checkpoint(path)
+        assert loaded.final_step == load_checkpoint(path)[0]["state"]["global_step"] > 0
+        save_result_checkpoint(again, loaded)
+        assert again.read_bytes() == path.read_bytes()
+
     def test_resume_at_the_last_epoch_scores_the_final_model(self, tmp_path):
         cfg = TrainConfig(method="dcq", checkpoint_every=1, **{**TINY, "epochs": 2})
         full = run_training(cfg, checkpoint_dir=str(tmp_path))
@@ -607,7 +651,7 @@ class TestResume:
     @pytest.mark.parametrize(
         "key,value",
         [("config", None), ("queue_cursor", None), ("epoch_next", 1.0),
-         ("global_step", -1), ("queue_cursor", True)],
+         ("global_step", -1), ("queue_cursor", True), ("queue_cursor", TINY["K"])],
     )
     def test_checkpoint_metadata_is_checked(self, tmp_path, key, value):
         from dcq.trainer import load_result_checkpoint
@@ -635,10 +679,10 @@ class TestResume:
         save_result_checkpoint(path, result)
         meta, arrays = load_checkpoint(path)
         state = _build_run_state(result.config)
-        buffers = (state.extractor.flat, state.generator.shadow.flat, state.velocity)
+        buffers = (state.extractor.flat, state.head.generator.shadow.flat, state.velocity)
         _restore_from_checkpoint(state, _checkpoint_meta(meta)[1], arrays)
-        restored = (state.extractor.flat, state.generator.shadow.flat, state.velocity)
-        trained = (result.extractor.flat, result.generator.shadow.flat, result.velocity)
+        restored = (state.extractor.flat, state.head.generator.shadow.flat, state.velocity)
+        trained = (result.extractor.flat, result.head.generator.shadow.flat, result.velocity)
         for before, after, expected in zip(buffers, restored, trained):
             assert after is before
             assert after.tobytes() == expected.tobytes()
@@ -655,6 +699,6 @@ class TestResume:
             result.extractor.named_parameters(), loaded.extractor.named_parameters()
         ):
             np.testing.assert_array_equal(a.data, b.data)
-        np.testing.assert_array_equal(result.queue.weights, loaded.queue.weights)
-        np.testing.assert_array_equal(result.queue.labels, loaded.queue.labels)
-        assert result.queue.cursor == loaded.queue.cursor
+        np.testing.assert_array_equal(result.head.queue.weights, loaded.head.queue.weights)
+        np.testing.assert_array_equal(result.head.queue.labels, loaded.head.queue.labels)
+        assert result.head.queue.cursor == loaded.head.queue.cursor
