@@ -41,7 +41,6 @@ from .evalbench import (
     CostReport,
     evaluate_protocol,
     head_cost_report,
-    identification_rank1,
     run_experiment_grid,
     tail_alignment_diagnostic,
     verification_accuracy,
@@ -59,7 +58,7 @@ __all__ = [
     "dcq_cosface_loss", "dcq_logits_with_mask", "draw_instance",
     "evaluate_protocol", "extract_features", "fc_cosface_loss",
     "filter_head_classes", "finite_difference_check", "head_cost_report",
-    "identification_rank1", "init_extractor", "lr_at_step",
+    "init_extractor", "lr_at_step",
     "make_pair_batch", "run_experiment_grid", "run_training",
     "sgd_momentum_step", "tail_alignment_diagnostic", "verification_accuracy",
 ]

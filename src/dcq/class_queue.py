@@ -53,7 +53,7 @@ class EmaGenerator:
         if not 0.0 <= alpha <= 1.0:
             raise ConfigError(f"alpha must lie in [0, 1], got {alpha}")
         self.alpha = float(alpha)
-        self.shadow = extractor.copy(requires_grad=False)
+        self.shadow = extractor.copy()
 
     def update(self, extractor: MlpParams) -> None:
         """Blend the shadow toward the extractor's current parameters."""

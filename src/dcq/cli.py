@@ -254,7 +254,7 @@ def _cmd_bench(args) -> int:
     report = {
         "full": asdict(full),
         "dcq": asdict(dcq),
-        "param_bytes_ratio": dcq.head_param_bytes / full.head_param_bytes,
+        "param_bytes_ratio": dcq.param_bytes_ratio,
     }
     print(json.dumps(report, indent=2))
     return 0
@@ -265,7 +265,7 @@ def _cmd_gradcheck(args) -> int:
 
     if args.configs < 1:
         raise UsageError(f"--configs must be >= 1, got {args.configs}")
-    results = run_gradient_suite(n_configs=args.configs, seed=args.seed, h=1e-5)
+    results = run_gradient_suite(n_configs=args.configs, seed=args.seed)
     worst = max(err for _, err in results)
     for name, err in results:
         print(f"{name}: max relative error {err:.3e}")

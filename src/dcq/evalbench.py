@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .model import MlpParams, extract_features
-from .numerics import Tensor
+from .numerics import NORM_EPS, Tensor
 from .synthdata import TAIL_THRESHOLD, EvalProtocol, IdentityUniverse, build_instance_table
 
 # Bucket edges straddle the <10-instances tail definition.
@@ -26,9 +26,9 @@ BUCKET_EDGES = (5, 10, 50)
 EMBED_BLOCK_ROWS = 256
 
 
-def _normalize(rows: np.ndarray, eps: float = 1e-12) -> np.ndarray:
+def _normalize(rows: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    return rows / np.maximum(norms, eps)
+    return rows / np.maximum(norms, NORM_EPS)
 
 
 def embed(extractor: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -82,15 +82,6 @@ def identification_hits(
     sims = _normalize(probe_emb) @ _normalize(gallery_emb).T
     nearest = sims.argmax(axis=1)  # argmax returns the first (lowest) index on ties
     return np.asarray(gallery_labels)[nearest] == np.asarray(probe_labels)
-
-
-def identification_rank1(
-    probe_emb: np.ndarray,
-    gallery_emb: np.ndarray,
-    probe_labels: np.ndarray,
-    gallery_labels: np.ndarray,
-) -> float:
-    return float(identification_hits(probe_emb, gallery_emb, probe_labels, gallery_labels).mean())
 
 
 def evaluate_protocol(extractor: MlpParams, protocol: EvalProtocol, counts: np.ndarray) -> dict:
@@ -192,13 +183,13 @@ class AlignmentReport:
     class_counts: dict = field(default_factory=dict)
 
 
-def _bucket_name(count: int, edges=BUCKET_EDGES) -> str:
+def _bucket_name(count: int) -> str:
     lo = 0
-    for edge in edges:
+    for edge in BUCKET_EDGES:
         if count < edge:
             return f"<{edge}" if lo == 0 else f"{lo}-{edge - 1}"
         lo = edge
-    return f">={edges[-1]}"
+    return f">={BUCKET_EDGES[-1]}"
 
 
 def tail_alignment_diagnostic(

@@ -42,7 +42,7 @@ def _general_position(params, gen: np.random.Generator) -> None:
             layer.slope.data += gen.uniform(-0.1, 0.1)
 
 
-def check_dcq_loss(seed: int, h: float = 1e-5) -> float:
+def check_dcq_loss(seed: int) -> float:
     """Max relative FD error of the queue loss for one random configuration."""
     gen = rng.stream(seed, 101)
     dims = _random_dims(gen)
@@ -77,10 +77,10 @@ def check_dcq_loss(seed: int, h: float = 1e-5) -> float:
         loss, _ = dcq_cosface_loss(l_pos, l_neg, s=s, m=m, tape=tape)
         return loss
 
-    return finite_difference_check(fn, params, h=h)
+    return finite_difference_check(fn, params)
 
 
-def check_fc_loss(seed: int, h: float = 1e-5) -> float:
+def check_fc_loss(seed: int) -> float:
     """Max relative FD error of the full-FC CosFace loss for one configuration."""
     gen = rng.stream(seed, 102)
     dims = _random_dims(gen)
@@ -100,13 +100,13 @@ def check_fc_loss(seed: int, h: float = 1e-5) -> float:
         loss, _ = fc_cosface_loss(feats, head, y, s=s, m=m, tape=tape)
         return loss
 
-    return finite_difference_check(fn, params, h=h)
+    return finite_difference_check(fn, params)
 
 
-def run_gradient_suite(n_configs: int = 20, seed: int = 1, h: float = 1e-5):
+def run_gradient_suite(n_configs: int = 20, seed: int = 1):
     """(name, max relative error) for every randomized configuration."""
     results = []
     for i in range(n_configs):
-        results.append((f"dcq[{i}]", check_dcq_loss(seed * 1000 + i, h=h)))
-        results.append((f"cosface[{i}]", check_fc_loss(seed * 1000 + i, h=h)))
+        results.append((f"dcq[{i}]", check_dcq_loss(seed * 1000 + i)))
+        results.append((f"cosface[{i}]", check_fc_loss(seed * 1000 + i)))
     return results

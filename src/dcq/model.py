@@ -105,9 +105,9 @@ class MlpParams:
         """A new buffer laid out as ``flat`` holding ``value_of(p)`` in each parameter p's slot."""
         return np.concatenate([value_of(p).reshape(-1) for p in self.buffer_order])
 
-    def copy(self, requires_grad: bool = False) -> "MlpParams":
-        """Deep copy into a new buffer; shadow copies default to gradient-free parameters."""
-        return MlpParams(self.layer_dims, self.flat.copy(), requires_grad)
+    def copy(self) -> "MlpParams":
+        """Gradient-free deep copy into a new buffer, as the EMA shadow."""
+        return MlpParams(self.layer_dims, self.flat.copy(), requires_grad=False)
 
 
 def init_extractor(layer_dims: list[int], seed: int) -> MlpParams:

@@ -23,6 +23,8 @@ from .errors import ConfigError, ContractError, NumericError, ShapeError
 
 _uid_counter = itertools.count()
 
+NORM_EPS = 1e-12  # l2_normalize's floor on a norm, so zero vectors stay finite
+
 
 class Tensor:
     """A dense, row-major float64 array with an identity for gradient bookkeeping.
@@ -189,18 +191,18 @@ def dense(
     return out
 
 
-def l2_normalize(x: Tensor, axis: int = 1, eps: float = 1e-12, tape: Tape | None = None) -> Tensor:
-    """Divide each row (axis=1) or column (axis=0) by max(‖·‖₂, eps); eps guards zeros."""
+def l2_normalize(x: Tensor, axis: int = 1, tape: Tape | None = None) -> Tensor:
+    """Divide each row (axis=1) or column (axis=0) by max(‖·‖₂, NORM_EPS)."""
     if x.data.ndim != 2 or axis not in (0, 1):
         raise ShapeError(f"l2_normalize expects a matrix and axis 0 or 1, got {x.shape}, {axis}")
     norms = np.sqrt((x.data * x.data).sum(axis=axis, keepdims=True))
-    denom = np.maximum(norms, eps)
+    denom = np.maximum(norms, NORM_EPS)
     y = x.data / denom
     out = Tensor(y)
     if tape is None:
         return out
 
-    def vjp(g, y=y, denom=denom, clamped=(norms <= eps)):
+    def vjp(g, y=y, denom=denom, clamped=(norms <= NORM_EPS)):
         # normalization Jacobian (I − yyᵀ)/r per vector; clamped vectors have
         # a constant denominator, hence no projection term
         # in place on one scratch array: the values of (g − dot·y)/denom

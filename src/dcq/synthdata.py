@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .numerics import Tensor
 
 DATASET_MAGIC = b"DCQD"
@@ -40,15 +40,17 @@ TAIL_THRESHOLD = 10  # the paper's MF2 tail: identities with fewer instances
 class IdentityUniverse:
     """C unit-norm cluster centers in d_in dimensions plus a noise scale."""
 
-    C: int
-    d_in: int
     sigma: float
     seed: int
     centers: np.ndarray  # C × d_in, rows unit norm
 
-    def __post_init__(self):
-        if self.centers.shape != (self.C, self.d_in):
-            raise ShapeError(f"centers shape {self.centers.shape} != ({self.C}, {self.d_in})")
+    @property
+    def C(self) -> int:
+        return self.centers.shape[0]
+
+    @property
+    def d_in(self) -> int:
+        return self.centers.shape[1]
 
 
 @dataclass
@@ -123,7 +125,7 @@ def build_universe(C: int, d_in: int, sigma: float, seed: int) -> IdentityUniver
     centers = rng.normal_rows(d_in, seed, rng.CENTERS, np.arange(C))
     # each stacked row·row product is the ddot that np.linalg.norm(row) runs
     centers /= np.sqrt((centers[:, None, :] @ centers[:, :, None])[:, 0])
-    return IdentityUniverse(C=C, d_in=d_in, sigma=float(sigma), seed=int(seed), centers=centers)
+    return IdentityUniverse(sigma=float(sigma), seed=int(seed), centers=centers)
 
 
 def assign_longtail_counts(spec: LongTailSpec, C: int) -> np.ndarray:
@@ -153,26 +155,12 @@ def _noise(universe: IdentityUniverse, substream: int, identity: int, index: int
     return universe.sigma * gen.standard_normal(universe.d_in)
 
 
-def draw_instance(
-    universe: IdentityUniverse,
-    identity: int,
-    instance_index: int,
-    counts: np.ndarray | None = None,
-) -> np.ndarray:
-    """Center plus per-(identity, index) Gaussian noise; not re-normalized.
-
-    When ``counts`` is supplied the instance index is validated against the
-    identity's instance budget.
-    """
+def draw_instance(universe: IdentityUniverse, identity: int, instance_index: int) -> np.ndarray:
+    """Center plus per-(identity, index) Gaussian noise; not re-normalized."""
     if not 0 <= identity < universe.C:
         raise IndexError(f"identity {identity} out of range [0, {universe.C})")
     if instance_index < 0:
         raise IndexError(f"negative instance index {instance_index}")
-    if counts is not None and instance_index >= counts[identity]:
-        raise IndexError(
-            f"instance {instance_index} out of range for identity {identity} "
-            f"with {counts[identity]} instances"
-        )
     return universe.centers[identity] + _noise(universe, INSTANCE_QUERY, identity, instance_index)
 
 

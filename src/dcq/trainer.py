@@ -90,18 +90,18 @@ class TrainConfig:
     checkpoint_every: int = 0
 
     def replace(self, **kwargs) -> "TrainConfig":
-        for key in kwargs:
-            if key not in self.__dataclass_fields__:
-                raise ConfigError(f"unknown config field {key!r}")
+        unknown = sorted(kwargs.keys() - self.__dataclass_fields__.keys())
+        if unknown:
+            raise ConfigError(f"unknown config fields: {unknown}")
         return dataclasses.replace(self, **kwargs)
 
     def resolve(self) -> "TrainConfig":
-        """Fill method-dependent defaults and validate the result."""
+        """Fill method-dependent defaults, then check every value."""
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         self._check_types()
         is_dcq = self.method == METHOD_DCQ
-        filled = self.replace(
+        cfg = self.replace(
             s=self.s if self.s is not None else (cq.DEFAULT_SCALE if is_dcq else fc.DEFAULT_SCALE),
             m=self.m if self.m is not None else (cq.DEFAULT_MARGIN if is_dcq else fc.DEFAULT_MARGIN),
             lr0=self.lr0 if self.lr0 is not None else (0.06 if is_dcq else 0.1),
@@ -109,8 +109,43 @@ class TrainConfig:
             decay_epochs=tuple(int(e) for e in self.decay_epochs),
             hidden_dims=tuple(int(h) for h in self.hidden_dims),
         )
-        filled.validate()
-        return filled
+        if cfg.sampling not in ("instance", "class"):
+            raise ConfigError(f"sampling must be 'instance' or 'class', got {cfg.sampling!r}")
+        # chained comparisons reject NaN and infinities
+        if not 0.0 < cfg.s < math.inf:
+            raise ConfigError(f"s must be finite and > 0, got {cfg.s}")
+        if not 0.0 <= cfg.m < 1.0:
+            raise ConfigError(f"margin must lie in [0, 1), got {cfg.m}")
+        if not 0.0 <= cfg.alpha <= 1.0:
+            raise ConfigError(f"alpha must lie in [0, 1], got {cfg.alpha}")
+        if cfg.B < 1 or cfg.epochs < 1:
+            raise ConfigError("batch size and epochs must be positive")
+        if cfg.method == METHOD_DCQ and cfg.K < cfg.B:
+            raise ConfigError(f"queue size K={cfg.K} must be >= batch size B={cfg.B}")
+        if not 0.0 < cfg.decay_factor <= 1.0:
+            raise ConfigError(f"decay factor must lie in (0, 1], got {cfg.decay_factor}")
+        if not 0.0 < cfg.lr0 < math.inf:
+            raise ConfigError(f"lr0 must be finite and > 0, got {cfg.lr0}")
+        if not 0.0 <= cfg.sgd_momentum < 1.0:
+            raise ConfigError(f"sgd_momentum must lie in [0, 1), got {cfg.sgd_momentum}")
+        if not 0.0 <= cfg.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {cfg.weight_decay}")
+        if min(cfg.decay_epochs, default=0) < 0:
+            raise ConfigError(f"decay_epochs must be >= 0, got {list(cfg.decay_epochs)}")
+        if cfg.checkpoint_every < 0:
+            raise ConfigError(f"checkpoint_every must be >= 0, got {cfg.checkpoint_every}")
+        if not 0.0 <= cfg.sigma < math.inf:
+            raise ConfigError(f"sigma must be finite and >= 0, got {cfg.sigma}")
+        if min(cfg.n_classes, cfg.eval_probes, *cfg.layer_dims) < 1 or cfg.eval_pairs < 2:
+            raise ConfigError(
+                "n_classes, layer dims and eval_probes must be positive, eval_pairs >= 2"
+            )
+        if min(cfg.eval_distractors, cfg.n_reserved) < 0:
+            raise ConfigError("eval_distractors and n_reserved must be >= 0")
+        # keys reduce the seed modulo 2**64, so a seed outside would rerun another
+        if not 0 <= cfg.seed < 2**64:
+            raise ConfigError(f"seed must lie in [0, 2**64), got {cfg.seed}")
+        return cfg
 
     def _check_types(self) -> None:
         # the field annotations are strings: "int", "float | None", "tuple[int, ...]"
@@ -127,66 +162,16 @@ class TrainConfig:
             if not ok:
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
 
-    def validate(self) -> None:
-        self._check_types()
-        if self.sampling not in ("instance", "class"):
-            raise ConfigError(f"sampling must be 'instance' or 'class', got {self.sampling!r}")
-        # chained comparisons reject NaN and infinities
-        if self.s is not None and not 0.0 < self.s < math.inf:
-            raise ConfigError(f"s must be finite and > 0, got {self.s}")
-        if self.m is not None and not 0.0 <= self.m < 1.0:
-            raise ConfigError(f"margin must lie in [0, 1), got {self.m}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.B < 1 or self.epochs < 1:
-            raise ConfigError("batch size and epochs must be positive")
-        if self.method == METHOD_DCQ and self.K is not None and self.K < self.B:
-            raise ConfigError(f"queue size K={self.K} must be >= batch size B={self.B}")
-        if not 0.0 < self.decay_factor <= 1.0:
-            raise ConfigError(f"decay factor must lie in (0, 1], got {self.decay_factor}")
-        if self.lr0 is not None and not 0.0 < self.lr0 < math.inf:
-            raise ConfigError(f"lr0 must be finite and > 0, got {self.lr0}")
-        if not 0.0 <= self.sgd_momentum < 1.0:
-            raise ConfigError(f"sgd_momentum must lie in [0, 1), got {self.sgd_momentum}")
-        if not 0.0 <= self.weight_decay < math.inf:
-            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
-        if min(self.decay_epochs, default=0) < 0:
-            raise ConfigError(f"decay_epochs must be >= 0, got {list(self.decay_epochs)}")
-        if self.checkpoint_every < 0:
-            raise ConfigError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
-        if not 0.0 <= self.sigma < math.inf:
-            raise ConfigError(f"sigma must be finite and >= 0, got {self.sigma}")
-        if min(self.n_classes, self.eval_probes, *self.layer_dims) < 1 or self.eval_pairs < 2:
-            raise ConfigError(
-                "n_classes, layer dims and eval_probes must be positive, eval_pairs >= 2"
-            )
-        if min(self.eval_distractors, self.n_reserved) < 0:
-            raise ConfigError("eval_distractors and n_reserved must be >= 0")
-        # keys reduce the seed modulo 2**64, so a seed outside would rerun another
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
-
     @property
     def layer_dims(self) -> list[int]:
         return [self.d_in, *self.hidden_dims, self.embed_dim]
 
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["decay_epochs"] = list(self.decay_epochs)
-        out["hidden_dims"] = list(self.hidden_dims)
-        return out
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
-        fields = set(cls.__dataclass_fields__)
-        unknown = set(data) - fields
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        kwargs = dict(data)
-        for key in ("decay_epochs", "hidden_dims"):
-            if isinstance(kwargs.get(key), list):
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        return cls().replace(**data)
 
 
 def _is_int(value) -> bool:

@@ -75,7 +75,7 @@ def bench_run(variant: str) -> dict:
 class TestCriterion1Gradients:
     def test_randomized_finite_difference_suite(self):
         start = time.perf_counter()
-        results = run_gradient_suite(n_configs=20, seed=1, h=1e-5)
+        results = run_gradient_suite(n_configs=20, seed=1)
         elapsed = time.perf_counter() - start
         worst = max(err for _, err in results)
         ok = worst <= 1e-5 and elapsed < 60.0

@@ -15,7 +15,6 @@ from dcq.evalbench import (
     evaluate_protocol,
     head_cost_report,
     identification_hits,
-    identification_rank1,
     run_experiment_grid,
     tail_alignment_diagnostic,
     verification_accuracy,
@@ -158,9 +157,9 @@ class TestIdentificationRank1:
         g = 10
         gallery = rng.standard_normal((g, 64))
         probes = rng.standard_normal((2000, 64))
-        rank1 = identification_rank1(
+        rank1 = identification_hits(
             probes, gallery, rng.integers(0, g, 2000), np.arange(g)
-        )
+        ).mean()
         assert abs(rank1 - 1.0 / g) < 0.03
 
     def test_ties_break_to_lowest_gallery_index(self):
@@ -177,9 +176,9 @@ class TestIdentificationRank1:
         probes = rng.standard_normal((30, 16))
         labels = np.arange(12)
         probe_labels = rng.integers(0, 12, 30)
-        r1 = identification_rank1(probes, gal, probe_labels, labels)
+        r1 = identification_hits(probes, gal, probe_labels, labels).mean()
         perm = rng.permutation(12)
-        r2 = identification_rank1(probes, gal[perm], probe_labels, labels[perm])
+        r2 = identification_hits(probes, gal[perm], probe_labels, labels[perm]).mean()
         assert r1 == r2
 
     def test_distractors_never_increase_rank1(self):
@@ -187,15 +186,15 @@ class TestIdentificationRank1:
         gal = rng.standard_normal((8, 16))
         probes = rng.standard_normal((40, 16))
         probe_labels = rng.integers(0, 8, 40)
-        r_plain = identification_rank1(probes, gal, probe_labels, np.arange(8))
+        r_plain = identification_hits(probes, gal, probe_labels, np.arange(8)).mean()
         for n_extra in (1, 5, 20):
             extra = rng.standard_normal((n_extra, 16))
-            r_more = identification_rank1(
+            r_more = identification_hits(
                 probes,
                 np.vstack([gal, extra]),
                 probe_labels,
                 np.concatenate([np.arange(8), 100 + np.arange(n_extra)]),
-            )
+            ).mean()
             assert r_more <= r_plain
             r_plain = r_more
 

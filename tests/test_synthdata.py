@@ -105,12 +105,10 @@ class TestDrawInstance:
 
     def test_index_validation(self):
         u = build_universe(3, 6, 0.2, seed=3)
-        counts = np.array([4, 2, 1])
         with pytest.raises(IndexError):
             draw_instance(u, 5, 0)
         with pytest.raises(IndexError):
-            draw_instance(u, 1, 2, counts=counts)
-        draw_instance(u, 1, 1, counts=counts)  # in range
+            draw_instance(u, 1, -1)
 
     def test_law_of_large_numbers(self):
         sigma = 0.3
