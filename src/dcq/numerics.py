@@ -23,7 +23,7 @@ from .errors import ConfigError, ContractError, NumericError, ShapeError
 
 _uid_counter = itertools.count()
 
-NORM_EPS = 1e-12  # l2_normalize's floor on a norm, so zero vectors stay finite
+NORM_EPS = 1e-12  # the floor on a norm when normalizing, so zero vectors stay finite
 
 
 class Tensor:

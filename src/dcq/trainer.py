@@ -250,10 +250,16 @@ class QueueHead:
         return {"queue_cursor": self.queue.cursor}
 
     def restore(self, arrays: dict, progress: dict) -> None:
-        """Take a checkpoint's cursor; raise CheckpointError unless it and the labels fit."""
+        """Take a checkpoint's cursor; raise CheckpointError unless it and the labels fit.
+
+        Every step enqueues B rows, so the cursor is (global_step × B) mod K.
+        """
         cursor, K, C = progress.get("queue_cursor"), self.cfg.K, self.cfg.n_classes
-        if not (_is_int(cursor) and 0 <= cursor < K):
-            raise CheckpointError(f"checkpoint state.queue_cursor {cursor!r} is not in [0, {K})")
+        expected = progress["global_step"] * self.cfg.B % K
+        if not (_is_int(cursor) and cursor == expected):
+            raise CheckpointError(
+                f"checkpoint state.queue_cursor {cursor!r} is not (global_step × B) mod K = {expected}"
+            )
         if not np.isin(arrays["queue.labels"], np.arange(-1, C)).all():
             raise CheckpointError(f"checkpoint queue.labels must be integers in [-1, {C})")
         self.queue.cursor = cursor
@@ -305,6 +311,11 @@ class TrainResult:
     def optimizer_state(self) -> dict[str, np.ndarray]:
         """Each trained parameter's SGD velocity by name: the extractor's views, then the head's."""
         return {**dict(self.extractor.views(self.velocity)), **self.head.velocities}
+
+    @property
+    def steps_per_epoch(self) -> int:
+        """Batches per epoch: the head's training instances over B, at least one."""
+        return max(1, int(self.head.train_counts.sum()) // self.config.B)
 
 
 def _build_run_state(cfg: TrainConfig) -> TrainResult:
@@ -379,13 +390,23 @@ def _restore_from_checkpoint(state: TrainResult, progress: dict, arrays: dict) -
 
 
 def _load_run_state(path) -> tuple[TrainResult, int]:
-    """The run state a checkpoint holds, built from its own config, and its next epoch."""
+    """The run state a checkpoint holds, built from its own config, and its next epoch.
+
+    The progress must be an epoch end of that run: ``epoch_next`` ≤ epochs
+    and ``global_step`` = ``epoch_next`` × steps per epoch.
+    """
     meta, arrays = load_checkpoint(path)
     config_dict, progress = _checkpoint_meta(meta)
     state = _build_run_state(TrainConfig.from_dict(config_dict).resolve())
+    epoch_next, step, epochs = progress["epoch_next"], progress["global_step"], state.config.epochs
+    if epoch_next > epochs or step != epoch_next * state.steps_per_epoch:
+        raise CheckpointError(
+            f"checkpoint state epoch_next {epoch_next}, global_step {step} is not an epoch end "
+            f"of {epochs} epochs of {state.steps_per_epoch} steps"
+        )
     _restore_from_checkpoint(state, progress, arrays)
-    state.final_step = progress["global_step"]
-    return state, progress["epoch_next"]
+    state.final_step = step
+    return state, epoch_next
 
 
 def periodic_checkpoints(cfg: TrainConfig) -> dict[int, str]:
@@ -425,7 +446,6 @@ def run_training(
 
     global_step = result.final_step
     table = build_instance_table(result.universe, head.train_counts)
-    steps_per_epoch = max(1, int(head.train_counts.sum()) // cfg.B)
     plan = PairPlan(table, cfg.B, cfg.sampling, cfg.seed)
     checkpoint_names = periodic_checkpoints(cfg) if checkpoint_dir is not None else {}
 
@@ -434,7 +454,7 @@ def run_training(
         epoch_start = time.perf_counter()
         lr = lr_at_step(cfg, epoch)
         epoch_losses = []
-        for _ in range(steps_per_epoch):
+        for _ in range(result.steps_per_epoch):
             batch = make_pair_batch(plan, global_step)
             tape = Tape()
             feats = extract_features(extractor, batch.x_t, tape)

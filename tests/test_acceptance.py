@@ -300,6 +300,16 @@ class TestCriterion8LongTailBenchmark:
         )
 
 
+    def test_dcq_beats_full_fc_on_the_tail(self):
+        # the north star's tail ordering, on the runs test_long_tail_orderings trains
+        dcq, full = bench_run("dcq"), bench_run("full")
+        _report(
+            8,
+            f"long-tail analog: dcq tail rank-1 {dcq['tail_rank1']:.4f} > full "
+            f"{full['tail_rank1']:.4f}",
+            dcq["tail_rank1"] > full["tail_rank1"],
+        )
+
 class TestCriterion9MomentumSweep:
     def test_alpha_ordering(self):
         smooth = bench_run("dcq")          # alpha = 0.999

@@ -487,6 +487,16 @@ class TestBadCheckpointMetadata:
         assert not out.exists()
 
 
+    def test_resume_past_the_last_epoch(self, tmp_path, capsys):
+        past = {"epoch_next": 99}
+        config, path = self._damaged(
+            tmp_path, capsys, lambda meta: meta["state"].update(past), checkpoint_every=1
+        )
+        out = tmp_path / "resumed"
+        code = cli.main(["train", "--config", config, "--out", str(out), "--resume", str(path)])
+        self._one_line_error(capsys, code, "epoch_next")
+        assert not out.exists()
+
 class TestSweep:
     def test_sweep_writes_results(self, tmp_path, capsys):
         config = _write_config(tmp_path, epochs=1)

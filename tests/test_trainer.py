@@ -671,6 +671,48 @@ class TestResume:
         with pytest.raises(CheckpointError, match=key):
             run_training(cfg, resume_from=path)
 
+    # each damage leaves the other progress values as a real run has them at that point
+    @pytest.mark.parametrize("key", ["epoch_next", "global_step", "queue_cursor"])
+    def test_checkpoint_progress_must_fit_the_run(self, tmp_path, key):
+        from dcq.trainer import load_result_checkpoint
+
+        cfg = TrainConfig(method="dcq", checkpoint_every=1, **{**TINY, "epochs": 2})
+        run_training(cfg, checkpoint_dir=str(tmp_path))
+        path = tmp_path / "epoch_001.ckpt"
+        meta, arrays = load_checkpoint(path)
+        state = meta["state"]
+        steps_per_epoch, B, K = state["global_step"], cfg.B, cfg.K
+        if key == "epoch_next":  # one epoch past the run's end
+            state["epoch_next"] = cfg.epochs + 1
+            state["global_step"] = state["epoch_next"] * steps_per_epoch
+            state["queue_cursor"] = state["global_step"] * B % K
+        elif key == "global_step":  # resuming would replay later batches
+            state["global_step"] += 1
+            state["queue_cursor"] = state["global_step"] * B % K
+        else:  # in [0, K), but not where the run left it
+            state["queue_cursor"] = (state["queue_cursor"] + 1) % K
+        save_checkpoint(path, meta, arrays)
+        with pytest.raises(CheckpointError, match=key):
+            load_result_checkpoint(path)
+        with pytest.raises(CheckpointError, match=key):
+            run_training(cfg, resume_from=path)
+
+    @pytest.mark.parametrize("method", ["dcq", "cosface-full", "cosface-head-only"])
+    def test_every_checkpoint_a_run_writes_loads(self, tmp_path, method):
+        from dcq.trainer import load_result_checkpoint
+
+        cfg = TrainConfig(method=method, checkpoint_every=1, min_instances=4, **TINY)
+        result = run_training(cfg, checkpoint_dir=str(tmp_path))
+        save_result_checkpoint(tmp_path / "final.ckpt", result)
+        paths = sorted(tmp_path.glob("*.ckpt"))
+        assert len(paths) == cfg.epochs + 1
+        for path in paths:
+            state = load_checkpoint(path)[0]["state"]
+            assert load_result_checkpoint(path).final_step == state["global_step"]
+            resumed = run_training(cfg, resume_from=path)
+            assert resumed.final_step == result.final_step
+            assert resumed.final_eval == result.final_eval
+
     def test_restore_writes_through_the_views(self, tmp_path):
         from dcq.trainer import _build_run_state, _checkpoint_meta, _restore_from_checkpoint
 
