@@ -81,7 +81,9 @@ class ClassQueue:
 
     Slots never written hold the sentinel label and are muted from every
     loss until they fill; the cursor always points at the oldest slot,
-    which is the next to be overwritten.
+    which is the next to be overwritten. Slots fill in order from slot 0,
+    so until slot K−1 is written the unfilled slots are exactly cursor..K−1;
+    code that writes ``labels`` directly must keep that.
     """
 
     def __init__(self, embed_dim: int, capacity: int):
@@ -109,10 +111,14 @@ class ClassQueue:
         y = np.asarray(y, dtype=np.int64)
         if y.shape != (n_new,):
             raise ShapeError(f"labels {y.shape} for {n_new} weights")
-        slots = (self.cursor + np.arange(n_new)) % self.capacity
-        self.weights[:, slots] = w.data.T
-        self.labels[slots] = y
-        self.cursor = int((self.cursor + n_new) % self.capacity)
+        start = self.cursor
+        head = min(n_new, self.capacity - start)
+        self.weights[:, start : start + head] = w.data[:head].T
+        self.labels[start : start + head] = y[:head]
+        if head < n_new:  # the rest wraps round to slot 0
+            self.weights[:, : n_new - head] = w.data[head:].T
+            self.labels[: n_new - head] = y[head:]
+        self.cursor = (start + n_new) % self.capacity
 
 
 def dcq_logits_with_mask(
@@ -142,7 +148,9 @@ def dcq_logits_with_mask(
     # softmax probability underflows to 0, so its gradient is exactly 0
     labels = queue.labels
     l_neg.data[labels[None, :] == y[:, None]] = MASK_VALUE
-    l_neg.data[:, labels == SENTINEL_LABEL] = MASK_VALUE
+    # slots fill from 0: while the last is unfilled, the unfilled ones are cursor..K-1
+    if labels[-1] == SENTINEL_LABEL:
+        l_neg.data[:, queue.cursor :] = MASK_VALUE
     return l_pos, l_neg
 
 

@@ -134,14 +134,12 @@ def head_cost_report(
     D: int,
     B: int,
     bytes_per_float: int = 4,
-    generator_layer_dims: list[int] | None = None,
 ) -> CostReport:
     """Memory and MAC accounting for a full-FC head versus the queue.
 
     The full head stores C·D floats plus the same again in optimizer
     momentum; the queue stores K·D floats and carries no optimizer state.
-    The queue's MACs include one generator forward per batch when layer
-    dims are supplied.
+    MACs per batch are the head's cosine matmul: B·D·C, or B·D·(K+1).
     """
     sizes = {"C": C, "K": K, "D": D, "B": B, "bytes_per_float": bytes_per_float}
     for name, value in sizes.items():
@@ -158,15 +156,11 @@ def head_cost_report(
             param_bytes_ratio=1.0,
         )
     if method == "dcq":
-        gen_macs = 0
-        if generator_layer_dims:
-            dims = list(generator_layer_dims)
-            gen_macs = B * sum(i * o for i, o in zip(dims[:-1], dims[1:]))
         return CostReport(
             method=method, class_count=C, queue_size=K, embed_dim=D, batch_size=B,
             bytes_per_float=bytes_per_float,
             head_param_bytes=K * D * bytes_per_float,
-            head_macs_per_batch=B * D * (K + 1) + gen_macs,
+            head_macs_per_batch=B * D * (K + 1),
             optimizer_state_bytes=0,
             param_bytes_ratio=K / C,
         )

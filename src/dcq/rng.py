@@ -51,11 +51,16 @@ def _splitmix64_array(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+def _mix(h: int, part) -> int:
+    """The key hash after one more integer path component."""
+    return _splitmix64(h ^ _splitmix64((int(part) & _MASK64) ^ _PATH_SALT))
+
+
 def derive_key(seed: int, *path: int) -> list[int]:
     """Mix a seed and integer path components into two 64-bit key words."""
     h = _splitmix64(seed & _MASK64)
     for part in path:
-        h = _splitmix64(h ^ _splitmix64((int(part) & _MASK64) ^ _PATH_SALT))
+        h = _mix(h, part)
     return [h, _splitmix64(h ^ _GAMMA)]
 
 
@@ -69,11 +74,16 @@ def philox_keys(seed: int, *path) -> np.ndarray:
 
     Path components are integers or 1-D integer arrays; they broadcast to
     N rows. Row i equals ``stream(seed, *path_i)``'s Philox key, including
-    the float64 rounding of keys whose words straddle 2**63.
+    the float64 rounding of keys whose words straddle 2**63. The leading
+    scalar components are hashed into the seed with Python ints, as
+    ``derive_key`` does, so only the array columns and what follows them
+    take the array passes.
     """
+    h, path = _splitmix64(seed & _MASK64), list(path)
+    while path and np.ndim(path[0]) == 0:
+        h = _mix(h, path.pop(0))
     cols = np.broadcast_arrays(*(np.atleast_1d(np.asarray(p, dtype=np.int64)) for p in path))
-    n = cols[0].size if cols else 1
-    h = np.full(n, _splitmix64(seed & _MASK64), dtype=np.uint64)
+    h = np.full(cols[0].size if cols else 1, h, dtype=np.uint64)
     for col in cols:
         part = _splitmix64_array(col.ravel().astype(np.uint64) ^ np.uint64(_PATH_SALT))
         h = _splitmix64_array(h ^ part)
@@ -108,6 +118,18 @@ class Rekeyer:
         self._key_state["key"] = key
         self._bitgen.state = self._state
         return self._gen
+
+    def raw_words(self, keys: np.ndarray, n_words: int) -> np.ndarray:
+        """S × n_words: the first raw 64-bit words of the stream of each key row."""
+        words = np.empty((keys.shape[0], n_words), dtype=np.uint64)
+        bitgen, state, key_state = self._bitgen, self._state, self._key_state
+        random_raw = bitgen.random_raw
+        # rekey's two statements inline, with no lookups left in the per-key loop
+        for row, key in zip(words, keys.tolist()):
+            key_state["key"] = key
+            bitgen.state = state
+            row[:] = random_raw(n_words)
+        return words
 
 
 def normal_rows(d: int, seed: int, *path) -> np.ndarray:

@@ -240,11 +240,11 @@ def make_pair_batch(plan: PairPlan, step: int) -> PairBatch:
     i = step - plan.first
     if not 0 <= i < plan.single.size:
         keys = rng.philox_keys(plan.seed, rng.BATCH, np.arange(step, step + PLAN_BLOCK_STEPS))
-        words = _block_words(plan.rekeyer, keys, _words_per_step(plan.batch_size, plan.mode))
+        words = plan.rekeyer.raw_words(keys, _words_per_step(plan.batch_size, plan.mode))
         plan.labels, plan.rows, plan.single = _plan_words(plan, words)
         plan.first, i = step, 0
     table, B = plan.table, plan.batch_size
-    x = np.take(table.data, plan.rows[i], axis=0)
+    x = table.data.take(plan.rows[i], axis=0)
     y = plan.labels[i].copy()
     if plan.single[i]:
         single = np.flatnonzero(table.counts[y] == 1)
@@ -262,14 +262,6 @@ def _words_per_step(batch_size: int, mode: str) -> int:
     draws, all of half a word.
     """
     return 2 * batch_size if mode == "instance" else (3 * batch_size + 1) // 2
-
-
-def _block_words(rekeyer: rng.Rekeyer, keys: np.ndarray, n_words: int) -> np.ndarray:
-    """S × n_words: the first raw 64-bit words of the stream of each key row."""
-    words = np.empty((keys.shape[0], n_words), dtype=np.uint64)
-    for row, key in zip(words, keys.tolist()):
-        row[:] = rekeyer.rekey(key).bit_generator.random_raw(n_words)
-    return words
 
 
 def _halves(words: np.ndarray) -> np.ndarray:

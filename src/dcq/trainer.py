@@ -252,16 +252,24 @@ class QueueHead:
     def restore(self, arrays: dict, progress: dict) -> None:
         """Take a checkpoint's cursor; raise CheckpointError unless it and the labels fit.
 
-        Every step enqueues B rows, so the cursor is (global_step × B) mod K.
+        Every step enqueues B rows from slot 0 on, so the cursor is
+        (global_step × B) mod K and the sentinel labels sit on exactly the
+        slots from min(global_step × B, K) on.
         """
         cursor, K, C = progress.get("queue_cursor"), self.cfg.K, self.cfg.n_classes
-        expected = progress["global_step"] * self.cfg.B % K
+        enqueued = progress["global_step"] * self.cfg.B
+        filled, expected = min(enqueued, K), enqueued % K
         if not (_is_int(cursor) and cursor == expected):
             raise CheckpointError(
                 f"checkpoint state.queue_cursor {cursor!r} is not (global_step × B) mod K = {expected}"
             )
-        if not np.isin(arrays["queue.labels"], np.arange(-1, C)).all():
+        labels = arrays["queue.labels"]
+        if not np.isin(labels, np.arange(-1, C)).all():
             raise CheckpointError(f"checkpoint queue.labels must be integers in [-1, {C})")
+        if not np.array_equal(labels == cq.SENTINEL_LABEL, np.arange(K) >= filled):
+            raise CheckpointError(
+                f"checkpoint queue.labels must hold the sentinel on exactly slots [{filled}, {K})"
+            )
         self.queue.cursor = cursor
 
 

@@ -228,11 +228,6 @@ class TestHeadCostReport:
         rep = head_cost_report("dcq", C=500, K=500, D=32, B=16)
         assert rep.param_bytes_ratio == 1.0
 
-    def test_generator_forward_macs(self):
-        rep = head_cost_report("dcq", C=100, K=10, D=4, B=2,
-                               generator_layer_dims=[8, 16, 4])
-        assert rep.head_macs_per_batch == 2 * 4 * 11 + 2 * (8 * 16 + 16 * 4)
-
     def test_bad_inputs(self):
         with pytest.raises(ConfigError):
             head_cost_report("full", C=0, K=1, D=1, B=1)

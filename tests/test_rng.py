@@ -22,12 +22,20 @@ class TestPhiloxKeys:
         assert hex(int(rng.philox_keys(1, 2, 0, 5, 3)[0, 0])).endswith("7000")
 
     def test_broadcast_rows_match_derive_key(self):
+        # scalars before, between and after the array columns: only the
+        # leading run of scalars may fold into the seed hash
         idents = np.arange(300)
-        keys = rng.philox_keys(9, rng.INSTANCE_NOISE, 0, idents, idents % 4)
-        assert keys.shape == (300, 2) and keys.dtype == np.uint64
-        for i in idents:
-            applied = np.random.Philox(key=rng.derive_key(9, 2, 0, int(i), int(i) % 4))
-            np.testing.assert_array_equal(keys[i], applied.state["state"]["key"])
+        paths = [
+            lambda i: (rng.INSTANCE_NOISE, 0, i, i % 4),
+            lambda i: (rng.INSTANCE_NOISE, i, 0, i % 4),
+            lambda i: (i, i % 4, 7, rng.INSTANCE_NOISE),
+        ]
+        for path in paths:
+            keys = rng.philox_keys(9, *path(idents))
+            assert keys.shape == (300, 2) and keys.dtype == np.uint64
+            for i in idents:
+                applied = np.random.Philox(key=rng.derive_key(9, *path(int(i))))
+                np.testing.assert_array_equal(keys[i], applied.state["state"]["key"])
 
 
 class TestNormalRows:
@@ -67,6 +75,13 @@ class TestRekeyer:
             # a 32-bit draw leaves half a word buffered; the next re-key drops it
             assert gen.integers(10) == ref.integers(10)
             np.testing.assert_array_equal(gen.standard_normal(3), ref.standard_normal(3))
+        # the bulk words start each key's stream afresh, whatever the draws
+        # above left buffered
+        words = rekeyer.raw_words(rng.philox_keys(5, rng.BATCH, steps), 5)
+        assert words.shape == (300, 5) and words.dtype == np.uint64
+        for t in steps:
+            ref = rng.stream(5, rng.BATCH, int(t)).bit_generator.random_raw(5)
+            np.testing.assert_array_equal(words[t], ref)
 
     def test_offset_range_starts_at_its_first_key(self):
         ref = rng.stream(2, rng.BATCH, 70)

@@ -392,14 +392,14 @@ class TestPairPlan:
     def test_extreme_words_pick_the_first_and_last_rows(self, counts, mode, word, monkeypatch):
         # all-zero words draw row 0 and index 0 throughout; all-ones words
         # draw the last row and the top index of every bound
-        real = synthdata._block_words
+        real = rng.Rekeyer.raw_words
 
         def crafted(rekeyer, keys, n_words):
             words = real(rekeyer, keys, n_words)
             words[3] = word
             return words
 
-        monkeypatch.setattr(synthdata, "_block_words", crafted)
+        monkeypatch.setattr(rng.Rekeyer, "raw_words", crafted)
         plan = PairPlan(_table(counts), 4, mode, 2)
         make_pair_batch(plan, 0)
         batch = make_pair_batch(plan, 3)
@@ -417,14 +417,14 @@ class TestPairPlan:
         # all-zero words make every draw 0, among them draws numpy would
         # reject and redraw: a zero product word falls below
         # (2**32 - bound) % bound == 1 for the bounds 3 and 5
-        real = synthdata._block_words
+        real = rng.Rekeyer.raw_words
 
         def crafted(rekeyer, keys, n_words):
             words = real(rekeyer, keys, n_words)
             words[3] = 0
             return words
 
-        monkeypatch.setattr(synthdata, "_block_words", crafted)
+        monkeypatch.setattr(rng.Rekeyer, "raw_words", crafted)
         plan = PairPlan(_table([5, 3, 6]), 4, mode, 2)
         make_pair_batch(plan, 0)
         batch = make_pair_batch(plan, 3)

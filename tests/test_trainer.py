@@ -550,6 +550,29 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "K,slot,label",
+        [
+            pytest.param(8, 0, -1, id="sentinel-in-a-full-ring"),
+            # 4 steps of 8 rows fill slots 0..31 of 40
+            pytest.param(40, 35, 3, id="label-past-the-fill"),
+        ],
+    )
+    def test_sentinels_sit_on_exactly_the_unfilled_slots(self, tmp_path, K, slot, label):
+        from dcq.trainer import load_result_checkpoint
+
+        cfg = TrainConfig(method="dcq", **{**TINY, "epochs": 1, "K": K})
+        path = tmp_path / "final.ckpt"
+        save_result_checkpoint(path, run_training(cfg))
+        meta, arrays = load_checkpoint(path)
+        assert (arrays["queue.labels"] == SENTINEL_LABEL).sum() == K - min(K, 32)
+        arrays["queue.labels"][slot] = label
+        save_checkpoint(path, meta, arrays)
+        with pytest.raises(CheckpointError, match="queue.labels"):
+            load_result_checkpoint(path)
+        with pytest.raises(CheckpointError, match="queue.labels"):
+            run_training(cfg, resume_from=path)
+
 
 class TestResume:
     def test_resume_reproduces_uninterrupted_run(self, tmp_path):
