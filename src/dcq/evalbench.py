@@ -13,7 +13,7 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .model import MlpParams, extract_features
 from .numerics import NORM_EPS, Tensor
-from .synthdata import TAIL_THRESHOLD, EvalProtocol, IdentityUniverse, build_instance_table
+from .synthdata import TAIL_THRESHOLD, EvalProtocol, IdentityUniverse, InstanceRows
 
 # Bucket edges straddle the <10-instances tail definition.
 BUCKET_EDGES = (5, 10, 50)
@@ -198,8 +198,9 @@ def tail_alignment_diagnostic(
     ``head_w`` is the D×n matrix of learned columns; ``class_ids`` maps its
     columns to original identities (defaults to 0..n−1).
 
-    The instance table is embedded in blocks of about ``EMBED_BLOCK_ROWS``
-    rows and single-instance classes on their own 1-row input, since numpy
+    The head classes' training instances are drawn and embedded in blocks
+    of about ``EMBED_BLOCK_ROWS`` rows, and single-instance classes drawn
+    again on their own 1-row input, since numpy
     sends a 1-row matmul down the BLAS vector path. A row's embedding is
     then the one a per-class call gives whenever every layer width is a
     multiple of 8; at other widths OpenBLAS may round a row differently at
@@ -221,18 +222,18 @@ def tail_alignment_diagnostic(
     # only the head's classes need instances
     head_counts = np.zeros_like(counts)
     head_counts[class_ids] = counts[class_ids]
-    table = build_instance_table(universe, head_counts)
-    n_rows = table.data.shape[0]
+    rows = InstanceRows(universe, head_counts)
+    n_rows = rows.owner.size
     # near-equal blocks, so none holds a single row unless the table does
     bounds = np.linspace(0, n_rows, -(-n_rows // EMBED_BLOCK_ROWS) + 1).astype(np.int64)
     emb = np.empty((n_rows, extractor.d_out))
     for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        emb[lo:hi] = _normalize(embed(extractor, table.data[lo:hi]))
+        emb[lo:hi] = _normalize(embed(extractor, rows.draw(lo, hi)))
     n = counts[class_ids]
-    starts = table.starts[class_ids]
+    starts = rows.starts[class_ids]
     for row in starts[n == 1].tolist():
-        emb[row] = _normalize(embed(extractor, table.data[row : row + 1]))
-    del table  # free the inputs before the gathers below
+        emb[row] = _normalize(embed(extractor, rows.draw(row, row + 1)))
+    del rows  # free the row keys and layout before the gathers below
 
     means = np.zeros((n.size, extractor.d_out))
     names = np.empty(n.size, dtype=object)

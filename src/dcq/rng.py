@@ -23,8 +23,9 @@ _GAMMA = 0x9E3779B97F4A7C15
 _PATH_SALT = 0xD1B54A32D192ED03
 
 # Keys converted to Python ints at a time when re-keying; bounds the
-# transient int objects to a few tens of kB.
-_KEY_CHUNK = 256
+# transient int objects to a few tens of kB. Callers that draw rows a block
+# at a time use it as their block size.
+KEY_CHUNK = 256
 
 # Stream tags. Keep them unique package-wide so no two call sites can
 # collide on a key.
@@ -131,13 +132,16 @@ class Rekeyer:
             row[:] = random_raw(n_words)
         return words
 
+    def normal_rows(self, keys: np.ndarray, d: int) -> np.ndarray:
+        """S × d: row i is ``rekey(keys[i]).standard_normal(d)``."""
+        out = np.empty((keys.shape[0], d))
+        rekey = self.rekey
+        for lo in range(0, keys.shape[0], KEY_CHUNK):
+            for key, row in zip(keys[lo : lo + KEY_CHUNK].tolist(), out[lo : lo + KEY_CHUNK]):
+                rekey(key).standard_normal(out=row)
+        return out
+
 
 def normal_rows(d: int, seed: int, *path) -> np.ndarray:
     """N × d standard normals; row i is ``stream(seed, *path_i).standard_normal(d)``."""
-    keys = philox_keys(seed, *path)
-    out = np.empty((keys.shape[0], d))
-    rekey = Rekeyer().rekey
-    for lo in range(0, keys.shape[0], _KEY_CHUNK):
-        for key, row in zip(keys[lo : lo + _KEY_CHUNK].tolist(), out[lo : lo + _KEY_CHUNK]):
-            rekey(key).standard_normal(out=row)
-    return out
+    return Rekeyer().normal_rows(philox_keys(seed, *path), d)

@@ -8,16 +8,19 @@ the data and the bulk of identities sit in the tail.
 Everything here is a pure function of (config, seed): instances are drawn
 from counter-based streams keyed by (seed, stream, identity, index), so
 regeneration is order-independent and bit-identical. Training reads an
-``InstanceTable`` drawn once per run through the bulk key path;
-``draw_instance`` and ``heldout_instance`` stay the single-key definitions
-the table and the eval protocol must match. A training batch is defined on
-the first raw Philox words of its step's stream; ``make_pair_batch`` plans
-them a block of steps at a time.
+``InstanceTable`` drawn once per run; ``dcq gen-data`` and the
+tail-alignment diagnostic draw the same rows a block at a time through
+``InstanceRows``. ``draw_instance`` and ``heldout_instance`` stay the
+single-key definitions the table and the eval protocol must match. A
+training batch is defined on the first raw Philox words of its step's
+stream; ``make_pair_batch`` plans them a block of steps at a time.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -171,26 +174,49 @@ def heldout_instance(universe: IdentityUniverse, identity: int, index: int) -> n
     return universe.centers[identity] + _noise(universe, INSTANCE_HELDOUT, identity, index)
 
 
-def _instance_rows(universe: IdentityUniverse, idents: np.ndarray, seed: int, *path) -> np.ndarray:
-    """Row i: ``centers[idents[i]] + sigma * stream(seed, *path_i).standard_normal(d_in)``."""
-    rows = rng.normal_rows(universe.d_in, seed, *path)
+def _noisy_rows(
+    universe: IdentityUniverse, idents: np.ndarray, keys: np.ndarray, rekeyer: rng.Rekeyer
+) -> np.ndarray:
+    """Row i: ``centers[idents[i]] + sigma * rekeyer.rekey(keys[i]).standard_normal(d_in)``."""
+    rows = rekeyer.normal_rows(keys, universe.d_in)
     rows *= universe.sigma
     rows += universe.centers[idents]
     return rows
 
 
+class InstanceRows:
+    """The training instances of a universe, laid out by identity and drawn by row range.
+
+    Row ``starts[i] + k``, whose ``owner`` is i and ``index`` k, equals
+    ``draw_instance(universe, i, k)`` for ``k < counts[i]``; identities
+    with a zero count own no rows. The rows' Philox keys are derived once,
+    here, and ``draw`` re-keys one generator per row, so rows drawn a block
+    at a time carry the bits of one whole draw.
+    """
+
+    def __init__(self, universe: IdentityUniverse, counts: np.ndarray):
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.size > universe.C or (counts < 0).any():
+            raise ConfigError(f"counts must be {universe.C} or fewer non-negative entries")
+        self.universe, self.counts = universe, counts
+        self.starts = np.cumsum(counts) - counts
+        self.owner = np.repeat(np.arange(counts.size), counts)
+        self.index = np.arange(self.owner.size) - self.starts[self.owner]
+        self.keys = rng.philox_keys(
+            universe.seed, rng.INSTANCE_NOISE, INSTANCE_QUERY, self.owner, self.index
+        )
+        self.rekeyer = rng.Rekeyer()
+
+    def draw(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo..hi−1, (hi − lo) × d_in."""
+        return _noisy_rows(self.universe, self.owner[lo:hi], self.keys[lo:hi], self.rekeyer)
+
+
 def build_instance_table(universe: IdentityUniverse, counts: np.ndarray) -> InstanceTable:
     """Draw every training instance once; row values equal ``draw_instance``."""
-    counts = np.asarray(counts, dtype=np.int64)
-    if counts.size > universe.C or (counts < 0).any():
-        raise ConfigError(f"counts must be {universe.C} or fewer non-negative entries")
-    starts = np.cumsum(counts) - counts
-    owner = np.repeat(np.arange(counts.size), counts)
-    index = np.arange(owner.size) - starts[owner]
-    data = _instance_rows(
-        universe, owner, universe.seed, rng.INSTANCE_NOISE, INSTANCE_QUERY, owner, index
-    )
-    return InstanceTable(universe, counts, starts, owner, index, data)
+    rows = InstanceRows(universe, counts)
+    data = rows.draw(0, rows.owner.size)
+    return InstanceTable(universe, rows.counts, rows.starts, rows.owner, rows.index, data)
 
 
 # Steps whose draws make_pair_batch plans at once: enough to spread each
@@ -248,9 +274,8 @@ def make_pair_batch(plan: PairPlan, step: int) -> PairBatch:
     y = plan.labels[i].copy()
     if plan.single[i]:
         single = np.flatnonzero(table.counts[y] == 1)
-        x[B + single] = _instance_rows(
-            table.universe, y[single], plan.seed, rng.BATCH_REFERENCE, step, single
-        )
+        keys = rng.philox_keys(plan.seed, rng.BATCH_REFERENCE, step, single)
+        x[B + single] = _noisy_rows(table.universe, y[single], keys, plan.rekeyer)
     return PairBatch(x_t=Tensor(x[:B]), x_w=Tensor(x[B:]), y=y)
 
 
@@ -374,9 +399,8 @@ def build_eval_protocol(
         np.zeros(n_probe, dtype=np.int64), np.ones(n_probe, dtype=np.int64),
         np.zeros(n_distractors, dtype=np.int64),
     ])
-    rows = _instance_rows(
-        universe, idents, universe.seed, rng.INSTANCE_NOISE, INSTANCE_HELDOUT, idents, index
-    )
+    keys = rng.philox_keys(universe.seed, rng.INSTANCE_NOISE, INSTANCE_HELDOUT, idents, index)
+    rows = _noisy_rows(universe, idents, keys, rng.Rekeyer())
     cuts = [n_pairs, 2 * n_pairs, 2 * n_pairs + n_probe]
     pair_a, pair_b, probe_x, gallery_x = np.split(rows, cuts)
     gallery_labels = np.concatenate([probe_ids, distractor_ids])
@@ -407,21 +431,34 @@ def write_dataset(path, universe: IdentityUniverse, counts: np.ndarray) -> dict:
 
     Layout: little-endian header (magic, version u32, C u32, d_in u32,
     total u32) followed by one record per instance: identity u32,
-    instance u32, d_in float64 values. A JSON summary with the counts
-    histogram and tail fraction is written next to the file.
+    instance u32, d_in float64 values. Records are drawn and written
+    ``rng.KEY_CHUNK`` rows at a time to a temporary file, which then
+    replaces ``path``; on failure it is removed and ``path`` is untouched.
+    A JSON summary with the counts histogram and tail fraction is written
+    next to the file.
     """
-    table = build_instance_table(universe, counts)
-    counts = table.counts
-    records = np.empty(table.owner.size, dtype=_record_dtype(universe.d_in))
-    records["ident"] = table.owner
-    records["index"] = table.index
-    records["x"] = table.data
+    rows = InstanceRows(universe, counts)
+    total = rows.owner.size
+    block = np.empty(min(total, rng.KEY_CHUNK), dtype=_record_dtype(universe.d_in))
     path = str(path)
-    with open(path, "wb") as fh:
-        fh.write(DATASET_MAGIC)
-        fh.write(struct.pack("<IIII", DATASET_VERSION, counts.size, universe.d_in, records.size))
-        fh.write(records)
-    summary = tail_summary(counts)
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(DATASET_MAGIC)
+            fh.write(struct.pack("<IIII", DATASET_VERSION, rows.counts.size, universe.d_in, total))
+            for lo in range(0, total, rng.KEY_CHUNK):
+                hi = min(lo + rng.KEY_CHUNK, total)
+                records = block[: hi - lo]
+                records["ident"] = rows.owner[lo:hi]
+                records["index"] = rows.index[lo:hi]
+                records["x"] = rows.draw(lo, hi)
+                fh.write(records)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+    summary = tail_summary(rows.counts)
     with open(path + ".json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
     return summary

@@ -7,7 +7,7 @@ import zlib
 import numpy as np
 import pytest
 
-from dcq import checkpoint, cli, trainer
+from dcq import checkpoint, cli, synthdata, trainer
 from dcq.checkpoint import load_checkpoint, save_checkpoint
 from dcq.errors import ConfigError
 
@@ -316,6 +316,30 @@ class TestGenData:
         assert code == 2
         assert err.startswith("error: Unable to allocate") and err.count("\n") == 1, err
         assert not out.exists()
+
+    def test_failed_write_leaves_existing_out_untouched(self, tmp_path, capsys, monkeypatch):
+        # 621 records: the draw fails on the second of three blocks
+        out = tmp_path / "data.dcqd"
+        out.write_bytes(b"an earlier dataset")
+        real_draw, calls = synthdata.InstanceRows.draw, []
+
+        def failing_draw(rows, lo, hi):
+            calls.append((lo, hi))
+            if len(calls) > 1:
+                raise MemoryError("no room for the block")
+            return real_draw(rows, lo, hi)
+
+        monkeypatch.setattr(synthdata.InstanceRows, "draw", failing_draw)
+        code = cli.main([
+            "gen-data", "--config", _write_config(tmp_path), "--set", "max_count=200",
+            "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: no room for the block\n"
+        assert calls == [(0, 256), (256, 512)]
+        assert out.read_bytes() == b"an earlier dataset"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data.dcqd"]
 
 
 class TestEval:

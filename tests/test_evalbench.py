@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dcq import evalbench
+from dcq import evalbench, rng, synthdata
 from dcq.baseline import FcHead, filter_head_classes
 from dcq.errors import ConfigError, ShapeError
 from dcq.evalbench import (
@@ -434,6 +434,35 @@ def test_alignment_embeds_row_blocks_not_classes(monkeypatch):
     tail_alignment_diagnostic(head_w, universe, counts, extractor)
     assert len(calls) == math.ceil(counts.sum() / EMBED_BLOCK_ROWS) + 3
     assert sum(calls) == counts.sum() + 3
+
+
+def test_alignment_draws_rows_a_block_at_a_time(monkeypatch):
+    # every row comes from InstanceRows.draw, one embed block or one
+    # single-instance row per call; no call draws the whole table
+    universe, counts, extractor = _desk_case()
+    head_w = FcHead(32, counts.size, seed=73).W.data
+    real_draw, real_normals = synthdata.InstanceRows.draw, rng.Rekeyer.normal_rows
+    draws, normals = [], []
+
+    def spy_draw(rows, lo, hi):
+        draws.append(hi - lo)
+        return real_draw(rows, lo, hi)
+
+    def spy_normals(rekeyer, keys, d):
+        normals.append(keys.shape[0])
+        return real_normals(rekeyer, keys, d)
+
+    monkeypatch.setattr(synthdata.InstanceRows, "draw", spy_draw)
+    monkeypatch.setattr(rng.Rekeyer, "normal_rows", spy_normals)
+    tail_alignment_diagnostic(head_w, universe, counts, extractor)
+    n_blocks = math.ceil(counts.sum() / EMBED_BLOCK_ROWS)
+    singles = int((counts == 1).sum())
+    assert n_blocks >= 2 and singles >= 1
+    assert normals == draws
+    assert len(draws) == n_blocks + singles
+    assert sum(draws) == counts.sum() + singles
+    assert max(draws) == math.ceil(counts.sum() / n_blocks)
+
 
 class TestExperimentGrid:
     def test_single_value_reproduces_single_run(self):

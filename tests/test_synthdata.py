@@ -22,6 +22,7 @@ from dcq.synthdata import (
     tail_summary,
     write_dataset,
 )
+from dcq.trainer import TrainConfig
 
 
 class TestBuildUniverse:
@@ -547,16 +548,32 @@ class TestDatasetFile:
         assert (tmp_path / "data.dcqd.json").exists()
 
     def test_bytes_match_record_layout(self, tmp_path):
+        # one block, then three blocks with classes 0 and 3 straddling the
+        # block edges at rows 256 and 512
+        assert rng.KEY_CHUNK == 256
         u = build_universe(4, 3, 0.2, seed=14)
-        counts = np.array([2, 1, 0, 3])
+        for counts in (np.array([2, 1, 0, 3]), np.array([300, 1, 0, 250])):
+            path = tmp_path / "data.dcqd"
+            write_dataset(path, u, counts)
+            expected = [b"DCQD" + struct.pack("<IIII", 1, 4, 3, counts.sum())]
+            for ident, n in enumerate(counts):
+                for k in range(n):
+                    expected.append(struct.pack("<II", ident, k))
+                    expected.append(draw_instance(u, ident, k).astype("<f8").tobytes())
+            assert path.read_bytes() == b"".join(expected)
+
+    def test_peak_is_a_fraction_of_the_table(self, tmp_path, traced_peak):
+        # the desk config: 4393 rows of 32 inputs, drawn and written a block
+        # at a time, so no N x d_in array is held
+        cfg = TrainConfig()
+        u = build_universe(cfg.n_classes + cfg.n_reserved, cfg.d_in, cfg.sigma, cfg.seed)
+        counts = assign_longtail_counts(
+            LongTailSpec(cfg.zipf_exponent, cfg.min_count, cfg.max_count), cfg.n_classes
+        )
         path = tmp_path / "data.dcqd"
-        write_dataset(path, u, counts)
-        expected = b"DCQD" + struct.pack("<IIII", 1, 4, 3, 6)
-        for ident, n in enumerate(counts):
-            for k in range(n):
-                expected += struct.pack("<II", ident, k)
-                expected += draw_instance(u, ident, k).astype("<f8").tobytes()
-        assert path.read_bytes() == expected
+        write_dataset(path, u, counts)  # warm up: the first np.unique call imports numpy.ma
+        peak, _ = traced_peak(lambda: write_dataset(path, u, counts))
+        assert peak <= 0.5 * counts.sum() * cfg.d_in * 8
 
     def test_truncated_or_overlong_file_rejected(self, tmp_path):
         u = build_universe(3, 4, 0.2, seed=15)

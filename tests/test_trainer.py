@@ -1,5 +1,4 @@
 import struct
-import tracemalloc
 import warnings
 import zlib
 
@@ -31,20 +30,6 @@ from dcq.trainer import (
     save_result_checkpoint,
     sgd_momentum_step,
 )
-
-
-def traced_peak(fn) -> tuple[int, object]:
-    """(peak bytes that ``fn()`` holds at once among its own allocations, its result)."""
-    started = not tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        out = fn()
-        return tracemalloc.get_traced_memory()[1] - base, out
-    finally:
-        if started:
-            tracemalloc.stop()
 
 
 def with_crc(body: bytes) -> bytes:
@@ -135,7 +120,7 @@ class TestFlatSgdStep:
 
 
 class TestFullFcStepMemory:
-    def test_step_holds_about_four_head_sized_temporaries(self):
+    def test_step_holds_about_four_head_sized_temporaries(self, traced_peak):
         # one run_training step of cosface-full at C=20000, B=D=32, so B×C
         # and D×C arrays are the same size. The tape drops the cosine matrix
         # once the loss has copied it, and each op output's gradient once
@@ -528,7 +513,7 @@ class TestCheckpointFormat:
             with pytest.raises(CheckpointVersionError, match=f"version {version}, expected 2"):
                 load_checkpoint(path)
 
-    def test_save_and_load_copy_no_whole_file(self, tmp_path):
+    def test_save_and_load_copy_no_whole_file(self, tmp_path, traced_peak):
         # save streams blocks into the file; load holds the file's bytes once,
         # beside the arrays it returns
         rng_ = np.random.default_rng(1)
