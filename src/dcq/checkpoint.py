@@ -12,6 +12,7 @@ CheckpointVersionError.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -26,16 +27,35 @@ MAGIC = b"DCQC"
 FORMAT_VERSION = 2
 
 
+@contextlib.contextmanager
+def replace_on_success(path):
+    """A binary file whose bytes replace ``path`` when the block completes.
+
+    The bytes go to ``<path>.tmp``, which is renamed over ``path`` at the
+    end of the block. If the block or the rename fails, the temporary file
+    is removed and ``path`` is untouched.
+    """
+    path = str(path)
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def save_checkpoint(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     """Write ``meta`` (JSON-serializable) and named arrays atomically.
 
-    Each block goes straight to a temporary file under a running CRC32, so
-    no array is copied; the file is then renamed over ``path``.
+    Each block goes straight to the file under a running CRC32, so no array
+    is copied; ``replace_on_success`` puts the file in place.
     """
     payload = json.dumps(meta, sort_keys=True).encode("utf-8")
-    tmp = str(path) + ".tmp"
     crc = 0
-    with open(tmp, "wb") as fh:
+    with replace_on_success(path) as fh:
 
         def put(chunk):
             nonlocal crc
@@ -52,7 +72,6 @@ def save_checkpoint(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
             put(struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
             put(arr)
         fh.write(struct.pack("<I", crc & 0xFFFFFFFF))
-    os.replace(tmp, str(path))
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:

@@ -144,11 +144,8 @@ def _cmd_train(args) -> int:
     os.makedirs(run_dir, exist_ok=True)
     # save_checkpoint writes a temporary file and renames it over the target,
     # so a checkpoint this run wrote is a new file: its identity changed
-    checkpoints = [
-        os.path.join(run_dir, name + tmp)
-        for name in ("final.ckpt", *periodic_checkpoints(cfg).values())
-        for tmp in ("", ".tmp")
-    ]
+    names = ("final.ckpt", *periodic_checkpoints(cfg).values())
+    checkpoints = [os.path.join(run_dir, name) for name in names]
     before = {path: _file_identity(path) for path in checkpoints}
     opened = []  # files this command opened for writing, so truncated or replaced
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .model import MlpParams, extract_features
-from .numerics import NORM_EPS, Tensor
+from .numerics import Tensor, l2_normalize
 from .synthdata import TAIL_THRESHOLD, EvalProtocol, IdentityUniverse, InstanceRows
 
 # Bucket edges straddle the <10-instances tail definition.
@@ -26,11 +26,6 @@ BUCKET_EDGES = (5, 10, 50)
 EMBED_BLOCK_ROWS = 256
 
 
-def _normalize(rows: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    return rows / np.maximum(norms, NORM_EPS)
-
-
 def embed(extractor: MlpParams, x: np.ndarray) -> np.ndarray:
     """Raw embeddings for a matrix of inputs (inference mode)."""
     return extract_features(extractor, Tensor(x), tape=None).data
@@ -38,7 +33,8 @@ def embed(extractor: MlpParams, x: np.ndarray) -> np.ndarray:
 
 def cosine_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-row cosine distance 1 − cos between two embedding matrices."""
-    return 1.0 - (_normalize(a) * _normalize(b)).sum(axis=1)
+    a_hat, b_hat = l2_normalize(Tensor(a)).data, l2_normalize(Tensor(b)).data
+    return 1.0 - (a_hat * b_hat).sum(axis=1)
 
 
 def verification_accuracy(
@@ -79,7 +75,7 @@ def identification_hits(
     """
     if gallery_emb.shape[0] == 0:
         raise ConfigError("empty gallery")
-    sims = _normalize(probe_emb) @ _normalize(gallery_emb).T
+    sims = l2_normalize(Tensor(probe_emb)).data @ l2_normalize(Tensor(gallery_emb)).data.T
     nearest = sims.argmax(axis=1)  # argmax returns the first (lowest) index on ties
     return np.asarray(gallery_labels)[nearest] == np.asarray(probe_labels)
 
@@ -172,7 +168,6 @@ class AlignmentReport:
     """Mean cosine between learned class weights and class mean embeddings,
     bucketed by instance count. Buckets with no classes are reported absent."""
 
-    bucket_edges: tuple
     mean_cosine: dict = field(default_factory=dict)
     class_counts: dict = field(default_factory=dict)
 
@@ -228,11 +223,11 @@ def tail_alignment_diagnostic(
     bounds = np.linspace(0, n_rows, -(-n_rows // EMBED_BLOCK_ROWS) + 1).astype(np.int64)
     emb = np.empty((n_rows, extractor.d_out))
     for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        emb[lo:hi] = _normalize(embed(extractor, rows.draw(lo, hi)))
+        emb[lo:hi] = l2_normalize(Tensor(embed(extractor, rows.draw(lo, hi)))).data
     n = counts[class_ids]
     starts = rows.starts[class_ids]
     for row in starts[n == 1].tolist():
-        emb[row] = _normalize(embed(extractor, rows.draw(row, row + 1)))
+        emb[row] = l2_normalize(Tensor(embed(extractor, rows.draw(row, row + 1)))).data
     del rows  # free the row keys and layout before the gathers below
 
     means = np.zeros((n.size, extractor.d_out))
@@ -254,7 +249,7 @@ def tail_alignment_diagnostic(
     norms *= np.sqrt((means[:, None, :] @ means[:, :, None])[:, 0, 0])
     keep = n > 0
     cos, names = (dots / np.maximum(norms, 1e-12))[keep], names[keep]
-    report = AlignmentReport(bucket_edges=BUCKET_EDGES)
+    report = AlignmentReport()
     for name in dict.fromkeys(names):
         values = cos[names == name]
         report.mean_cosine[name] = float(values.mean())

@@ -7,26 +7,26 @@ the data and the bulk of identities sit in the tail.
 
 Everything here is a pure function of (config, seed): instances are drawn
 from counter-based streams keyed by (seed, stream, identity, index), so
-regeneration is order-independent and bit-identical. Training reads an
-``InstanceTable`` drawn once per run; ``dcq gen-data`` and the
-tail-alignment diagnostic draw the same rows a block at a time through
-``InstanceRows``. ``draw_instance`` and ``heldout_instance`` stay the
-single-key definitions the table and the eval protocol must match. A
-training batch is defined on the first raw Philox words of its step's
-stream; ``make_pair_batch`` plans them a block of steps at a time.
+regeneration is order-independent and bit-identical. ``InstanceRows`` is
+the one layout of the training instances: a training run's ``PairPlan``
+draws every row once through it, while ``dcq gen-data`` and the
+tail-alignment diagnostic draw the same rows a block at a time.
+``draw_instance`` and ``heldout_instance`` stay the single-key
+definitions those rows and the eval protocol must match. A training
+batch is defined on the first raw Philox words of its step's stream;
+``make_pair_batch`` plans them a block of steps at a time.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
-import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
+from .checkpoint import replace_on_success
 from .errors import ConfigError
 from .numerics import Tensor
 
@@ -79,23 +79,6 @@ class PairBatch:
     x_t: Tensor  # B × d_in
     x_w: Tensor  # B × d_in
     y: np.ndarray  # (B,) int64
-
-
-@dataclass
-class InstanceTable:
-    """Every training instance of a universe, drawn once.
-
-    Row ``starts[i] + k``, whose ``owner`` is i and ``index`` k, equals
-    ``draw_instance(universe, i, k)`` for ``k < counts[i]``; identities
-    with a zero count own no rows.
-    """
-
-    universe: IdentityUniverse
-    counts: np.ndarray  # (n,) int64
-    starts: np.ndarray  # (n,) int64, row of each identity's instance 0
-    owner: np.ndarray  # (N,) int64, identity of each row, N = counts.sum()
-    index: np.ndarray  # (N,) int64, instance index of each row
-    data: np.ndarray  # N × d_in
 
 
 @dataclass
@@ -212,13 +195,6 @@ class InstanceRows:
         return _noisy_rows(self.universe, self.owner[lo:hi], self.keys[lo:hi], self.rekeyer)
 
 
-def build_instance_table(universe: IdentityUniverse, counts: np.ndarray) -> InstanceTable:
-    """Draw every training instance once; row values equal ``draw_instance``."""
-    rows = InstanceRows(universe, counts)
-    data = rows.draw(0, rows.owner.size)
-    return InstanceTable(universe, rows.counts, rows.starts, rows.owner, rows.index, data)
-
-
 # Steps whose draws make_pair_batch plans at once: enough to spread each
 # block's fixed cost (key derivation, about 20 numpy calls) thin, while a
 # block's arrays stay near 32 kB each at B=32.
@@ -226,22 +202,31 @@ PLAN_BLOCK_STEPS = 64
 
 
 class PairPlan:
-    """One run's batch draws, planned ``PLAN_BLOCK_STEPS`` steps at a time.
+    """One run's training rows and batch draws, planned ``PLAN_BLOCK_STEPS`` steps at a time.
 
-    Row i of the block arrays belongs to step ``first + i``: its labels, its
-    query then reference table rows, and whether it holds a single-instance
+    ``data`` holds every training instance, drawn once through
+    ``InstanceRows``: row ``starts[i] + k``, whose ``owner`` is i, equals
+    ``draw_instance(universe, i, k)`` for ``k < counts[i]``. Row i of the
+    block arrays belongs to step ``first + i``: its labels, its query then
+    reference rows of ``data``, and whether it holds a single-instance
     identity, whose reference is fresh noise.
     """
 
-    def __init__(self, table: InstanceTable, batch_size: int, mode: str, seed: int):
+    def __init__(
+        self, universe: IdentityUniverse, counts: np.ndarray, batch_size: int, mode: str, seed: int
+    ):
         if mode not in ("instance", "class"):
             raise ConfigError(f"sampling mode must be 'instance' or 'class', got {mode!r}")
-        if not table.counts.any():
+        rows = InstanceRows(universe, counts)
+        if not rows.counts.any():
             raise ConfigError("no identity has a positive instance count")
-        self.table, self.batch_size, self.mode, self.seed = table, batch_size, mode, seed
+        self.universe, self.counts = universe, rows.counts
+        self.starts, self.owner = rows.starts, rows.owner
+        self.data = rows.draw(0, rows.owner.size)
+        self.batch_size, self.mode, self.seed = batch_size, mode, seed
         # the identities with a row, which class mode picks among
-        self.eligible = np.flatnonzero(table.counts)
-        self.rekeyer = rng.Rekeyer()
+        self.eligible = np.flatnonzero(rows.counts)
+        self.rekeyer = rows.rekeyer
         self.first = 0
         self.labels = np.empty((0, batch_size), dtype=np.int64)
         self.rows = np.empty((0, 2 * batch_size), dtype=np.int64)
@@ -253,7 +238,7 @@ def make_pair_batch(plan: PairPlan, step: int) -> PairBatch:
 
     The batch is a pure function of the first raw words of
     ``rng.stream(seed, rng.BATCH, step)``. Instance mode picks the owner of
-    a uniformly drawn table row, so identities in proportion to their
+    a uniformly drawn training row, so identities in proportion to their
     instance counts, class mode uniformly over identities with at least one
     instance; each row then draws a query index and a distinct reference
     index of its identity.
@@ -261,7 +246,7 @@ def make_pair_batch(plan: PairPlan, step: int) -> PairBatch:
     less than bound / 2**32 (``_lemire``). A single-instance identity's reference is its center plus
     ``sigma * rng.normal_rows(d_in, seed, rng.BATCH_REFERENCE, step, row)``.
     A step outside the planned block plans the ``PLAN_BLOCK_STEPS`` steps
-    from it on; rows are gathered from the table when a step is served.
+    from it on; rows are gathered from ``plan.data`` when a step is served.
     """
     i = step - plan.first
     if not 0 <= i < plan.single.size:
@@ -269,13 +254,13 @@ def make_pair_batch(plan: PairPlan, step: int) -> PairBatch:
         words = plan.rekeyer.raw_words(keys, _words_per_step(plan.batch_size, plan.mode))
         plan.labels, plan.rows, plan.single = _plan_words(plan, words)
         plan.first, i = step, 0
-    table, B = plan.table, plan.batch_size
-    x = table.data.take(plan.rows[i], axis=0)
+    B = plan.batch_size
+    x = plan.data.take(plan.rows[i], axis=0)
     y = plan.labels[i].copy()
     if plan.single[i]:
-        single = np.flatnonzero(table.counts[y] == 1)
+        single = np.flatnonzero(plan.counts[y] == 1)
         keys = rng.philox_keys(plan.seed, rng.BATCH_REFERENCE, step, single)
-        x[B + single] = _noisy_rows(table.universe, y[single], keys, plan.rekeyer)
+        x[B + single] = _noisy_rows(plan.universe, y[single], keys, plan.rekeyer)
     return PairBatch(x_t=Tensor(x[:B]), x_w=Tensor(x[B:]), y=y)
 
 
@@ -314,15 +299,15 @@ def _plan_words(plan: PairPlan, words: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
     Row s of ``words`` starts step s's batch stream. Instance mode turns
     each of the first B words into a uniform ``u = (w >> 11) * 2**-53`` and
-    picks the owner of table row ``floor(u * N)`` of N rows, which is below
-    N because ``u <= 1 - 2**-53`` and the float64 product rounds below N;
-    class mode draws B identities from the half-words. The index draws then
-    take the next half-words, query then reference per row.
+    picks the owner of row ``floor(u * N)`` of the N training rows, which
+    is below N because ``u <= 1 - 2**-53`` and the float64 product rounds
+    below N; class mode draws B identities from the half-words. The index
+    draws then take the next half-words, query then reference per row.
     """
-    table, B, eligible = plan.table, plan.batch_size, plan.eligible
+    B, eligible = plan.batch_size, plan.eligible
     if plan.mode == "instance":
         u = (words[:, :B] >> np.uint64(11)) * 2.0**-53
-        labels = table.owner[(u * table.owner.size).astype(np.intp)]
+        labels = plan.owner[(u * plan.owner.size).astype(np.intp)]
         halves = _halves(words[:, B:])
     else:
         halves = _halves(words)
@@ -330,14 +315,14 @@ def _plan_words(plan: PairPlan, words: np.ndarray) -> tuple[np.ndarray, np.ndarr
         # the index draws go on from the next 32-bit value, which may be the
         # high half of the identity draws' last word
         halves = halves[:, B if eligible.size > 1 else 0 :]
-    n = table.counts[labels]
+    n = plan.counts[labels]
     # a query index in [0, n), then a reference index in [0, n - 1) per row
     bounds = np.repeat(n, 2, axis=1)
     bounds[:, 1::2] -= 1
     np.maximum(bounds, 1, out=bounds)
     draws = _lemire(halves, bounds)
     q, r = draws[:, 0::2], draws[:, 1::2]
-    starts = table.starts[labels]
+    starts = plan.starts[labels]
     # a distinct reference index; a single-instance row reads its own row,
     # which make_pair_batch replaces with noise
     multi = n > 1
@@ -432,34 +417,25 @@ def write_dataset(path, universe: IdentityUniverse, counts: np.ndarray) -> dict:
     Layout: little-endian header (magic, version u32, C u32, d_in u32,
     total u32) followed by one record per instance: identity u32,
     instance u32, d_in float64 values. Records are drawn and written
-    ``rng.KEY_CHUNK`` rows at a time to a temporary file, which then
-    replaces ``path``; on failure it is removed and ``path`` is untouched.
-    A JSON summary with the counts histogram and tail fraction is written
-    next to the file.
+    ``rng.KEY_CHUNK`` rows at a time through ``replace_on_success``, so on
+    failure ``path`` is untouched. A JSON summary with the counts histogram
+    and tail fraction is written next to the file.
     """
     rows = InstanceRows(universe, counts)
     total = rows.owner.size
     block = np.empty(min(total, rng.KEY_CHUNK), dtype=_record_dtype(universe.d_in))
-    path = str(path)
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(DATASET_MAGIC)
-            fh.write(struct.pack("<IIII", DATASET_VERSION, rows.counts.size, universe.d_in, total))
-            for lo in range(0, total, rng.KEY_CHUNK):
-                hi = min(lo + rng.KEY_CHUNK, total)
-                records = block[: hi - lo]
-                records["ident"] = rows.owner[lo:hi]
-                records["index"] = rows.index[lo:hi]
-                records["x"] = rows.draw(lo, hi)
-                fh.write(records)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
+    with replace_on_success(path) as fh:
+        fh.write(DATASET_MAGIC)
+        fh.write(struct.pack("<IIII", DATASET_VERSION, rows.counts.size, universe.d_in, total))
+        for lo in range(0, total, rng.KEY_CHUNK):
+            hi = min(lo + rng.KEY_CHUNK, total)
+            records = block[: hi - lo]
+            records["ident"] = rows.owner[lo:hi]
+            records["index"] = rows.index[lo:hi]
+            records["x"] = rows.draw(lo, hi)
+            fh.write(records)
     summary = tail_summary(rows.counts)
-    with open(path + ".json", "w") as fh:
+    with open(f"{path}.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
     return summary
 

@@ -35,7 +35,6 @@ from .synthdata import (
     PairPlan,
     assign_longtail_counts,
     build_eval_protocol,
-    build_instance_table,
     build_universe,
     make_pair_batch,
 )
@@ -453,8 +452,7 @@ def run_training(
     extractor, head, counts = result.extractor, result.head, result.counts
 
     global_step = result.final_step
-    table = build_instance_table(result.universe, head.train_counts)
-    plan = PairPlan(table, cfg.B, cfg.sampling, cfg.seed)
+    plan = PairPlan(result.universe, head.train_counts, cfg.B, cfg.sampling, cfg.seed)
     checkpoint_names = periodic_checkpoints(cfg) if checkpoint_dir is not None else {}
 
     scores = None

@@ -189,7 +189,8 @@ class TestTrain:
 
         monkeypatch.setattr(checkpoint.os, "replace", failing_replace)
         assert cli.main(["train", "--config", config, "--out", str(out)]) == 2
-        # the run rewrote the manifest and the metrics, and left final.ckpt.tmp
+        # the failed run removes the manifest and metrics it rewrote, and its
+        # failed save leaves no final.ckpt.tmp
         assert sorted(p.name for p in out.iterdir()) == ["final.ckpt"]
         assert (out / "final.ckpt").read_bytes() == earlier
 

@@ -9,7 +9,6 @@ from dcq.errors import ConfigError, ShapeError
 from dcq.evalbench import (
     EMBED_BLOCK_ROWS,
     _bucket_name,
-    _normalize,
     cosine_distances,
     embed,
     evaluate_protocol,
@@ -20,10 +19,11 @@ from dcq.evalbench import (
     verification_accuracy,
 )
 from dcq.model import init_extractor
+from dcq.numerics import Tensor, l2_normalize
 from dcq.synthdata import (
+    InstanceRows,
     LongTailSpec,
     assign_longtail_counts,
-    build_instance_table,
     build_universe,
     draw_instance,
 )
@@ -317,14 +317,15 @@ def _loop_alignment(head_w, universe, counts, extractor, class_ids):
     """The per-class reference: one embed, mean and cosine per column."""
     head_counts = np.zeros_like(counts)
     head_counts[class_ids] = counts[class_ids]
-    table = build_instance_table(universe, head_counts)
+    rows = InstanceRows(universe, head_counts)
+    data = rows.draw(0, head_counts.sum())
     per_bucket = {}
     for col, ident in enumerate(class_ids.tolist()):
         n = int(counts[ident])
         if n == 0:
             continue
-        rows = table.data[table.starts[ident] : table.starts[ident] + n]
-        mean_emb = _normalize(embed(extractor, rows)).mean(axis=0)
+        inst = data[rows.starts[ident] : rows.starts[ident] + n]
+        mean_emb = l2_normalize(Tensor(embed(extractor, inst))).data.mean(axis=0)
         w = head_w[:, col]
         cos = float(w @ mean_emb / max(np.linalg.norm(w) * np.linalg.norm(mean_emb), 1e-12))
         per_bucket.setdefault(_bucket_name(n), []).append(cos)

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from dcq import rng, synthdata
 from dcq.errors import ConfigError
 from dcq.synthdata import (
+    InstanceRows,
     LongTailSpec,
     PLAN_BLOCK_STEPS,
     PairPlan,
     assign_longtail_counts,
     build_eval_protocol,
-    build_instance_table,
     build_universe,
     draw_instance,
     heldout_instance,
@@ -124,35 +124,41 @@ class TestDrawInstance:
         assert not np.array_equal(draw_instance(u, 0, 0), heldout_instance(u, 0, 0))
 
 
-class TestInstanceTable:
+class TestInstanceRows:
     def test_rows_equal_draw_instance(self):
         u = build_universe(9, 6, 0.2, seed=21)  # 2 reserved identities own no rows
         counts = np.array([4, 1, 0, 3, 1, 0, 2])
-        table = build_instance_table(u, counts)
-        assert table.data.shape == (11, 6)
-        assert table.starts.tolist() == [0, 4, 5, 5, 8, 9, 9]
-        assert table.owner.tolist() == [0, 0, 0, 0, 1, 3, 3, 3, 4, 6, 6]
-        for ident, n in enumerate(counts):
-            for k in range(n):
-                row = table.starts[ident] + k
-                assert table.owner[row] == ident and table.index[row] == k
-                np.testing.assert_array_equal(table.data[row], draw_instance(u, ident, k))
+        rows = InstanceRows(u, counts)
+        assert rows.index.tolist() == [0, 1, 2, 3, 0, 0, 1, 2, 0, 0, 1]
+        # a plan holds the same layout and rows as its own attributes
+        plan = PairPlan(u, counts, 4, "instance", 0)
+        for layout, data in ((rows, rows.draw(0, 11)), (plan, plan.data)):
+            assert data.shape == (11, 6)
+            assert layout.starts.tolist() == [0, 4, 5, 5, 8, 9, 9]
+            assert layout.owner.tolist() == [0, 0, 0, 0, 1, 3, 3, 3, 4, 6, 6]
+            for ident, n in enumerate(counts):
+                for k in range(n):
+                    row = layout.starts[ident] + k
+                    assert layout.owner[row] == ident and rows.index[row] == k
+                    np.testing.assert_array_equal(data[row], draw_instance(u, ident, k))
 
     def test_bad_counts(self):
         u = build_universe(3, 4, 0.1, seed=0)
-        with pytest.raises(ConfigError):
-            build_instance_table(u, np.array([1, -1]))
-        with pytest.raises(ConfigError):
-            build_instance_table(u, np.ones(4, dtype=np.int64))
+        for counts in (np.array([1, -1]), np.ones(4, dtype=np.int64)):
+            with pytest.raises(ConfigError):
+                InstanceRows(u, counts)
+            with pytest.raises(ConfigError):
+                PairPlan(u, counts, 2, "instance", 0)
 
 
-def _table(counts, seed=4, d_in=6):
+def _plan(counts, batch_size, mode, seed, universe_seed=4):
     counts = np.asarray(counts, dtype=np.int64)
-    return build_instance_table(build_universe(counts.size, d_in, 0.1, seed), counts)
+    universe = build_universe(counts.size, 6, 0.1, universe_seed)
+    return PairPlan(universe, counts, batch_size, mode, seed)
 
 
-def _longtail_table(min_count, seed=4):
-    return _table(assign_longtail_counts(LongTailSpec(1.2, min_count, 40), 60), seed)
+def _longtail_counts(min_count):
+    return assign_longtail_counts(LongTailSpec(1.2, min_count, 40), 60)
 
 
 class _StepWords:
@@ -177,28 +183,32 @@ class _StepWords:
         return (u * bound) >> 32
 
 
-def _oracle_batch(table, batch_size, mode, seed, step):
-    """Step ``step``'s labels, queries and references, one draw at a time."""
-    words = _StepWords(seed, step)
-    counts = table.counts.tolist()
-    if mode == "instance":
+def _oracle_batch(plan, step):
+    """Step ``step``'s labels, queries and references, one draw at a time.
+
+    The rows come from ``plan.data``, which ``TestInstanceRows`` checks
+    against ``draw_instance``.
+    """
+    words = _StepWords(plan.seed, step)
+    counts = plan.counts.tolist()
+    if plan.mode == "instance":
         owner = [ident for ident, n in enumerate(counts) for _ in range(n)]
-        idents = [owner[int(words.uniform() * len(owner))] for _ in range(batch_size)]
+        idents = [owner[int(words.uniform() * len(owner))] for _ in range(plan.batch_size)]
     else:
         eligible = [ident for ident, n in enumerate(counts) if n]
-        idents = [eligible[words.below(len(eligible))] for _ in range(batch_size)]
-    u = table.universe
+        idents = [eligible[words.below(len(eligible))] for _ in range(plan.batch_size)]
+    u = plan.universe
     labels, x_t, x_w = [], [], []
     for row, ident in enumerate(idents):
-        n, start = int(table.counts[ident]), int(table.starts[ident])
+        n, start = counts[ident], sum(counts[:ident])
         q = words.below(n)
         r = words.below(max(n - 1, 1))
         labels.append(ident)
-        x_t.append(table.data[start + q])
+        x_t.append(plan.data[start + q])
         if n > 1:
-            x_w.append(table.data[start + r + (r >= q)])
+            x_w.append(plan.data[start + r + (r >= q)])
         else:
-            noise = rng.stream(seed, rng.BATCH_REFERENCE, step, row).standard_normal(u.d_in)
+            noise = rng.stream(plan.seed, rng.BATCH_REFERENCE, step, row).standard_normal(u.d_in)
             x_w.append(u.centers[ident] + u.sigma * noise)
     return np.array(labels), np.array(x_t), np.array(x_w)
 
@@ -209,7 +219,7 @@ class TestPairBatch:
         counts = np.arange(1, 11) * 3
         total = 100_000
         seen = np.zeros(10)
-        plan = PairPlan(build_instance_table(u, counts), 1000, "class", 5)
+        plan = PairPlan(u, counts, 1000, "class", 5)
         for step in range(100):
             seen += np.bincount(make_pair_batch(plan, step).y, minlength=10)
         freq = seen / total
@@ -221,7 +231,7 @@ class TestPairBatch:
         u = build_universe(2, 4, 0.1, seed=6)
         counts = np.array([90, 10])
         seen = np.zeros(2)
-        plan = PairPlan(build_instance_table(u, counts), 1000, "instance", 6)
+        plan = PairPlan(u, counts, 1000, "instance", 6)
         for step in range(100):
             seen += np.bincount(make_pair_batch(plan, step).y, minlength=2)
         assert abs(seen[0] / 100_000 - 0.9) < 0.02
@@ -230,7 +240,7 @@ class TestPairBatch:
     def test_pairs_share_label_and_instances_differ(self):
         u = build_universe(6, 8, 0.2, seed=7)
         counts = np.array([5, 4, 3, 2, 2, 2])
-        batch = make_pair_batch(PairPlan(build_instance_table(u, counts), 64, "instance", 7), 1)
+        batch = make_pair_batch(PairPlan(u, counts, 64, "instance", 7), 1)
         assert batch.x_t.shape == (64, 8) and batch.x_w.shape == (64, 8)
         # label sharing is structural; multi-instance identities must give
         # distinct query/reference vectors
@@ -241,7 +251,7 @@ class TestPairBatch:
     def test_single_instance_identity_gets_fresh_reference(self):
         # the identity's only row is the table's last
         u = build_universe(1, 8, 0.2, seed=8)
-        plan = PairPlan(build_instance_table(u, np.array([1])), 4, "instance", 8)
+        plan = PairPlan(u, np.array([1]), 4, "instance", 8)
         batch = make_pair_batch(plan, 0)
         stored = draw_instance(u, 0, 0)
         for i in range(4):
@@ -252,11 +262,10 @@ class TestPairBatch:
     def test_deterministic_given_stream(self):
         u = build_universe(6, 8, 0.2, seed=7)
         counts = np.array([5, 4, 3, 2, 2, 2])
-        table = build_instance_table(u, counts)
-        warm = PairPlan(table, 16, "instance", 7)
+        warm = PairPlan(u, counts, 16, "instance", 7)
         make_pair_batch(warm, 0)
         a = make_pair_batch(warm, 3)
-        b = make_pair_batch(PairPlan(table, 16, "instance", 7), 3)
+        b = make_pair_batch(PairPlan(u, counts, 16, "instance", 7), 3)
         np.testing.assert_array_equal(a.x_t.data, b.x_t.data)
         np.testing.assert_array_equal(a.x_w.data, b.x_w.data)
         np.testing.assert_array_equal(a.y, b.y)
@@ -268,21 +277,22 @@ class TestPairBatch:
         u = build_universe(40, 4, 0.1, seed=9)
         counts = np.arange(40) % 7
         counts[counts == 1] = 0  # zeros, count-2 and larger
-        table = build_instance_table(u, counts)
+        rows = InstanceRows(u, counts)
+        data = rows.draw(0, counts.sum())
         eligible = np.flatnonzero(counts)
         weights = counts[eligible] / counts[eligible].sum()
         for seed in range(200):
             for mode, p in (("instance", weights), ("class", None)):
-                batch = make_pair_batch(PairPlan(table, 16, mode, seed), 0)
+                batch = make_pair_batch(PairPlan(u, counts, 16, mode, seed), 0)
                 ref = rng.stream(seed, rng.BATCH, 0)
                 idents = ref.choice(eligible, size=16, p=p)
                 x_t, x_w = [], []
                 for ident in idents:
-                    n, start = int(counts[ident]), int(table.starts[ident])
+                    n, start = int(counts[ident]), int(rows.starts[ident])
                     q = int(ref.integers(n))
                     r = int(ref.integers(n - 1))
-                    x_t.append(table.data[start + q])
-                    x_w.append(table.data[start + r + (r >= q)])
+                    x_t.append(data[start + q])
+                    x_w.append(data[start + r + (r >= q)])
                 np.testing.assert_array_equal(batch.y, idents)
                 np.testing.assert_array_equal(batch.x_t.data, np.array(x_t))
                 np.testing.assert_array_equal(batch.x_w.data, np.array(x_w))
@@ -290,7 +300,7 @@ class TestPairBatch:
     def test_bad_mode(self):
         u = build_universe(2, 4, 0.1, seed=0)
         with pytest.raises(ConfigError):
-            PairPlan(build_instance_table(u, np.array([1, 1])), 2, "epoch", 0)
+            PairPlan(u, np.array([1, 1]), 2, "epoch", 0)
 
 
 class TestPairPlan:
@@ -302,12 +312,12 @@ class TestPairPlan:
         for step in steps:
             batch = make_pair_batch(plan, step)
             flags.append(bool(plan.single[step - plan.first]))
-            y, x_t, x_w = _oracle_batch(plan.table, plan.batch_size, plan.mode, plan.seed, step)
+            y, x_t, x_w = _oracle_batch(plan, step)
             assert batch.y.dtype == np.int64
             np.testing.assert_array_equal(batch.y, y)
             np.testing.assert_array_equal(batch.x_t.data, x_t)
             np.testing.assert_array_equal(batch.x_w.data, x_w)
-            assert flags[-1] == bool((plan.table.counts[y] == 1).any())
+            assert flags[-1] == bool((plan.counts[y] == 1).any())
         return flags
 
     @given(
@@ -324,20 +334,20 @@ class TestPairPlan:
     @settings(max_examples=60, deadline=None)
     def test_matches_scalar_oracle(self, counts, mode, batch_size, seed, start):
         # a plan opened mid-block, a step inside that block, then the next block
-        plan = PairPlan(_table(counts), batch_size, mode, seed)
+        plan = _plan(counts, batch_size, mode, seed)
         self._assert_oracle(plan, [start, start + 1, start + PLAN_BLOCK_STEPS])
 
     @pytest.mark.parametrize("mode", ["instance", "class"])
     @pytest.mark.parametrize("seed", [1, 17, 29])
     def test_blocks_match_reference(self, mode, seed):
         # both block edges and the first step of the next block
-        plan = PairPlan(_longtail_table(2, seed), 16, mode, seed)
+        plan = _plan(_longtail_counts(2), 16, mode, seed, universe_seed=seed)
         flags = self._assert_oracle(plan, range(PLAN_BLOCK_STEPS + 2))
         assert not any(flags)
 
     @pytest.mark.parametrize("mode", ["instance", "class"])
     def test_resume_mid_block(self, mode):
-        plan = PairPlan(_longtail_table(2), 16, mode, 3)
+        plan = _plan(_longtail_counts(2), 16, mode, 3)
         start = PLAN_BLOCK_STEPS // 2 + 5
         self._assert_oracle(plan, range(start, start + PLAN_BLOCK_STEPS + 1))
         assert plan.first == start + PLAN_BLOCK_STEPS
@@ -345,27 +355,27 @@ class TestPairPlan:
     @pytest.mark.parametrize("mode", ["instance", "class"])
     def test_count_two_rows_draw_no_reference_word(self, mode):
         # a count of 2 makes the reference draw's bound 1, which takes no word
-        plan = PairPlan(_table([2, 2, 2, 3]), 8, mode, 5)
+        plan = _plan([2, 2, 2, 3], 8, mode, 5)
         self._assert_oracle(plan, range(20))
-        assert (plan.table.counts[plan.labels] == 2).any()
+        assert (plan.counts[plan.labels] == 2).any()
 
     @pytest.mark.parametrize("batch_size", [1, 7, 33])
     def test_odd_batch_in_class_mode(self, batch_size):
         # the identity draws leave a high half-word for the index draws
-        plan = PairPlan(_longtail_table(2), batch_size, "class", 6)
+        plan = _plan(_longtail_counts(2), batch_size, "class", 6)
         self._assert_oracle(plan, range(12))
 
     @pytest.mark.parametrize("batch_size", [4, 7])
     def test_one_eligible_identity_in_class_mode(self, batch_size):
         # a bound of 1 draws nothing, so the index draws start the stream
-        plan = PairPlan(_table([0, 5, 0]), batch_size, "class", 8)
+        plan = _plan([0, 5, 0], batch_size, "class", 8)
         self._assert_oracle(plan, range(12))
         assert (plan.labels == 1).all()
 
     @pytest.mark.parametrize("mode", ["instance", "class"])
     def test_single_instance_steps_match_oracle(self, mode):
         # the last identity has one instance: its row is the table's last
-        plan = PairPlan(_table([6, 5, 4, 3, 2, 1]), 4, mode, 9)
+        plan = _plan([6, 5, 4, 3, 2, 1], 4, mode, 9)
         flags = self._assert_oracle(plan, range(PLAN_BLOCK_STEPS + 20))
         assert any(flags) and not all(flags)
 
@@ -373,7 +383,7 @@ class TestPairPlan:
         calls = []
         real = rng.stream
         monkeypatch.setattr(rng, "stream", lambda *a: calls.append(a) or real(*a))
-        plan = PairPlan(_longtail_table(1), 4, "instance", 9)
+        plan = _plan(_longtail_counts(1), 4, "instance", 9)
         for step in range(40):
             make_pair_batch(plan, step)
         assert calls == []
@@ -401,10 +411,10 @@ class TestPairPlan:
             return words
 
         monkeypatch.setattr(rng.Rekeyer, "raw_words", crafted)
-        plan = PairPlan(_table(counts), 4, mode, 2)
+        plan = _plan(counts, 4, mode, 2)
         make_pair_batch(plan, 0)
         batch = make_pair_batch(plan, 3)
-        data, first = plan.table.data, word == 0
+        data, first = plan.data, word == 0
         owner = np.flatnonzero(counts)[0 if first else -1]
         assert batch.y.tolist() == [owner] * 4
         # query index 0 then reference 0 shifted past it, or query index
@@ -426,21 +436,21 @@ class TestPairPlan:
             return words
 
         monkeypatch.setattr(rng.Rekeyer, "raw_words", crafted)
-        plan = PairPlan(_table([5, 3, 6]), 4, mode, 2)
+        plan = _plan([5, 3, 6], 4, mode, 2)
         make_pair_batch(plan, 0)
         batch = make_pair_batch(plan, 3)
         assert not plan.single.any()
         assert batch.y.tolist() == [0] * 4
         # query index 0, then reference index 0 shifted past it
-        data = plan.table.data
+        data = plan.data
         np.testing.assert_array_equal(batch.x_t.data, np.repeat(data[:1], 4, axis=0))
         np.testing.assert_array_equal(batch.x_w.data, np.repeat(data[1:2], 4, axis=0))
 
     def test_bad_mode_and_empty_table(self):
         with pytest.raises(ConfigError):
-            PairPlan(_table([2, 2]), 2, "epoch", 0)
+            _plan([2, 2], 2, "epoch", 0)
         with pytest.raises(ConfigError):
-            PairPlan(_table([0, 0]), 2, "class", 0)
+            _plan([0, 0], 2, "class", 0)
 
 
 class TestEvalProtocol:

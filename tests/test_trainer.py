@@ -5,6 +5,7 @@ import zlib
 import numpy as np
 import pytest
 
+import dcq.checkpoint
 import dcq.class_queue
 import dcq.trainer
 from dcq import rng
@@ -22,7 +23,7 @@ from dcq.errors import (
 )
 from dcq.model import extract_features, init_extractor
 from dcq.numerics import Tape, Tensor
-from dcq.synthdata import PairPlan, build_instance_table, build_universe, make_pair_batch
+from dcq.synthdata import PairPlan, build_universe, make_pair_batch
 from dcq.trainer import (
     TrainConfig,
     lr_at_step,
@@ -389,7 +390,7 @@ class TestRunTraining:
         # d_in=8, every trained identity with 20 instances
         universe = build_universe(7, 8, sigma, cfg.seed)
         counts = np.full(3, 20)
-        plan = PairPlan(build_instance_table(universe, counts), 12, "instance", 99)
+        plan = PairPlan(universe, counts, 12, "instance", 99)
         probe = make_pair_batch(plan, 0)
         series, frozen = [], {}
 
@@ -534,6 +535,30 @@ class TestCheckpointFormat:
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("failure", ["bad-array", "replace"])
+    def test_failed_save_keeps_the_old_file_and_leaves_no_temporary(
+        self, tmp_path, monkeypatch, failure
+    ):
+        meta, arrays = self._payload()
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(path, meta, arrays)
+        earlier = path.read_bytes()
+        meta["state"]["global_step"] = 20  # the failed save would change the bytes
+        if failure == "bad-array":
+            arrays["w"] = np.array(["not a float"])
+            error = ValueError
+        else:
+
+            def failing_replace(src, dst):
+                raise OSError(f"cannot replace {dst}")
+
+            monkeypatch.setattr(dcq.checkpoint.os, "replace", failing_replace)
+            error = OSError
+        with pytest.raises(error):
+            save_checkpoint(path, meta, arrays)
+        assert path.read_bytes() == earlier
+        assert [p.name for p in tmp_path.iterdir()] == ["x.ckpt"]
 
     @pytest.mark.parametrize(
         "K,slot,label",
