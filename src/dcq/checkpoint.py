@@ -33,7 +33,7 @@ def replace_on_success(path):
 
     The bytes go to ``<path>.tmp``, which is renamed over ``path`` at the
     end of the block. If the block or the rename fails, the temporary file
-    is removed and ``path`` is untouched.
+    is removed, ``path`` is untouched, and an OSError names ``path``.
     """
     path = str(path)
     tmp = path + ".tmp"
@@ -41,9 +41,11 @@ def replace_on_success(path):
         with open(tmp, "wb") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise type(exc)(exc.errno, exc.strerror, path) from exc
         raise
 
 

@@ -181,7 +181,7 @@ def _cmd_train(args) -> int:
 def _cmd_gen_data(args) -> int:
     overrides = _collect_overrides(args.set)
     cfg = load_config(args.config, overrides).resolve()
-    universe = build_universe(cfg.n_classes + cfg.n_reserved, cfg.d_in, cfg.sigma, cfg.seed)
+    universe = build_universe(cfg.n_classes, cfg.d_in, cfg.sigma, cfg.seed)
     counts = assign_longtail_counts(
         LongTailSpec(cfg.zipf_exponent, cfg.min_count, cfg.max_count), cfg.n_classes
     )

@@ -47,11 +47,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ContractError(f"item() on tensor of shape {self.shape}")
-        return float(self.data.reshape(()))
-
     def __repr__(self) -> str:
         grad = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={list(self.shape)}{grad})"
@@ -230,7 +225,10 @@ def rowwise_dot(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
 
 
 def sum_all(x: Tensor, tape: Tape | None = None) -> Tensor:
-    """Sum of all entries as a scalar tensor."""
+    """Sum of all entries as a scalar tensor.
+
+    Only tests call it: test_numerics and test_model reduce graphs to a loss with it.
+    """
     out = Tensor(np.asarray(x.data.sum()))
     _register(tape, out, [(x, lambda g, shape=x.data.shape: np.full(shape, float(g)))])
     return out
@@ -243,6 +241,8 @@ class LossDiagnostics:
     p_pos[i] is the probability of row i's target class; p_neg[i] holds the
     remaining C−1 probabilities in original column order with the target
     column removed, built on access. p_pos + p_neg.sum(axis=1) == 1 per row.
+    Only tests read p_neg: test_numerics, test_baseline and test_acceptance
+    rebuild each row's full softmax from it as their oracle.
     """
 
     p_pos: np.ndarray

@@ -95,7 +95,7 @@ def philox_keys(seed: int, *path) -> np.ndarray:
 
 
 class Rekeyer:
-    """One Philox generator that ``rekey`` resets to a key (counter 0, empty buffer).
+    """One Philox generator reset in place to each key (counter 0, empty buffer).
 
     Re-keying costs a fraction of constructing a generator per key.
     """
@@ -114,18 +114,11 @@ class Rekeyer:
             "uinteger": 0,
         }
 
-    def rekey(self, key: list[int]) -> np.random.Generator:
-        """The generator, drawing what ``np.random.Philox(key=key)`` would draw."""
-        self._key_state["key"] = key
-        self._bitgen.state = self._state
-        return self._gen
-
     def raw_words(self, keys: np.ndarray, n_words: int) -> np.ndarray:
         """S × n_words: the first raw 64-bit words of the stream of each key row."""
         words = np.empty((keys.shape[0], n_words), dtype=np.uint64)
         bitgen, state, key_state = self._bitgen, self._state, self._key_state
         random_raw = bitgen.random_raw
-        # rekey's two statements inline, with no lookups left in the per-key loop
         for row, key in zip(words, keys.tolist()):
             key_state["key"] = key
             bitgen.state = state
@@ -133,15 +126,13 @@ class Rekeyer:
         return words
 
     def normal_rows(self, keys: np.ndarray, d: int) -> np.ndarray:
-        """S × d: row i is ``rekey(keys[i]).standard_normal(d)``."""
+        """S × d: row i is the first ``standard_normal(d)`` of the stream of key row i."""
         out = np.empty((keys.shape[0], d))
-        rekey = self.rekey
+        bitgen, state, key_state = self._bitgen, self._state, self._key_state
+        standard_normal = self._gen.standard_normal
         for lo in range(0, keys.shape[0], KEY_CHUNK):
             for key, row in zip(keys[lo : lo + KEY_CHUNK].tolist(), out[lo : lo + KEY_CHUNK]):
-                rekey(key).standard_normal(out=row)
+                key_state["key"] = key
+                bitgen.state = state
+                standard_normal(out=row)
         return out
-
-
-def normal_rows(d: int, seed: int, *path) -> np.ndarray:
-    """N × d standard normals; row i is ``stream(seed, *path_i).standard_normal(d)``."""
-    return Rekeyer().normal_rows(philox_keys(seed, *path), d)

@@ -108,7 +108,7 @@ def build_universe(C: int, d_in: int, sigma: float, seed: int) -> IdentityUniver
         raise ConfigError(f"need at least one identity, got C={C}")
     if d_in < 2:
         raise ConfigError(f"input dimension must be >= 2, got {d_in}")
-    centers = rng.normal_rows(d_in, seed, rng.CENTERS, np.arange(C))
+    centers = rng.Rekeyer().normal_rows(rng.philox_keys(seed, rng.CENTERS, np.arange(C)), d_in)
     # each stacked row·row product is the ddot that np.linalg.norm(row) runs
     centers /= np.sqrt((centers[:, None, :] @ centers[:, :, None])[:, 0])
     return IdentityUniverse(sigma=float(sigma), seed=int(seed), centers=centers)
@@ -160,7 +160,7 @@ def heldout_instance(universe: IdentityUniverse, identity: int, index: int) -> n
 def _noisy_rows(
     universe: IdentityUniverse, idents: np.ndarray, keys: np.ndarray, rekeyer: rng.Rekeyer
 ) -> np.ndarray:
-    """Row i: ``centers[idents[i]] + sigma * rekeyer.rekey(keys[i]).standard_normal(d_in)``."""
+    """Row i: ``centers[idents[i]] + sigma *`` row i of ``rekeyer.normal_rows(keys, d_in)``."""
     rows = rekeyer.normal_rows(keys, universe.d_in)
     rows *= universe.sigma
     rows += universe.centers[idents]
@@ -244,7 +244,7 @@ def make_pair_batch(plan: PairPlan, step: int) -> PairBatch:
     index of its identity.
     Every bounded draw is a multiply-shift of a 32-bit half-word, biased by
     less than bound / 2**32 (``_lemire``). A single-instance identity's reference is its center plus
-    ``sigma * rng.normal_rows(d_in, seed, rng.BATCH_REFERENCE, step, row)``.
+    ``sigma * rng.stream(seed, rng.BATCH_REFERENCE, step, row).standard_normal(d_in)``.
     A step outside the planned block plans the ``PLAN_BLOCK_STEPS`` steps
     from it on; rows are gathered from ``plan.data`` when a step is served.
     """
@@ -340,17 +340,17 @@ def build_eval_protocol(
 ) -> EvalProtocol:
     """Balanced verification pairs plus probe/gallery sets with distractors.
 
-    Training identities are 0..len(counts)−1; distractors come from the
-    reserved range [len(counts), universe.C), which training never touches.
+    Training identities are 0..len(counts)−1; the distractors are the
+    ``n_distractors`` identities after them, which training never touches.
     All evaluation inputs are drawn from the held-out instance stream.
     """
     counts = np.asarray(counts, dtype=np.int64)
     n_train = int(counts.size)
-    n_reserved = universe.C - n_train
     if n_pairs % 2 != 0:
         raise ConfigError(f"n_pairs must be even for a balanced protocol, got {n_pairs}")
-    if n_distractors > n_reserved:
-        raise ConfigError(f"{n_distractors} distractors requested, only {n_reserved} reserved")
+    if not 0 <= n_distractors <= universe.C - n_train:
+        limit = universe.C - n_train
+        raise ConfigError(f"n_distractors must lie in [0, {limit}], got {n_distractors}")
     if n_probe > n_train:
         raise ConfigError(f"{n_probe} probes requested from {n_train} training identities")
     if n_pairs and n_train < 2:

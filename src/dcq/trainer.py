@@ -81,7 +81,6 @@ class TrainConfig:
     zipf_exponent: float = 1.5
     min_count: int = 2
     max_count: int = 200
-    n_reserved: int = 200
     # evaluation protocol
     eval_pairs: int = 400
     eval_probes: int = 200
@@ -139,8 +138,8 @@ class TrainConfig:
             raise ConfigError(
                 "n_classes, layer dims and eval_probes must be positive, eval_pairs >= 2"
             )
-        if min(cfg.eval_distractors, cfg.n_reserved) < 0:
-            raise ConfigError("eval_distractors and n_reserved must be >= 0")
+        if cfg.eval_distractors < 0:
+            raise ConfigError(f"eval_distractors must be >= 0, got {cfg.eval_distractors}")
         # keys reduce the seed modulo 2**64, so a seed outside would rerun another
         if not 0 <= cfg.seed < 2**64:
             raise ConfigError(f"seed must lie in [0, 2**64), got {cfg.seed}")
@@ -327,7 +326,7 @@ class TrainResult:
 
 def _build_run_state(cfg: TrainConfig) -> TrainResult:
     """Data, eval protocol, freshly initialised model and zero optimizer state."""
-    universe = build_universe(cfg.n_classes + cfg.n_reserved, cfg.d_in, cfg.sigma, cfg.seed)
+    universe = build_universe(cfg.n_classes + cfg.eval_distractors, cfg.d_in, cfg.sigma, cfg.seed)
     spec = LongTailSpec(cfg.zipf_exponent, cfg.min_count, cfg.max_count)
     counts = assign_longtail_counts(spec, cfg.n_classes)
     protocol = build_eval_protocol(

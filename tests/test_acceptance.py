@@ -37,7 +37,6 @@ BENCH = dict(
     zipf_exponent=1.5,  # 99.7% of classes below 10 instances
     min_count=2,
     max_count=200,
-    n_reserved=400,
     K=200,  # 0.1 * n_classes
     B=32,
     epochs=30,
@@ -142,7 +141,7 @@ class TestCriterion3FullCoverage:
             mx = logits.max(axis=1, keepdims=True)
             lse = mx[:, 0] + np.log(np.exp(logits - mx).sum(axis=1))
             expected = float(np.mean(lse - logits[rows, y]))
-            worst = max(worst, abs(loss.item() - expected))
+            worst = max(worst, abs(float(loss.data) - expected))
         _report(3, f"full-coverage equivalence over 100 draws, worst dev {worst:.2e} <= 1e-9",
                 worst <= 1e-9)
 
@@ -176,7 +175,7 @@ class TestCriterion4MaskingExactness:
                 logits = 50.0 * np.concatenate([[f_hat[i] @ w_pos[i] - 0.3], cos_neg])
                 mx = logits.max()
                 per_row.append(mx + np.log(np.exp(logits - mx).sum()) - logits[0])
-            worst = max(worst, abs(loss.item() - float(np.mean(per_row))))
+            worst = max(worst, abs(float(loss.data) - float(np.mean(per_row))))
         _report(4, f"masking vs physical deletion, worst dev {worst:.2e} <= 1e-12",
                 worst <= 1e-12)
 
@@ -220,7 +219,7 @@ class TestCriterion6QueueSemantics:
 
         monkeypatch.setattr(dcq.class_queue, "dcq_logits_with_mask", recording_logits)
         cfg = TrainConfig(
-            method="dcq", n_classes=40, n_reserved=10, epochs=3, B=8, K=20,
+            method="dcq", n_classes=40, epochs=3, B=8, K=20,
             sigma=0.05, d_in=8, embed_dim=8, hidden_dims=(16,),
             min_count=2, max_count=20, zipf_exponent=1.0,
             eval_pairs=40, eval_probes=10, eval_distractors=5, decay_epochs=(2,),
@@ -268,7 +267,7 @@ class TestCriterion7MemoryClaim:
         ok = ok and reference.optimizer_state_bytes == 0
 
         cfg = TrainConfig(
-            method="dcq", n_classes=30, n_reserved=10, epochs=1, B=8, K=10,
+            method="dcq", n_classes=30, epochs=1, B=8, K=10,
             sigma=0.05, d_in=8, embed_dim=8, hidden_dims=(16,),
             min_count=2, max_count=10, zipf_exponent=1.0,
             eval_pairs=20, eval_probes=5, eval_distractors=5, decay_epochs=(1,),
@@ -338,7 +337,7 @@ class TestCriterion10Sampling:
 
 class TestCriterion11Determinism:
     CONFIG = {
-        "method": "dcq", "n_classes": 40, "n_reserved": 10, "epochs": 4, "B": 8,
+        "method": "dcq", "n_classes": 40, "epochs": 4, "B": 8,
         "K": 16, "sigma": 0.05, "d_in": 8, "embed_dim": 8, "hidden_dims": [16],
         "min_count": 2, "max_count": 20, "zipf_exponent": 1.0,
         "eval_pairs": 40, "eval_probes": 10, "eval_distractors": 5,

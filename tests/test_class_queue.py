@@ -308,7 +308,7 @@ class TestDcqLoss:
         logits = np.hstack([l_pos.data, l_neg.data])
         lse = np.log(np.exp(logits).sum(axis=1))
         expected = float(np.mean(lse - logits[:, 0]))
-        assert abs(loss.item() - expected) < 1e-12
+        assert abs(float(loss.data) - expected) < 1e-12
 
     def test_loss_strictly_increases_with_margin(self):
         rng = np.random.default_rng(9)
@@ -316,7 +316,7 @@ class TestDcqLoss:
         l_neg = Tensor(rng.uniform(-1, 1, (4, 6)))
         loss_0, _ = dcq_cosface_loss(l_pos, l_neg, s=50.0, m=0.0)
         loss_m, _ = dcq_cosface_loss(l_pos, l_neg, s=50.0, m=0.3)
-        assert loss_m.item() > loss_0.item()
+        assert float(loss_m.data) > float(loss_0.data)
 
     def test_full_coverage_matches_reference_oracle(self):
         # queue holding every non-target class plus the true column as the
@@ -338,7 +338,7 @@ class TestDcqLoss:
             l_pos, l_neg = dcq_logits_with_mask(Tensor(f_raw), w_pos, queue, y)
             loss, _ = dcq_cosface_loss(l_pos, l_neg, s=50.0, m=0.3)
             expected = cosface_full_reference(f_raw, weights, y, s=50.0, m=0.3)
-            if abs(loss.item() - expected) >= 1e-9:
+            if abs(float(loss.data) - expected) >= 1e-9:
                 failures += 1
         assert failures == 0
 
@@ -364,7 +364,7 @@ class TestDcqLoss:
             keep = labels != y[i]
             cos_neg = f_hat[i] @ w[keep].T
             per_row.append(subset_reference(float(f_hat[i] @ w_pos_rows[i]), cos_neg, 50.0, 0.3))
-        assert abs(loss.item() - float(np.mean(per_row))) < 1e-12
+        assert abs(float(loss.data) - float(np.mean(per_row))) < 1e-12
 
     def test_subset_consistency(self):
         # duplicates inflate the denominator: masked queue loss >= the loss
@@ -389,14 +389,14 @@ class TestDcqLoss:
         l_pos2, l_neg2 = dcq_logits_with_mask(Tensor(f_raw), Tensor(w_pos_rows), q_dup, y)
         loss_dup, _ = dcq_cosface_loss(l_pos2, l_neg2, s=10.0, m=0.2)
 
-        assert loss_dup.item() > loss_distinct.item()
+        assert float(loss_dup.data) > float(loss_distinct.data)
         # equality case: same distinct set via the reference oracle per row
         f_hat = f_raw / np.linalg.norm(f_raw, axis=1, keepdims=True)
         per_row = [
             subset_reference(float(f_hat[i] @ w_pos_rows[i]), f_hat[i] @ distinct.T, 10.0, 0.2)
             for i in range(b)
         ]
-        assert abs(loss_distinct.item() - float(np.mean(per_row))) < 1e-12
+        assert abs(float(loss_distinct.data) - float(np.mean(per_row))) < 1e-12
 
     def test_finite_differences_on_four_sample_batch_six_slot_queue(self):
         # the FD oracle applied to the complete queue loss pipeline

@@ -12,7 +12,7 @@ from dcq.checkpoint import load_checkpoint, save_checkpoint
 from dcq.errors import ConfigError
 
 TINY_CONFIG = {
-    "method": "dcq", "n_classes": 12, "n_reserved": 8, "epochs": 2, "B": 8, "K": 8,
+    "method": "dcq", "n_classes": 12, "epochs": 2, "B": 8, "K": 8,
     "sigma": 0.05, "d_in": 8, "embed_dim": 8, "hidden_dims": [16],
     "min_count": 2, "max_count": 10, "zipf_exponent": 1.0,
     "eval_pairs": 40, "eval_probes": 10, "eval_distractors": 5, "decay_epochs": [1],
@@ -279,6 +279,20 @@ class TestConfigNotAnObject:
         assert not out.exists()
 
 
+class TestRetiredConfigField:
+    @pytest.mark.parametrize("source", ["config", "manifest"])
+    def test_train_with_n_reserved_is_a_one_line_error(self, tmp_path, capsys, source):
+        config = {**TINY_CONFIG, "n_reserved": 8}
+        path = tmp_path / f"{source}.json"
+        path.write_text(json.dumps(config if source == "config" else {"config": config}))
+        out = tmp_path / "run"
+        code = cli.main(["train", "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: unknown config fields: ['n_reserved']\n", err
+        assert not out.exists()
+
+
 class TestGenData:
     def test_writes_dataset_and_summary(self, tmp_path, capsys):
         config = _write_config(tmp_path)
@@ -341,6 +355,34 @@ class TestGenData:
         assert calls == [(0, 256), (256, 512)]
         assert out.read_bytes() == b"an earlier dataset"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data.dcqd"]
+
+    def test_missing_out_dir_error_names_out(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "data.dcqd"
+        code = cli.main(["gen-data", "--config", _write_config(tmp_path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n", err
+        assert ".tmp" not in err
+
+
+class TestUniverseSize:
+    def test_each_command_draws_only_the_identities_it_reads(self, tmp_path, capsys, monkeypatch):
+        # a run and dcq eval read the training identities and the eval
+        # distractors after them; dcq gen-data reads the training identities
+        real, sizes = synthdata.build_universe, []
+
+        def spy(C, *args):
+            sizes.append(C)
+            return real(C, *args)
+
+        monkeypatch.setattr(trainer, "build_universe", spy)
+        monkeypatch.setattr(cli, "build_universe", spy)
+        config, run = _write_config(tmp_path), tmp_path / "run"
+        assert cli.main(["train", "--config", config, "--out", str(run)]) == 0
+        assert cli.main(["eval", "--checkpoint", str(run / "final.ckpt")]) == 0
+        assert cli.main(["gen-data", "--config", config, "--out", str(tmp_path / "d.dcqd")]) == 0
+        n_classes, n_distractors = TINY_CONFIG["n_classes"], TINY_CONFIG["eval_distractors"]
+        assert sizes == [n_classes + n_distractors, n_classes + n_distractors, n_classes]
 
 
 class TestEval:
@@ -501,6 +543,12 @@ class TestBadCheckpointMetadata:
         _, path = self._damaged(tmp_path, capsys, lambda meta: meta["state"].update(past))
         code = cli.main(["eval", "--checkpoint", str(path)])
         self._one_line_error(capsys, code, "queue_cursor")
+
+    def test_eval_with_retired_n_reserved(self, tmp_path, capsys):
+        # checkpoints written before n_reserved was removed carry it
+        _, path = self._damaged(tmp_path, capsys, lambda meta: meta["config"].update(n_reserved=8))
+        code = cli.main(["eval", "--checkpoint", str(path)])
+        self._one_line_error(capsys, code, "n_reserved")
 
     def test_resume_without_epoch_next(self, tmp_path, capsys):
         config, path = self._damaged(

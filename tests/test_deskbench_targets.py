@@ -59,7 +59,7 @@ def test_head_probe_reports_every_point(monkeypatch):
 
 
 TRACED_TINY = dict(
-    n_classes=12, n_reserved=8, epochs=1, B=8, K=8, d_in=8, embed_dim=8, hidden_dims=(16,),
+    n_classes=12, epochs=1, B=8, K=8, d_in=8, embed_dim=8, hidden_dims=(16,),
     min_count=2, max_count=10, eval_pairs=40, eval_probes=10, eval_distractors=5,
 )
 

@@ -239,7 +239,7 @@ class TestTailAlignment:
     def test_converged_training_aligns(self):
         # soft scale keeps pull gradients alive until the columns align
         cfg = TrainConfig(
-            method="cosface-full", n_classes=6, n_reserved=2, epochs=60, B=16,
+            method="cosface-full", n_classes=6, epochs=60, B=16,
             sigma=0.01, d_in=8, embed_dim=8, hidden_dims=(16,),
             min_count=30, max_count=30, zipf_exponent=0.0, s=4.0, m=0.1, lr0=0.05,
             eval_pairs=20, eval_probes=4, eval_distractors=1, decay_epochs=(50,),
@@ -255,7 +255,7 @@ class TestTailAlignment:
         # few-instance classes collect mostly push-away updates, so their
         # learned columns sit further from their instances' mean embedding
         cfg = TrainConfig(
-            method="cosface-full", n_classes=120, n_reserved=30, epochs=40, B=16,
+            method="cosface-full", n_classes=120, epochs=40, B=16,
             sigma=0.05, d_in=16, embed_dim=16, hidden_dims=(32,),
             min_count=2, max_count=60, zipf_exponent=1.2, s=8.0, m=0.2, lr0=0.05,
             eval_pairs=100, eval_probes=40, eval_distractors=20, decay_epochs=(30, 36),
@@ -417,7 +417,7 @@ def test_alignment_embeds_row_blocks_not_classes(monkeypatch):
     # the desk config (C=2000, d_in=32, hidden (64, 64), D=32) with a few
     # single-instance classes, which each get one 1-row embed of their own
     cfg = TrainConfig()
-    universe = build_universe(cfg.n_classes + cfg.n_reserved, cfg.d_in, cfg.sigma, cfg.seed)
+    universe = build_universe(cfg.n_classes + cfg.eval_distractors, cfg.d_in, cfg.sigma, cfg.seed)
     counts = assign_longtail_counts(
         LongTailSpec(cfg.zipf_exponent, cfg.min_count, cfg.max_count), cfg.n_classes
     )
@@ -468,7 +468,7 @@ def test_alignment_draws_rows_a_block_at_a_time(monkeypatch):
 class TestExperimentGrid:
     def test_single_value_reproduces_single_run(self):
         cfg = TrainConfig(
-            method="dcq", n_classes=12, n_reserved=8, epochs=2, B=8, K=8,
+            method="dcq", n_classes=12, epochs=2, B=8, K=8,
             sigma=0.05, d_in=8, embed_dim=8, hidden_dims=(16,),
             min_count=2, max_count=10, zipf_exponent=1.0,
             eval_pairs=40, eval_probes=10, eval_distractors=5, decay_epochs=(1,),
@@ -484,7 +484,7 @@ class TestExperimentGrid:
             run_experiment_grid(TrainConfig(), "epochs", [1, 2])
 
     GRID_CFG = dict(
-        method="dcq", n_classes=300, n_reserved=60, epochs=12, B=8,
+        method="dcq", n_classes=300, epochs=12, B=8,
         sigma=0.1, d_in=16, embed_dim=16, hidden_dims=(32,),
         min_count=2, max_count=60, zipf_exponent=1.0,
         eval_pairs=600, eval_probes=150, eval_distractors=50,
@@ -519,7 +519,7 @@ class TestExperimentGrid:
 class TestEvaluateProtocol:
     def test_reports_tail_and_head_split(self):
         cfg = TrainConfig(
-            method="dcq", n_classes=12, n_reserved=8, epochs=1, B=8, K=8,
+            method="dcq", n_classes=12, epochs=1, B=8, K=8,
             sigma=0.05, d_in=8, embed_dim=8, hidden_dims=(16,),
             min_count=2, max_count=30, zipf_exponent=1.2,
             eval_pairs=40, eval_probes=12, eval_distractors=5, decay_epochs=(1,),

@@ -30,7 +30,7 @@ from dcq.trainer import TrainConfig, run_training, save_result_checkpoint
 # draws fresh reference noise for some row; min_instances=9 keeps 3
 # head-only classes, none of them single-instance.
 GOLDEN_BASE = dict(
-    n_classes=60, n_reserved=20, epochs=2, B=16, K=32, d_in=8, embed_dim=8,
+    n_classes=60, epochs=2, B=16, K=32, d_in=8, embed_dim=8,
     hidden_dims=(16,), sigma=0.1, zipf_exponent=1.2, min_count=1, max_count=40,
     eval_pairs=40, eval_probes=20, eval_distractors=10, seed=3,
 )
@@ -52,17 +52,17 @@ GOLDEN_PINS = {
 
 CHECKPOINT_PINS = {
     ("dcq", "instance"):
-        "b90ab9f5fc5934e9cff4f3c96ecebb44398391481476a405271ba31fd0392264",
+        "4c82e1d9025e9fb1db337d9efd45b6cc2204f6d823d7256cbb81e1a6a39b0c57",
     ("dcq", "class"):
-        "bf7bf2d5d0fd4c33db085f8907b1bce6f4a6ac1f2a664ac4c58f14d89243ea86",
+        "87fe8d65aa0240f570ba6a32c5adf2373f1eaf6414245a54e28af44f8a9df07f",
     ("cosface-full", "instance"):
-        "48d9a2b2664239e4e6c8885d8e4faa450fa3c601fb56779c6cc2c39a2f949bff",
+        "1b246f99324fb944196eb4dd82185da091bccd83e01f7facf4f22ddb1c7ee146",
     ("cosface-full", "class"):
-        "3d20f6e1cd5d8b74b8386227087b67b01a12c05f570829f4ac81c344866e41fa",
+        "68febc8cb1d3fb732a858bb95ce3b428f7c3d0b66d085d8a714fc8cb6d3b9158",
     ("cosface-head-only", "instance"):
-        "412d38394c72f557e27d1404cbe19c0c39a4c6262fedeabd961204f01e47c939",
+        "4563cb3be77161541b23075a82db55c3f34d5b4a21b8021bba8e1af82a59a07f",
     ("cosface-head-only", "class"):
-        "8596c7e37cb31a033f1a572a1c2dccb79ac5d826ba40a69dcba23f0f9ea63b2c",
+        "b795bf0536a08f18b0f655c31e192b79f342238a400b22248c33601fb1d609ea",
 }
 
 # min_count=2 leaves no single-instance identity, so every batch of these
@@ -72,11 +72,11 @@ MULTI_INSTANCE_BASE = {**GOLDEN_BASE, "min_count": 2}
 MULTI_INSTANCE_PINS = {
     "instance": (
         "ade39be0c4a4a46df758b06c3e5d47dadd6645ef62817826061cdf7cb884f0ad",
-        "3805b038063a59655c429e0dcf3d419cb1efe72aba46949d4f6b8c1aa9b12e13",
+        "a24e77cfbb1462456b350c80d0064450781ba148754f313747d3a4307ba3def8",
     ),
     "class": (
         "ff074b2d42c11202c5260feb8decebc1b28e35ccd221d7d8def744a3f60ce5a5",
-        "9a490d33f2f696655ea08018bada214ed512fcb76649a1d6bbdfb2cff6e2c0cd",
+        "d56dc4e40fa7500fa7afccb50f3aed79f19d909a3ee2ee65d41a6bca9525d011",
     ),
 }
 

@@ -208,20 +208,20 @@ class TestNormalizeRows:
 class TestSoftmaxCrossEntropy:
     def test_equal_logits(self):
         loss, diag = margin_softmax_ce([Tensor(np.zeros((1, 4)))], np.array([2]), 1.0, 0.0)
-        assert abs(loss.item() - math.log(4)) < 1e-12
+        assert abs(float(loss.data) - math.log(4)) < 1e-12
         np.testing.assert_allclose(diag.p_pos, [0.25], atol=1e-15)
 
     def test_dominant_target_logit(self):
         logits = np.zeros((1, 5))
         logits[0, 3] = 1000.0
         loss, _ = margin_softmax_ce([Tensor(logits)], np.array([3]), 1.0, 0.0)
-        assert loss.item() < 1e-12
+        assert float(loss.data) < 1e-12
 
     def test_hand_computed_value(self):
         # scalar oracle: -ln(e^2 / (e^2 + e + 1))
         expected = math.log(math.e**2 + math.e + 1) - 2.0
         loss, _ = margin_softmax_ce([Tensor([[2.0, 1.0, 0.0]])], np.array([0]), 1.0, 0.0)
-        assert abs(loss.item() - expected) < 1e-12
+        assert abs(float(loss.data) - expected) < 1e-12
 
     def test_out_of_range_target(self):
         with pytest.raises(IndexError):
@@ -279,7 +279,7 @@ class TestMarginSoftmaxCe:
         others[rows, targets] = False
         # 1 − p and log z cancel when p nears 1, so relative errors are floored
         # at 1e-12 of a unit probability (scaled by s/B for the gradient)
-        assert abs(loss.item() - ref_loss) <= 1e-12 * max(1.0, abs(ref_loss))
+        assert abs(float(loss.data) - ref_loss) <= 1e-12 * max(1.0, abs(ref_loss))
         np.testing.assert_allclose(diag.p_pos, ref_probs[rows, targets], rtol=1e-12, atol=0)
         np.testing.assert_allclose(
             diag.p_neg, ref_probs[others].reshape(rows.size, -1), rtol=1e-12, atol=0
@@ -320,7 +320,7 @@ class TestMarginSoftmaxCe:
             math.log(sum(math.exp(v) for v in row)) - row[t]
             for row, t in zip(logits.tolist(), (2, 0))
         ])
-        assert abs(loss.item() - expected) < 1e-12
+        assert abs(float(loss.data) - expected) < 1e-12
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=50, deadline=None)

@@ -38,11 +38,15 @@ class TestPhiloxKeys:
                 np.testing.assert_array_equal(keys[i], applied.state["state"]["key"])
 
 
+def _normal_rows(d, seed, *path):
+    return rng.Rekeyer().normal_rows(rng.philox_keys(seed, *path), d)
+
+
 class TestNormalRows:
     def test_rows_match_single_key_streams(self):
         idents = np.arange(200)
         index = (idents * 7) % 11
-        rows = rng.normal_rows(9, 4, rng.INSTANCE_NOISE, 1, idents, index)
+        rows = _normal_rows(9, 4, rng.INSTANCE_NOISE, 1, idents, index)
         assert rows.shape == (200, 9)
         for i in idents:
             gen = rng.stream(4, rng.INSTANCE_NOISE, 1, int(i), int(index[i]))
@@ -50,10 +54,10 @@ class TestNormalRows:
 
     def test_scalar_path_is_one_row(self):
         expected = rng.stream(3, rng.CENTERS, 2).standard_normal((1, 5))
-        np.testing.assert_array_equal(rng.normal_rows(5, 3, rng.CENTERS, 2), expected)
+        np.testing.assert_array_equal(_normal_rows(5, 3, rng.CENTERS, 2), expected)
 
     def test_empty_path_column_gives_no_rows(self):
-        assert rng.normal_rows(4, 1, rng.CENTERS, np.arange(0)).shape == (0, 4)
+        assert _normal_rows(4, 1, rng.CENTERS, np.arange(0)).shape == (0, 4)
 
 
 class TestRekeyer:
@@ -65,25 +69,24 @@ class TestRekeyer:
             tuple(w >= HIGH for w in rng.derive_key(5, rng.BATCH, int(t))) for t in steps
         ]
         assert {(False, False), (True, True), (False, True), (True, False)} <= set(words)
+        keys = rng.philox_keys(5, rng.BATCH, steps)
+        # one generator serves both methods in turn; each call starts every
+        # key's stream afresh, whatever the call before left buffered
         rekeyer = rng.Rekeyer()
-        for t, key in zip(steps, rng.philox_keys(5, rng.BATCH, steps).tolist(), strict=True):
-            gen = rekeyer.rekey(key)
-            ref = rng.stream(5, rng.BATCH, int(t))
-            np.testing.assert_array_equal(
-                gen.bit_generator.state["state"]["key"], ref.bit_generator.state["state"]["key"]
-            )
-            # a 32-bit draw leaves half a word buffered; the next re-key drops it
-            assert gen.integers(10) == ref.integers(10)
-            np.testing.assert_array_equal(gen.standard_normal(3), ref.standard_normal(3))
-        # the bulk words start each key's stream afresh, whatever the draws
-        # above left buffered
-        words = rekeyer.raw_words(rng.philox_keys(5, rng.BATCH, steps), 5)
-        assert words.shape == (300, 5) and words.dtype == np.uint64
-        for t in steps:
-            ref = rng.stream(5, rng.BATCH, int(t)).bit_generator.random_raw(5)
-            np.testing.assert_array_equal(words[t], ref)
+        for _ in range(2):
+            rows = rekeyer.normal_rows(keys, 3)
+            raw = rekeyer.raw_words(keys, 5)
+            assert raw.shape == (300, 5) and raw.dtype == np.uint64
+            for t in steps:
+                ref = rng.stream(5, rng.BATCH, int(t))
+                np.testing.assert_array_equal(rows[t], ref.standard_normal(3))
+                ref = rng.stream(5, rng.BATCH, int(t)).bit_generator.random_raw(5)
+                np.testing.assert_array_equal(raw[t], ref)
 
     def test_offset_range_starts_at_its_first_key(self):
+        keys = rng.philox_keys(2, rng.BATCH, np.arange(70, 90))
         ref = rng.stream(2, rng.BATCH, 70)
-        gen = rng.Rekeyer().rekey(rng.philox_keys(2, rng.BATCH, np.arange(70, 90))[0].tolist())
-        np.testing.assert_array_equal(gen.random(5), ref.random(5))
+        words = rng.Rekeyer().raw_words(keys, 5)[0]
+        np.testing.assert_array_equal(words, ref.bit_generator.random_raw(5))
+        ref = rng.stream(2, rng.BATCH, 70)
+        np.testing.assert_array_equal(rng.Rekeyer().normal_rows(keys, 5)[0], ref.standard_normal(5))

@@ -58,10 +58,21 @@ class TestBuildUniverse:
     @pytest.mark.parametrize("d_in", [2, 3, 32])
     def test_matches_per_row_norm_loop(self, C, d_in):
         for seed in (0, 13):
-            centers = rng.normal_rows(d_in, seed, rng.CENTERS, np.arange(C))
+            centers = np.stack(
+                [rng.stream(seed, rng.CENTERS, i).standard_normal(d_in) for i in range(C)]
+            )
             for row in centers:
                 row /= np.linalg.norm(row)
             assert np.array_equal(build_universe(C, d_in, 0.1, seed).centers, centers)
+
+    @pytest.mark.parametrize("C,k", [(1, 1), (7, 2), (2000, 100), (2000, 200)])
+    def test_centers_are_a_prefix_of_a_larger_universe(self, C, k):
+        # identity i's center depends on (seed, i) alone, so a command that
+        # builds only the identities it reads draws the same bits for them
+        for seed in (1, 17):
+            small = build_universe(C, 32, 0.1, seed).centers
+            large = build_universe(C + k, 32, 0.1, seed).centers
+            assert small.tobytes() == large[:C].tobytes()
 
 class TestLongTailCounts:
     def test_flat_exponent(self):
@@ -126,7 +137,7 @@ class TestDrawInstance:
 
 class TestInstanceRows:
     def test_rows_equal_draw_instance(self):
-        u = build_universe(9, 6, 0.2, seed=21)  # 2 reserved identities own no rows
+        u = build_universe(9, 6, 0.2, seed=21)  # identities 7 and 8 have no count, so no rows
         counts = np.array([4, 1, 0, 3, 1, 0, 2])
         rows = InstanceRows(u, counts)
         assert rows.index.tolist() == [0, 1, 2, 3, 0, 0, 1, 2, 0, 0, 1]
@@ -455,7 +466,7 @@ class TestPairPlan:
 
 class TestEvalProtocol:
     def _protocol(self, n_pairs=200, n_probe=20, n_distractors=30):
-        u = build_universe(80, 8, 0.1, seed=11)  # 50 train + 30 reserved
+        u = build_universe(80, 8, 0.1, seed=11)  # 50 train + 30 distractors
         counts = assign_longtail_counts(LongTailSpec(1.0, 2, 20), 50)
         return build_eval_protocol(u, counts, n_pairs, n_probe, n_distractors, seed=11), counts
 
@@ -486,8 +497,9 @@ class TestEvalProtocol:
     def test_size_validation(self):
         u = build_universe(60, 8, 0.1, seed=12)
         counts = assign_longtail_counts(LongTailSpec(1.0, 2, 20), 50)
-        with pytest.raises(ConfigError):
-            build_eval_protocol(u, counts, 100, 10, 11, seed=0)  # only 10 reserved
+        for n_distractors in (11, -1):  # 10 identities follow the 50 trained ones
+            with pytest.raises(ConfigError, match="n_distractors"):
+                build_eval_protocol(u, counts, 100, 10, n_distractors, seed=0)
         with pytest.raises(ConfigError):
             build_eval_protocol(u, counts, 100, 51, 5, seed=0)
         with pytest.raises(ConfigError):
@@ -576,7 +588,7 @@ class TestDatasetFile:
         # the desk config: 4393 rows of 32 inputs, drawn and written a block
         # at a time, so no N x d_in array is held
         cfg = TrainConfig()
-        u = build_universe(cfg.n_classes + cfg.n_reserved, cfg.d_in, cfg.sigma, cfg.seed)
+        u = build_universe(cfg.n_classes, cfg.d_in, cfg.sigma, cfg.seed)
         counts = assign_longtail_counts(
             LongTailSpec(cfg.zipf_exponent, cfg.min_count, cfg.max_count), cfg.n_classes
         )

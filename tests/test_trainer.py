@@ -39,7 +39,7 @@ def with_crc(body: bytes) -> bytes:
 
 
 TINY = dict(
-    n_classes=12, n_reserved=8, epochs=3, B=8, K=8, sigma=0.05,
+    n_classes=12, epochs=3, B=8, K=8, sigma=0.05,
     d_in=8, embed_dim=8, hidden_dims=(16,), min_count=2, max_count=10,
     zipf_exponent=1.0, eval_pairs=40, eval_probes=10, eval_distractors=5,
     decay_epochs=(2,),
@@ -210,7 +210,7 @@ class TestConfig:
         for bad in (
             {"sigma": -1.0}, {"d_in": 0}, {"embed_dim": 0}, {"hidden_dims": (16, 0)},
             {"n_classes": 0}, {"eval_pairs": 0}, {"eval_probes": 0},
-            {"eval_distractors": -1}, {"n_reserved": -1},
+            {"eval_distractors": -1},
         ):
             with pytest.raises(ConfigError):
                 TrainConfig(**bad).resolve()
@@ -264,7 +264,7 @@ class TestRunTraining:
     def test_well_separated_identities_verify(self):
         # 10 tight identities: verification accuracy >= 0.95 within 20 epochs
         cfg = TrainConfig(
-            method="dcq", n_classes=10, n_reserved=5, epochs=20, B=8, K=8,
+            method="dcq", n_classes=10, epochs=20, B=8, K=8,
             sigma=0.01, d_in=8, embed_dim=8, hidden_dims=(16,),
             min_count=5, max_count=20, zipf_exponent=0.5,
             eval_pairs=60, eval_probes=10, eval_distractors=4, decay_epochs=(15,),
@@ -381,14 +381,14 @@ class TestRunTraining:
 
     def _monotone_descent(self, method, lr0, momentum, sigma):
         cfg = TrainConfig(
-            method=method, n_classes=3, n_reserved=4, epochs=14, B=12, K=12,
+            method=method, n_classes=3, epochs=14, B=12, K=12,
             sigma=sigma, d_in=8, min_count=20, max_count=20, zipf_exponent=0.0,
             lr0=lr0, sgd_momentum=momentum,
             eval_pairs=20, eval_probes=3, eval_distractors=2, decay_epochs=(12,),
         ).resolve()
-        # the universe and counts the config builds: 3 + 4 identities in
-        # d_in=8, every trained identity with 20 instances
-        universe = build_universe(7, 8, sigma, cfg.seed)
+        # the universe and counts the config builds: 3 training identities
+        # plus 2 distractors in d_in=8, every trained identity with 20 instances
+        universe = build_universe(5, 8, sigma, cfg.seed)
         counts = np.full(3, 20)
         plan = PairPlan(universe, counts, 12, "instance", 99)
         probe = make_pair_batch(plan, 0)
@@ -415,7 +415,7 @@ class TestRunTraining:
                     return
                 feats = extract_features(state.extractor, probe.x_t, None)
                 loss, _ = fc_cosface_loss(feats, state.head, probe.y, cfg.s, cfg.m)
-            series.append(loss.item())
+            series.append(float(loss.data))
 
         result = run_training(cfg, hooks=hook)
         np.testing.assert_array_equal(result.universe.centers, universe.centers)
