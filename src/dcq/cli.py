@@ -204,7 +204,7 @@ def _cmd_sweep(args) -> int:
         if created_dir:
             shutil.rmtree(args.out, ignore_errors=True)
         raise
-    header = ["axis", "value", "ver_acc", "id_rank1", "tail_rank1"]
+    header = ["axis", "value", "ver_acc", "id_rank1", "tail_rank1", "head_rank1", "tail_probes"]
     lines = [",".join(header)]
     for row in rows:
         cells = [row["axis"], json.dumps(row["value"])]

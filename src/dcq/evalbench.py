@@ -257,14 +257,14 @@ def tail_alignment_diagnostic(
     return report
 
 
-GRID_AXES = ("K", "alpha", "sampling", "method")
+GRID_AXES = ("K", "alpha", "sampling", "method", "seed", "s", "zipf_exponent", "sigma")
 
 
 def run_experiment_grid(base_config, axis: str, values) -> list[dict]:
-    """Train one model per axis value with shared seed and data.
+    """Train one model per axis value; every other config field is shared.
 
-    Returns one result row per value, in the order given, with the final
-    verification accuracy, rank-1 rate and the per-epoch metric curves.
+    Returns one result row per value, in the order given, with the run's
+    whole ``final_eval`` and its per-epoch metric curves.
     """
     from .trainer import run_training  # local import to avoid a cycle
 
@@ -275,14 +275,6 @@ def run_experiment_grid(base_config, axis: str, values) -> list[dict]:
     rows = []
     for value, cfg in zip(values, configs):
         result = run_training(cfg)
-        rows.append(
-            {
-                "axis": axis,
-                "value": value,
-                "ver_acc": result.final_eval["ver_acc"],
-                "id_rank1": result.final_eval["id_rank1"],
-                "tail_rank1": result.final_eval.get("tail_rank1"),
-                "epochs": [dict(r) for r in result.metrics],
-            }
-        )
+        epochs = [dict(r) for r in result.metrics]
+        rows.append({"axis": axis, "value": value, **result.final_eval, "epochs": epochs})
     return rows

@@ -244,23 +244,16 @@ class QueueHead:
         self.generator.update(extractor)
         self.queue.update(Tensor(self.w_pos), batch.y)
 
-    def progress(self) -> dict:
-        return {"queue_cursor": self.queue.cursor}
-
-    def restore(self, arrays: dict, progress: dict) -> None:
-        """Take a checkpoint's cursor; raise CheckpointError unless it and the labels fit.
+    def restore(self, arrays: dict, global_step: int) -> None:
+        """Set the cursor ``global_step`` steps leave; raise CheckpointError unless the labels fit.
 
         Every step enqueues B rows from slot 0 on, so the cursor is
         (global_step × B) mod K and the sentinel labels sit on exactly the
         slots from min(global_step × B, K) on.
         """
-        cursor, K, C = progress.get("queue_cursor"), self.cfg.K, self.cfg.n_classes
-        enqueued = progress["global_step"] * self.cfg.B
-        filled, expected = min(enqueued, K), enqueued % K
-        if not (_is_int(cursor) and cursor == expected):
-            raise CheckpointError(
-                f"checkpoint state.queue_cursor {cursor!r} is not (global_step × B) mod K = {expected}"
-            )
+        K, C = self.cfg.K, self.cfg.n_classes
+        enqueued = global_step * self.cfg.B
+        filled = min(enqueued, K)
         labels = arrays["queue.labels"]
         if not np.isin(labels, np.arange(-1, C)).all():
             raise CheckpointError(f"checkpoint queue.labels must be integers in [-1, {C})")
@@ -268,7 +261,7 @@ class QueueHead:
             raise CheckpointError(
                 f"checkpoint queue.labels must hold the sentinel on exactly slots [{filled}, {K})"
             )
-        self.queue.cursor = cursor
+        self.queue.cursor = enqueued % K
 
 
 class CosFaceHead(fc.FcHead):
@@ -293,10 +286,7 @@ class CosFaceHead(fc.FcHead):
         momentum, decay = self.cfg.sgd_momentum, self.cfg.weight_decay
         sgd_momentum_step(self.W.data, tape.grad(self.W), self.velocity, lr, momentum, decay)
 
-    def progress(self) -> dict:
-        return {}
-
-    def restore(self, arrays: dict, progress: dict) -> None:
+    def restore(self, arrays: dict, global_step: int) -> None:
         pass
 
 
@@ -343,41 +333,23 @@ def _build_run_state(cfg: TrainConfig) -> TrainResult:
     )
 
 
-def _checkpoint_payload(state: TrainResult, progress: dict) -> tuple[dict, dict[str, np.ndarray]]:
-    meta = {"config": state.config.to_dict(), "state": {**progress, **state.head.progress()}}
+def _checkpoint_arrays(state: TrainResult) -> dict[str, np.ndarray]:
+    """The live buffers a checkpoint holds, by name."""
     arrays = {f"extractor.{name}": p.data for name, p in state.extractor.named_parameters()}
     arrays.update(state.head.arrays)
     for name, v in state.optimizer_state.items():
         arrays[f"velocity.{name}"] = v
-    return meta, arrays
+    return arrays
 
 
-def _checkpoint_meta(meta) -> tuple[dict, dict]:
-    """A checkpoint's config dict and progress, with keys and types checked.
-
-    Progress holds non-negative ints ``epoch_next`` and ``global_step``,
-    plus the head's own progress, which its ``restore`` checks; anything
-    else raises CheckpointError.
-    """
-    meta = meta if isinstance(meta, dict) else {}
-    config, progress = meta.get("config"), meta.get("state")
-    if not isinstance(config, dict) or not isinstance(progress, dict):
-        raise CheckpointError("checkpoint metadata lacks its config or state object")
-    for key in ("epoch_next", "global_step"):
-        value = progress.get(key)
-        if not _is_int(value) or value < 0:
-            raise CheckpointError(f"checkpoint state.{key} must be a non-negative int, got {value!r}")
-    return config, progress
-
-
-def _restore_from_checkpoint(state: TrainResult, progress: dict, arrays: dict) -> None:
+def _restore_from_checkpoint(state: TrainResult, arrays: dict, global_step: int) -> None:
     """Copy a checkpoint's arrays into a run state built from the same config.
 
     The checkpoint must hold exactly the arrays that state would save, each
-    with the same shape; anything else raises CheckpointError. ``progress``
-    comes from ``_checkpoint_meta``. The head checks its own state first.
+    with the same shape; anything else raises CheckpointError. The head
+    checks its own state first. ``final_step`` becomes ``global_step``.
     """
-    _, expected = _checkpoint_payload(state, {})
+    expected = _checkpoint_arrays(state)
     missing = sorted(expected.keys() - arrays.keys())
     extra = sorted(arrays.keys() - expected.keys())
     if missing or extra:
@@ -390,29 +362,10 @@ def _restore_from_checkpoint(state: TrainResult, progress: dict, arrays: dict) -
             raise CheckpointError(
                 f"checkpoint array {name} has shape {arrays[name].shape}, expected {ref.shape}"
             )
-    state.head.restore(arrays, progress)
+    state.head.restore(arrays, global_step)
     for name, target in expected.items():
         target[...] = arrays[name]
-
-
-def _load_run_state(path) -> tuple[TrainResult, int]:
-    """The run state a checkpoint holds, built from its own config, and its next epoch.
-
-    The progress must be an epoch end of that run: ``epoch_next`` ≤ epochs
-    and ``global_step`` = ``epoch_next`` × steps per epoch.
-    """
-    meta, arrays = load_checkpoint(path)
-    config_dict, progress = _checkpoint_meta(meta)
-    state = _build_run_state(TrainConfig.from_dict(config_dict).resolve())
-    epoch_next, step, epochs = progress["epoch_next"], progress["global_step"], state.config.epochs
-    if epoch_next > epochs or step != epoch_next * state.steps_per_epoch:
-        raise CheckpointError(
-            f"checkpoint state epoch_next {epoch_next}, global_step {step} is not an epoch end "
-            f"of {epochs} epochs of {state.steps_per_epoch} steps"
-        )
-    _restore_from_checkpoint(state, progress, arrays)
-    state.final_step = step
-    return state, epoch_next
+    state.final_step = global_step
 
 
 def periodic_checkpoints(cfg: TrainConfig) -> dict[int, str]:
@@ -438,19 +391,21 @@ def run_training(
     step and are not written after the hook returns, so it copies nothing.
     dcq's queue and generator are ``state.head.queue`` and ``state.head.generator``.
     ``resume_from`` continues from a checkpoint written with the same
-    config; only epochs after the checkpoint are run and reported. The
-    config's ``periodic_checkpoints`` are written to ``checkpoint_dir``.
+    config; only epochs after the checkpoint are run and reported.
+    ``state.final_step`` advances at each epoch end, when the config's
+    ``periodic_checkpoints`` are written to ``checkpoint_dir``.
     """
     cfg = config.resolve()
     if resume_from is None:
-        result, start_epoch = _build_run_state(cfg), 0
+        result = _build_run_state(cfg)
     else:
-        result, start_epoch = _load_run_state(resume_from)
+        result = load_result_checkpoint(resume_from)
         if result.config != cfg:
             raise ConfigError("checkpoint config does not match the requested config")
     extractor, head, counts = result.extractor, result.head, result.counts
 
     global_step = result.final_step
+    start_epoch = global_step // result.steps_per_epoch
     plan = PairPlan(result.universe, head.train_counts, cfg.B, cfg.sampling, cfg.seed)
     checkpoint_names = periodic_checkpoints(cfg) if checkpoint_dir is not None else {}
 
@@ -504,12 +459,11 @@ def run_training(
                 "wall_seconds": time.perf_counter() - epoch_start,
             }
         )
+        result.final_step = global_step
         name = checkpoint_names.get(epoch + 1)
         if name is not None:
-            progress = {"epoch_next": epoch + 1, "global_step": global_step}
-            save_checkpoint(f"{checkpoint_dir}/{name}", *_checkpoint_payload(result, progress))
+            save_result_checkpoint(f"{checkpoint_dir}/{name}", result)
 
-    result.final_step = global_step
     # the last epoch already scored the final model
     result.final_eval = (
         dict(scores) if scores is not None else evaluate_protocol(extractor, result.protocol, counts)
@@ -518,11 +472,30 @@ def run_training(
 
 
 def save_result_checkpoint(path, result: TrainResult) -> None:
-    """Write a final checkpoint for a completed run."""
-    progress = {"epoch_next": result.config.epochs, "global_step": result.final_step}
-    save_checkpoint(path, *_checkpoint_payload(result, progress))
+    """Write a run's checkpoint at its ``final_step``: its config, that step and its arrays."""
+    meta = {"config": result.config.to_dict(), "state": {"global_step": result.final_step}}
+    save_checkpoint(path, meta, _checkpoint_arrays(result))
 
 
 def load_result_checkpoint(path) -> TrainResult:
-    """Rebuild model state (not metrics) from a checkpoint for evaluation."""
-    return _load_run_state(path)[0]
+    """The model state (not metrics) a checkpoint holds, built from its own config.
+
+    The metadata must hold a config object and a state object whose
+    ``global_step`` is a non-negative int at an epoch end of that run: a
+    multiple of the steps per epoch, at most ``epochs`` of them. Other state
+    keys are not read. Anything else raises CheckpointError.
+    """
+    meta, arrays = load_checkpoint(path)
+    meta = meta if isinstance(meta, dict) else {}
+    config, progress = meta.get("config"), meta.get("state")
+    if not isinstance(config, dict) or not isinstance(progress, dict):
+        raise CheckpointError("checkpoint metadata lacks its config or state object")
+    state = _build_run_state(TrainConfig.from_dict(config).resolve())
+    step, per_epoch, epochs = progress.get("global_step"), state.steps_per_epoch, state.config.epochs
+    if not (_is_int(step) and 0 <= step <= epochs * per_epoch and step % per_epoch == 0):
+        raise CheckpointError(
+            f"checkpoint state.global_step must be an epoch end of {epochs} epochs "
+            f"of {per_epoch} steps, got {step!r}"
+        )
+    _restore_from_checkpoint(state, arrays, step)
+    return state

@@ -533,42 +533,32 @@ class TestBadCheckpointMetadata:
         _, path = self._damaged(tmp_path, capsys, lambda meta: meta.pop("config"))
         self._one_line_error(capsys, cli.main(["eval", "--checkpoint", str(path)]), "config")
 
-    def test_eval_without_queue_cursor(self, tmp_path, capsys):
-        _, path = self._damaged(tmp_path, capsys, lambda meta: meta["state"].pop("queue_cursor"))
-        code = cli.main(["eval", "--checkpoint", str(path)])
-        self._one_line_error(capsys, code, "queue_cursor")
-
-    def test_eval_with_queue_cursor_past_the_queue(self, tmp_path, capsys):
-        past = {"queue_cursor": 10**9}
-        _, path = self._damaged(tmp_path, capsys, lambda meta: meta["state"].update(past))
-        code = cli.main(["eval", "--checkpoint", str(path)])
-        self._one_line_error(capsys, code, "queue_cursor")
-
     def test_eval_with_retired_n_reserved(self, tmp_path, capsys):
         # checkpoints written before n_reserved was removed carry it
         _, path = self._damaged(tmp_path, capsys, lambda meta: meta["config"].update(n_reserved=8))
         code = cli.main(["eval", "--checkpoint", str(path)])
         self._one_line_error(capsys, code, "n_reserved")
 
-    def test_resume_without_epoch_next(self, tmp_path, capsys):
+    def test_resume_without_global_step(self, tmp_path, capsys):
         config, path = self._damaged(
-            tmp_path, capsys, lambda meta: meta["state"].pop("epoch_next"), checkpoint_every=1
+            tmp_path, capsys, lambda meta: meta["state"].pop("global_step"), checkpoint_every=1
         )
         out = tmp_path / "resumed"
         code = cli.main(["train", "--config", config, "--out", str(out), "--resume", str(path)])
-        self._one_line_error(capsys, code, "epoch_next")
+        self._one_line_error(capsys, code, "global_step")
         assert not out.exists()
-
 
     def test_resume_past_the_last_epoch(self, tmp_path, capsys):
-        past = {"epoch_next": 99}
-        config, path = self._damaged(
-            tmp_path, capsys, lambda meta: meta["state"].update(past), checkpoint_every=1
-        )
+        def one_epoch_past_the_end(meta):
+            # the damaged file is epoch_001.ckpt, so its global_step is one epoch's steps
+            meta["state"]["global_step"] *= meta["config"]["epochs"] + 1
+
+        config, path = self._damaged(tmp_path, capsys, one_epoch_past_the_end, checkpoint_every=1)
         out = tmp_path / "resumed"
         code = cli.main(["train", "--config", config, "--out", str(out), "--resume", str(path)])
-        self._one_line_error(capsys, code, "epoch_next")
+        self._one_line_error(capsys, code, "global_step")
         assert not out.exists()
+
 
 class TestSweep:
     def test_sweep_writes_results(self, tmp_path, capsys):
@@ -581,8 +571,15 @@ class TestSweep:
         assert code == 0
         rows = _read_csv(out / "results.csv")
         assert [r["value"] for r in rows] == ["0.9", "0.999"]
+        assert list(rows[0]) == [
+            "axis", "value", "ver_acc", "id_rank1", "tail_rank1", "head_rank1", "tail_probes"
+        ]
         payload = json.loads((out / "results.json").read_text())
         assert len(payload["rows"]) == 2
+        assert set(payload["rows"][0]) == {
+            "axis", "value", "ver_acc", "ver_threshold", "id_rank1",
+            "tail_rank1", "head_rank1", "tail_probes", "epochs",
+        }
 
     def test_bad_last_value_fails_before_any_training(self, tmp_path, capsys, monkeypatch):
         trained = []

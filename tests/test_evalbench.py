@@ -466,18 +466,32 @@ def test_alignment_draws_rows_a_block_at_a_time(monkeypatch):
 
 
 class TestExperimentGrid:
+    SMALL_CFG = dict(
+        method="dcq", n_classes=12, epochs=2, B=8, K=8,
+        sigma=0.05, d_in=8, embed_dim=8, hidden_dims=(16,),
+        min_count=2, max_count=10, zipf_exponent=1.0,
+        eval_pairs=40, eval_probes=10, eval_distractors=5, decay_epochs=(1,),
+    )
+
     def test_single_value_reproduces_single_run(self):
-        cfg = TrainConfig(
-            method="dcq", n_classes=12, epochs=2, B=8, K=8,
-            sigma=0.05, d_in=8, embed_dim=8, hidden_dims=(16,),
-            min_count=2, max_count=10, zipf_exponent=1.0,
-            eval_pairs=40, eval_probes=10, eval_distractors=5, decay_epochs=(1,),
-        )
+        cfg = TrainConfig(**self.SMALL_CFG)
         rows = run_experiment_grid(cfg, "alpha", [0.999])
         direct = run_training(cfg.replace(alpha=0.999))
         assert rows[0]["ver_acc"] == direct.final_eval["ver_acc"]
         assert rows[0]["id_rank1"] == direct.final_eval["id_rank1"]
         assert len(rows[0]["epochs"]) == 2
+
+    def test_seed_row_is_the_run_at_that_seed(self):
+        cfg = TrainConfig(**self.SMALL_CFG)
+        (row,) = run_experiment_grid(cfg, "seed", [5])
+        direct = run_training(cfg.replace(seed=5))
+
+        def without_wall_time(rows):
+            return [{k: v for k, v in r.items() if k != "wall_seconds"} for r in rows]
+
+        epochs = without_wall_time(row.pop("epochs"))
+        assert row == {"axis": "seed", "value": 5, **direct.final_eval}
+        assert epochs == without_wall_time(direct.metrics)
 
     def test_invalid_axis(self):
         with pytest.raises(ConfigError):

@@ -52,31 +52,32 @@ GOLDEN_PINS = {
 
 CHECKPOINT_PINS = {
     ("dcq", "instance"):
-        "4c82e1d9025e9fb1db337d9efd45b6cc2204f6d823d7256cbb81e1a6a39b0c57",
+        "42d4f995e0ec447d9a967e444c00956733e2ddd66000a004af74e473042ddfce",
     ("dcq", "class"):
-        "87fe8d65aa0240f570ba6a32c5adf2373f1eaf6414245a54e28af44f8a9df07f",
+        "ab00ef5724e17420f03dda37b2614cce0c4954dec499fb2f5e184324e5a5cada",
     ("cosface-full", "instance"):
-        "1b246f99324fb944196eb4dd82185da091bccd83e01f7facf4f22ddb1c7ee146",
+        "d4d8f28aa52d0cb62dba5df8afbc7044aa06f46a8ff707ef0fc0bbb5e2f84e1f",
     ("cosface-full", "class"):
-        "68febc8cb1d3fb732a858bb95ce3b428f7c3d0b66d085d8a714fc8cb6d3b9158",
+        "2cb0f17b976c4102bbbe4429a605717d7d42735907d588df635c35cfd819f404",
     ("cosface-head-only", "instance"):
-        "4563cb3be77161541b23075a82db55c3f34d5b4a21b8021bba8e1af82a59a07f",
+        "1b53d49a744d2efd5a53babb6d733d55af54a32a5111bbeaeb4a4148faa6df32",
     ("cosface-head-only", "class"):
-        "b795bf0536a08f18b0f655c31e192b79f342238a400b22248c33601fb1d609ea",
+        "1cc44fd2db2b8a44bcbccee780d8f9ec69fd467b333d721c0b0cbd365d7ee99b",
 }
 
 # min_count=2 leaves no single-instance identity, so every batch of these
-# runs comes from the planned path. Recorded before batch planning existed.
+# runs comes from the planned path. The metrics pins were recorded before
+# batch planning existed.
 MULTI_INSTANCE_BASE = {**GOLDEN_BASE, "min_count": 2}
 
 MULTI_INSTANCE_PINS = {
     "instance": (
         "ade39be0c4a4a46df758b06c3e5d47dadd6645ef62817826061cdf7cb884f0ad",
-        "a24e77cfbb1462456b350c80d0064450781ba148754f313747d3a4307ba3def8",
+        "f81c81393cc5402b5d5a7d64679b80d2cecd8c68d16a634ad49a8b7e9573b1a4",
     ),
     "class": (
         "ff074b2d42c11202c5260feb8decebc1b28e35ccd221d7d8def744a3f60ce5a5",
-        "d56dc4e40fa7500fa7afccb50f3aed79f19d909a3ee2ee65d41a6bca9525d011",
+        "d437575ceb212b67a226bc9e501c950511cd4e3a37eb051c594d39cc4e9ad423",
     ),
 }
 

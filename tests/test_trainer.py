@@ -434,10 +434,14 @@ class TestRunTraining:
         assert "labels" in str(info.value)
 
 
+def _metrics_without_wall_time(result):
+    return [{k: v for k, v in row.items() if k != "wall_seconds"} for row in result.metrics]
+
+
 class TestCheckpointFormat:
     def _payload(self):
         rng_ = np.random.default_rng(0)
-        meta = {"config": {"seed": 1}, "state": {"epoch_next": 2, "global_step": 10}}
+        meta = {"config": {"seed": 1}, "state": {"global_step": 10}}
         arrays = {
             "extractor.layer0.weight": rng_.standard_normal((3, 4)),
             "queue.labels": np.array([1.0, -1.0, 4.0]),
@@ -683,8 +687,8 @@ class TestResume:
     # value None deletes the key; config sits at the top of the metadata
     @pytest.mark.parametrize(
         "key,value",
-        [("config", None), ("queue_cursor", None), ("epoch_next", 1.0),
-         ("global_step", -1), ("queue_cursor", True), ("queue_cursor", TINY["K"])],
+        [("config", None), ("global_step", None), ("global_step", 1.0),
+         ("global_step", True), ("global_step", -1)],
     )
     def test_checkpoint_metadata_is_checked(self, tmp_path, key, value):
         from dcq.trainer import load_result_checkpoint
@@ -704,9 +708,8 @@ class TestResume:
         with pytest.raises(CheckpointError, match=key):
             run_training(cfg, resume_from=path)
 
-    # each damage leaves the other progress values as a real run has them at that point
-    @pytest.mark.parametrize("key", ["epoch_next", "global_step", "queue_cursor"])
-    def test_checkpoint_progress_must_fit_the_run(self, tmp_path, key):
+    @pytest.mark.parametrize("damage", ["global_step", "past-the-end"])
+    def test_checkpoint_progress_must_fit_the_run(self, tmp_path, damage):
         from dcq.trainer import load_result_checkpoint
 
         cfg = TrainConfig(method="dcq", checkpoint_every=1, **{**TINY, "epochs": 2})
@@ -714,21 +717,59 @@ class TestResume:
         path = tmp_path / "epoch_001.ckpt"
         meta, arrays = load_checkpoint(path)
         state = meta["state"]
-        steps_per_epoch, B, K = state["global_step"], cfg.B, cfg.K
-        if key == "epoch_next":  # one epoch past the run's end
-            state["epoch_next"] = cfg.epochs + 1
-            state["global_step"] = state["epoch_next"] * steps_per_epoch
-            state["queue_cursor"] = state["global_step"] * B % K
-        elif key == "global_step":  # resuming would replay later batches
+        steps_per_epoch = state["global_step"]
+        if damage == "global_step":  # not an epoch end: resuming would replay later batches
             state["global_step"] += 1
-            state["queue_cursor"] = state["global_step"] * B % K
-        else:  # in [0, K), but not where the run left it
-            state["queue_cursor"] = (state["queue_cursor"] + 1) % K
+        else:  # one epoch past the run's end
+            state["global_step"] = (cfg.epochs + 1) * steps_per_epoch
         save_checkpoint(path, meta, arrays)
-        with pytest.raises(CheckpointError, match=key):
+        with pytest.raises(CheckpointError, match="global_step"):
             load_result_checkpoint(path)
-        with pytest.raises(CheckpointError, match=key):
+        with pytest.raises(CheckpointError, match="global_step"):
             run_training(cfg, resume_from=path)
+
+    def test_progress_keys_of_earlier_checkpoints_are_not_read(self, tmp_path):
+        # checkpoints written before the epoch and the queue cursor were derived
+        # from global_step carry both; they resume as the same file without them
+        from dcq.trainer import load_result_checkpoint
+
+        cfg = TrainConfig(method="dcq", checkpoint_every=1, **{**TINY, "K": 12})
+        run_training(cfg, checkpoint_dir=str(tmp_path))
+        meta, arrays = load_checkpoint(tmp_path / "epoch_002.ckpt")
+        assert meta["state"] == {"global_step": 8}
+        earlier = tmp_path / "earlier.ckpt"
+        meta["state"].update(epoch_next=2, queue_cursor=8 * cfg.B % cfg.K)
+        save_checkpoint(earlier, meta, arrays)
+        runs = {}
+        for name in ("epoch_002.ckpt", "earlier.ckpt"):
+            loaded = load_result_checkpoint(tmp_path / name)
+            assert (loaded.final_step, loaded.head.queue.cursor) == (8, 4)
+            result = run_training(cfg, resume_from=tmp_path / name)
+            save_result_checkpoint(tmp_path / f"final-{name}", result)
+            runs[name] = (
+                _metrics_without_wall_time(result), result.final_eval,
+                (tmp_path / f"final-{name}").read_bytes(),
+            )
+        assert runs["earlier.ckpt"] == runs["epoch_002.ckpt"]
+
+    # TINY runs 4 steps of 8 rows an epoch: at K=12 the cursor reads 8, 4 and 0
+    # after epochs 1-3, and at K=40 it reads 32, 24 and 16, the ring part-filled
+    # after epoch 1
+    @pytest.mark.parametrize("K,cursors", [(12, [8, 4, 0]), (40, [32, 24, 16])], ids=["K12", "K40"])
+    def test_resume_from_a_nonzero_queue_cursor(self, tmp_path, K, cursors):
+        from dcq.trainer import load_result_checkpoint
+
+        cfg = TrainConfig(method="dcq", checkpoint_every=1, **{**TINY, "K": K})
+        full = run_training(cfg, checkpoint_dir=str(tmp_path))
+        save_result_checkpoint(tmp_path / "full.ckpt", full)
+        for done, cursor in enumerate(cursors, start=1):
+            path = tmp_path / f"epoch_{done:03d}.ckpt"
+            assert load_result_checkpoint(path).head.queue.cursor == cursor
+            resumed = run_training(cfg, resume_from=path)
+            assert _metrics_without_wall_time(resumed) == _metrics_without_wall_time(full)[done:]
+            assert resumed.final_eval == full.final_eval
+            save_result_checkpoint(tmp_path / "resumed.ckpt", resumed)
+            assert (tmp_path / "resumed.ckpt").read_bytes() == (tmp_path / "full.ckpt").read_bytes()
 
     @pytest.mark.parametrize("method", ["dcq", "cosface-full", "cosface-head-only"])
     def test_every_checkpoint_a_run_writes_loads(self, tmp_path, method):
@@ -747,7 +788,7 @@ class TestResume:
             assert resumed.final_eval == result.final_eval
 
     def test_restore_writes_through_the_views(self, tmp_path):
-        from dcq.trainer import _build_run_state, _checkpoint_meta, _restore_from_checkpoint
+        from dcq.trainer import _build_run_state, _restore_from_checkpoint
 
         result = run_training(TrainConfig(method="dcq", **{**TINY, "epochs": 1}))
         path = tmp_path / "final.ckpt"
@@ -755,7 +796,8 @@ class TestResume:
         meta, arrays = load_checkpoint(path)
         state = _build_run_state(result.config)
         buffers = (state.extractor.flat, state.head.generator.shadow.flat, state.velocity)
-        _restore_from_checkpoint(state, _checkpoint_meta(meta)[1], arrays)
+        _restore_from_checkpoint(state, arrays, meta["state"]["global_step"])
+        assert state.final_step == result.final_step
         restored = (state.extractor.flat, state.head.generator.shadow.flat, state.velocity)
         trained = (result.extractor.flat, result.head.generator.shadow.flat, result.velocity)
         for before, after, expected in zip(buffers, restored, trained):
