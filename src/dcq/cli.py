@@ -13,12 +13,14 @@ import json
 import os
 import shutil
 import sys
+import tempfile
 import time
 from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__, evalbench
+from .checkpoint import replace_on_success
 from .errors import ConfigError, DcqError, UsageError
 from .synthdata import LongTailSpec, assign_longtail_counts, build_universe, write_dataset
 from .trainer import (
@@ -26,7 +28,6 @@ from .trainer import (
     CosFaceHead,
     TrainConfig,
     load_result_checkpoint,
-    periodic_checkpoints,
     run_training,
     save_result_checkpoint,
 )
@@ -104,11 +105,11 @@ def load_config(path: str | None, overrides: dict) -> TrainConfig:
     return TrainConfig.from_dict(data)
 
 
-def _write_manifest(path: str, cfg: TrainConfig, overrides: dict) -> None:
+def _write_manifest(path: str, run_dir: str, cfg: TrainConfig, overrides: dict) -> None:
     manifest = {
         "tool_version": __version__,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "output_dir": os.path.abspath(os.path.dirname(path)),
+        "output_dir": os.path.abspath(run_dir),
         "seed": cfg.seed,
         "overrides": overrides,
         "config": cfg.to_dict(),
@@ -128,51 +129,44 @@ def _default_run_dir(base: str, seed: int) -> str:
     return candidate
 
 
-def _file_identity(path):
+@contextlib.contextmanager
+def _staged_outputs(out: str):
+    """A staging directory whose files are moved into ``out`` when the block succeeds.
+
+    ``out`` is made if missing, and the staging directory ``out/.partial-*``
+    inside it. On success each staged file replaces ``out/<name>``, in sorted
+    order, and the staging directory is removed. On failure the staging
+    directory is removed, or ``out`` if this call made it, so every file
+    already in ``out`` stays as it was. An OSError naming a staged file is
+    re-raised naming the same file under ``out``.
+    """
+    created = not os.path.isdir(out)
+    os.makedirs(out, exist_ok=True)
+    stage = tempfile.mkdtemp(prefix=".partial-", dir=out)
     try:
-        st = os.stat(path)
-    except OSError:
-        return None
-    return st.st_dev, st.st_ino
+        yield stage
+        for name in sorted(os.listdir(stage)):
+            os.replace(os.path.join(stage, name), os.path.join(out, name))
+        os.rmdir(stage)
+    except BaseException as exc:
+        shutil.rmtree(out if created else stage, ignore_errors=True)
+        if isinstance(exc, OSError) and str(exc.filename).startswith(stage + os.sep):
+            named = os.path.join(out, exc.filename[len(stage) + 1 :])
+            raise type(exc)(exc.errno, exc.strerror, named) from exc
+        raise
 
 
 def _cmd_train(args) -> int:
     overrides = _collect_overrides(args.set)
     cfg = load_config(args.config, overrides).resolve()
     run_dir = args.out or _default_run_dir("runs", cfg.seed)
-    created_dir = not os.path.isdir(run_dir)
-    os.makedirs(run_dir, exist_ok=True)
-    # save_checkpoint writes a temporary file and renames it over the target,
-    # so a checkpoint this run wrote is a new file: its identity changed
-    names = ("final.ckpt", *periodic_checkpoints(cfg).values())
-    checkpoints = [os.path.join(run_dir, name) for name in names]
-    before = {path: _file_identity(path) for path in checkpoints}
-    opened = []  # files this command opened for writing, so truncated or replaced
-
-    def opening(name):
-        opened.append(os.path.join(run_dir, name))
-        return opened[-1]
-
-    try:
-        _write_manifest(opening("manifest.json"), cfg, overrides)
+    with _staged_outputs(run_dir) as stage:
+        _write_manifest(os.path.join(stage, "manifest.json"), run_dir, cfg, overrides)
         with np.errstate(**QUIET_DIVERGENCE):
-            result = run_training(cfg, resume_from=args.resume, checkpoint_dir=run_dir)
-        write_metrics(result.metrics, opening("metrics.csv"), "csv")
-        write_metrics(result.metrics, opening("metrics.json"), "json")
-        save_result_checkpoint(os.path.join(run_dir, "final.ckpt"), result)
-    except BaseException:
-        # a directory the run created holds either the full artifact set or
-        # nothing; a pre-existing --out dir loses only the files this run
-        # created or replaced, so an earlier run's outputs and the checkpoint
-        # the run resumed from stay
-        if created_dir:
-            shutil.rmtree(run_dir, ignore_errors=True)
-        else:
-            written = [p for p in checkpoints if _file_identity(p) not in (None, before[p])]
-            for path in opened + written:
-                with contextlib.suppress(OSError):
-                    os.remove(path)
-        raise
+            result = run_training(cfg, resume_from=args.resume, checkpoint_dir=stage)
+        write_metrics(result.metrics, os.path.join(stage, "metrics.csv"), "csv")
+        write_metrics(result.metrics, os.path.join(stage, "metrics.json"), "json")
+        save_result_checkpoint(os.path.join(stage, "final.ckpt"), result)
     summary = {k: v for k, v in result.final_eval.items() if v is not None}
     print(json.dumps({"run_dir": run_dir, "final": summary}, indent=2))
     return 0
@@ -194,29 +188,22 @@ def _cmd_sweep(args) -> int:
     overrides = _collect_overrides(args.set)
     cfg = load_config(args.config, overrides)
     values = [_parse_set_value(v) for v in args.values.split(",")]
-    # --out is made before any training and removed on failure only if made here
-    created_dir = not os.path.isdir(args.out)
-    os.makedirs(args.out, exist_ok=True)
-    try:
+    with _staged_outputs(args.out) as stage:
         with np.errstate(**QUIET_DIVERGENCE):
             rows = evalbench.run_experiment_grid(cfg, args.axis, values)
-    except BaseException:
-        if created_dir:
-            shutil.rmtree(args.out, ignore_errors=True)
-        raise
-    header = ["axis", "value", "ver_acc", "id_rank1", "tail_rank1", "head_rank1", "tail_probes"]
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [row["axis"], json.dumps(row["value"])]
-        for key in header[2:]:
-            value = row.get(key)
-            cells.append("" if value is None else _format_float(value))
-        lines.append(",".join(cells))
-    with open(os.path.join(args.out, "results.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    with open(os.path.join(args.out, "results.json"), "w") as fh:
-        json.dump({"config": cfg.to_dict(), "rows": rows}, fh, indent=2)
-        fh.write("\n")
+        header = ["axis", "value", "ver_acc", "id_rank1", "tail_rank1", "head_rank1", "tail_probes"]
+        lines = [",".join(header)]
+        for row in rows:
+            cells = [row["axis"], json.dumps(row["value"])]
+            for key in header[2:]:
+                value = row.get(key)
+                cells.append("" if value is None else _format_float(value))
+            lines.append(",".join(cells))
+        with open(os.path.join(stage, "results.csv"), "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with open(os.path.join(stage, "results.json"), "w") as fh:
+            json.dump({"config": cfg.to_dict(), "rows": rows}, fh, indent=2)
+            fh.write("\n")
     print(json.dumps([{k: r[k] for k in ("value", "ver_acc", "id_rank1")} for r in rows], indent=2))
     return 0
 
@@ -233,8 +220,8 @@ def _cmd_eval(args) -> int:
         report["head_alignment"] = alignment.mean_cosine
     text = json.dumps(report, indent=2)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        with replace_on_success(args.out) as fh:
+            fh.write(f"{text}\n".encode())
     print(text)
     return 0
 

@@ -70,6 +70,9 @@ class LongTailSpec:
             raise ConfigError(f"zipf exponent must be finite and >= 0, got {self.zipf_exponent}")
         if self.min_count < 1 or self.max_count < self.min_count:
             raise ConfigError(f"bad count bounds [{self.min_count}, {self.max_count}]")
+        # the profile is computed in float64, which holds every integer up to 2**53
+        if self.max_count > 2**53:
+            raise ConfigError(f"max_count must be at most 2**53, got {self.max_count}")
 
 
 @dataclass
@@ -419,7 +422,8 @@ def write_dataset(path, universe: IdentityUniverse, counts: np.ndarray) -> dict:
     instance u32, d_in float64 values. Records are drawn and written
     ``rng.KEY_CHUNK`` rows at a time through ``replace_on_success``, so on
     failure ``path`` is untouched. A JSON summary with the counts histogram
-    and tail fraction is written next to the file.
+    and tail fraction goes to ``<path>.json`` through the same writer, put
+    in place just before the dataset file.
     """
     rows = InstanceRows(universe, counts)
     total = rows.owner.size
@@ -434,9 +438,9 @@ def write_dataset(path, universe: IdentityUniverse, counts: np.ndarray) -> dict:
             records["index"] = rows.index[lo:hi]
             records["x"] = rows.draw(lo, hi)
             fh.write(records)
-    summary = tail_summary(rows.counts)
-    with open(f"{path}.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        summary = tail_summary(rows.counts)
+        with replace_on_success(f"{path}.json") as summary_fh:
+            summary_fh.write(json.dumps(summary, indent=2, sort_keys=True).encode())
     return summary
 
 

@@ -368,14 +368,6 @@ def _restore_from_checkpoint(state: TrainResult, arrays: dict, global_step: int)
     state.final_step = global_step
 
 
-def periodic_checkpoints(cfg: TrainConfig) -> dict[int, str]:
-    """File names by epochs done: every ``checkpoint_every`` epochs and the last, if set."""
-    if cfg.checkpoint_every == 0:
-        return {}
-    done = [*range(cfg.checkpoint_every, cfg.epochs, cfg.checkpoint_every), cfg.epochs]
-    return {n: f"epoch_{n:03d}.ckpt" for n in done}
-
-
 def run_training(
     config: TrainConfig,
     hooks: Callable[[dict], None] | None = None,
@@ -392,8 +384,10 @@ def run_training(
     dcq's queue and generator are ``state.head.queue`` and ``state.head.generator``.
     ``resume_from`` continues from a checkpoint written with the same
     config; only epochs after the checkpoint are run and reported.
-    ``state.final_step`` advances at each epoch end, when the config's
-    ``periodic_checkpoints`` are written to ``checkpoint_dir``.
+    ``state.final_step`` advances at each epoch end. When ``checkpoint_dir``
+    is given and ``checkpoint_every`` is set, ``epoch_NNN.ckpt`` is written
+    there after every ``checkpoint_every`` epochs and after the last epoch,
+    NNN being the epochs done.
     """
     cfg = config.resolve()
     if resume_from is None:
@@ -407,7 +401,7 @@ def run_training(
     global_step = result.final_step
     start_epoch = global_step // result.steps_per_epoch
     plan = PairPlan(result.universe, head.train_counts, cfg.B, cfg.sampling, cfg.seed)
-    checkpoint_names = periodic_checkpoints(cfg) if checkpoint_dir is not None else {}
+    every = cfg.checkpoint_every if checkpoint_dir is not None else 0
 
     scores = None
     for epoch in range(start_epoch, cfg.epochs):
@@ -460,9 +454,9 @@ def run_training(
             }
         )
         result.final_step = global_step
-        name = checkpoint_names.get(epoch + 1)
-        if name is not None:
-            save_result_checkpoint(f"{checkpoint_dir}/{name}", result)
+        done = epoch + 1
+        if every and (done % every == 0 or done == cfg.epochs):
+            save_result_checkpoint(f"{checkpoint_dir}/epoch_{done:03d}.ckpt", result)
 
     # the last epoch already scored the final model
     result.final_eval = (

@@ -7,6 +7,7 @@ session-scoped cache so the suite trains each variant exactly once.
 import csv
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,25 +29,9 @@ def _report(criterion: int, description: str, ok: bool):
 
 # --- the shared desk-scale long-tail benchmark (criteria 8, 9, 10) --------
 
-BENCH = dict(
-    n_classes=2000,
-    d_in=32,
-    embed_dim=32,
-    hidden_dims=(64, 64),
-    sigma=0.1,
-    zipf_exponent=1.5,  # 99.7% of classes below 10 instances
-    min_count=2,
-    max_count=200,
-    K=200,  # 0.1 * n_classes
-    B=32,
-    epochs=30,
-    decay_epochs=(15, 25, 28),
-    eval_pairs=2000,
-    eval_probes=400,
-    eval_distractors=200,
-    min_instances=9,
-    seed=1,
-)
+# configs/desk.json: Zipf 1.5 with counts 2-200 puts 99.7% of the 2000
+# classes below 10 instances, and the queue holds K = 0.1 * n_classes
+BENCH = json.loads((Path(__file__).resolve().parents[1] / "configs" / "desk.json").read_text())
 
 _BENCH_CACHE: dict[str, dict] = {}
 

@@ -1,6 +1,10 @@
 import csv
+import errno
 import json
+import os
 import struct
+import subprocess
+import sys
 import warnings
 import zlib
 
@@ -141,29 +145,43 @@ class TestTrain:
         assert err.startswith("error: non-finite loss") and err.count("\n") == 1, err
         assert not out.exists()
 
-    def test_failed_run_in_existing_dir_removes_its_periodic_checkpoints(self, tmp_path):
+    def test_failed_run_in_existing_dir_keeps_it_as_it_was(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "keep"
         out.mkdir()
         (out / "notes.txt").write_text("mine")
-        (out / "metrics.csv").mkdir()  # writing the metrics fails after training
+        (out / "epoch_001.ckpt").write_bytes(b"an earlier checkpoint")
+
+        def failing_write_metrics(rows, path, fmt="csv"):
+            raise MemoryError("no room for the metrics")
+
+        # writing the metrics fails after training and both periodic saves
+        monkeypatch.setattr(cli, "write_metrics", failing_write_metrics)
         config = _write_config(tmp_path, checkpoint_every=1, epochs=2)
         assert cli.main(["train", "--config", config, "--out", str(out)]) == 2
-        assert sorted(p.name for p in out.iterdir()) == ["metrics.csv", "notes.txt"]
+        assert capsys.readouterr().err == "error: no room for the metrics\n"
+        kept = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert kept == {"notes.txt": b"mine", "epoch_001.ckpt": b"an earlier checkpoint"}
 
-    def test_failed_resume_into_its_own_dir_keeps_the_resumed_checkpoint(self, tmp_path):
+    def test_failed_resume_into_its_own_dir_keeps_the_resumed_checkpoint(self, tmp_path, monkeypatch):
         out = tmp_path / "run"
         config = _write_config(tmp_path, checkpoint_every=2, epochs=4)
         assert cli.main(["train", "--config", config, "--out", str(out)]) == 0
-        (out / "metrics.csv").unlink()
-        (out / "metrics.csv").mkdir()
+        earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(earlier) == [
+            "epoch_002.ckpt", "epoch_004.ckpt", "final.ckpt",
+            "manifest.json", "metrics.csv", "metrics.json",
+        ]
+
+        def failing_save(path, result):
+            raise MemoryError("no room for the final checkpoint")
+
+        # the resumed run writes its manifest, epoch_004.ckpt and both
+        # metrics files before the final save fails
+        monkeypatch.setattr(cli, "save_result_checkpoint", failing_save)
         resume = str(out / "epoch_002.ckpt")
         code = cli.main(["train", "--config", config, "--out", str(out), "--resume", resume])
         assert code == 2
-        # the failed run wrote the manifest and epoch_004.ckpt, never
-        # metrics.json or final.ckpt
-        assert sorted(p.name for p in out.iterdir()) == [
-            "epoch_002.ckpt", "final.ckpt", "metrics.csv", "metrics.json",
-        ]
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
 
     def test_failed_rerun_keeps_the_earlier_run_outputs_it_did_not_write(self, tmp_path):
         config = _write_config(tmp_path)
@@ -174,25 +192,81 @@ class TestTrain:
         with np.errstate(all="ignore"):
             code = cli.main(["train", "--config", config, "--out", str(out), "--set", "lr0=1e300"])
         assert code == 2
-        # the diverged run replaced only the manifest, which goes with it
-        kept = {p.name: p.read_bytes() for p in out.iterdir()}
-        assert kept == {k: v for k, v in earlier.items() if k != "manifest.json"}
+        # the diverged run wrote its manifest into the staging directory only
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
 
     def test_failed_final_save_keeps_the_earlier_final_checkpoint(self, tmp_path, monkeypatch):
         config = _write_config(tmp_path)
         out = tmp_path / "run"
         assert cli.main(["train", "--config", config, "--out", str(out)]) == 0
-        earlier = (out / "final.ckpt").read_bytes()
+        earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(earlier) == 4
 
         def failing_replace(src, dst):
             raise OSError(f"cannot replace {dst}")
 
         monkeypatch.setattr(checkpoint.os, "replace", failing_replace)
         assert cli.main(["train", "--config", config, "--out", str(out)]) == 2
-        # the failed run removes the manifest and metrics it rewrote, and its
-        # failed save leaves no final.ckpt.tmp
-        assert sorted(p.name for p in out.iterdir()) == ["final.ckpt"]
-        assert (out / "final.ckpt").read_bytes() == earlier
+        # the failed save leaves no final.ckpt.tmp, and the staged manifest
+        # and metrics go with the staging directory
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
+
+    def test_failed_staged_write_names_the_file_under_out(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "run"
+
+        def full_disk(rows, path, fmt="csv"):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+
+        monkeypatch.setattr(cli, "write_metrics", full_disk)
+        assert cli.main(["train", "--config", _write_config(tmp_path), "--out", str(out)]) == 2
+        named = str(out / "metrics.csv")
+        assert capsys.readouterr().err == f"error: [Errno 28] {os.strerror(errno.ENOSPC)}: {named!r}\n"
+        assert not out.exists()
+
+    def test_failed_move_keeps_the_files_moved_before_it(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "metrics.csv").mkdir()  # the staged metrics.csv cannot replace a directory
+        assert cli.main(["train", "--config", _write_config(tmp_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 21] ") and err.endswith(f"{str(out / 'metrics.csv')!r}\n"), err
+        # the moves go in sorted order, so final.ckpt and manifest.json came first
+        assert sorted(p.name for p in out.iterdir()) == ["final.ckpt", "manifest.json", "metrics.csv"]
+
+    def test_killed_run_leaves_its_staged_files_to_resume_from(self, tmp_path):
+        config = _write_config(tmp_path, checkpoint_every=1, epochs=3)
+        full, out, resumed = tmp_path / "full", tmp_path / "run", tmp_path / "resumed"
+        assert cli.main(["train", "--config", config, "--out", str(full)]) == 0
+        out.mkdir()
+        (out / "notes.txt").write_text("mine")
+        # the process dies, as under SIGKILL, right after the first periodic save
+        script = (
+            "import os, sys\n"
+            "from dcq import cli, trainer\n"
+            "real = trainer.save_result_checkpoint\n"
+            "def save_then_die(path, result):\n"
+            "    real(path, result)\n"
+            "    os._exit(9)\n"
+            "trainer.save_result_checkpoint = save_then_die\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "train", "--config", config, "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=120,
+        )
+        assert proc.returncode == 9, proc.stderr
+        (stage,) = [p for p in out.iterdir() if p.name != "notes.txt"]
+        assert stage.name.startswith(".partial-")
+        assert sorted(p.name for p in stage.iterdir()) == ["epoch_001.ckpt", "manifest.json"]
+        assert (out / "notes.txt").read_text() == "mine"
+        code = cli.main([
+            "train", "--config", str(stage / "manifest.json"), "--out", str(resumed),
+            "--resume", str(stage / "epoch_001.ckpt"),
+        ])
+        assert code == 0
+        assert _rows_without_wall(resumed / "metrics.csv") == _rows_without_wall(full / "metrics.csv")[1:]
+        assert (resumed / "final.ckpt").read_bytes() == (full / "final.ckpt").read_bytes()
 
     def test_unwritable_out_is_runtime_failure(self, tmp_path):
         config = _write_config(tmp_path)
@@ -356,6 +430,24 @@ class TestGenData:
         assert out.read_bytes() == b"an earlier dataset"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data.dcqd"]
 
+    def test_failed_rename_keeps_the_earlier_dataset_and_summary(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "data.dcqd"
+        out.write_bytes(b"an earlier dataset")
+        (tmp_path / "data.dcqd.json").write_text("an earlier summary")
+
+        def failing_replace(src, dst):
+            raise OSError(errno.EIO, "cannot rename", src)
+
+        monkeypatch.setattr(checkpoint.os, "replace", failing_replace)
+        code = cli.main(["gen-data", "--config", _write_config(tmp_path), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: [Errno 5] cannot rename: '{out}.json'\n"
+        assert out.read_bytes() == b"an earlier dataset"
+        assert (tmp_path / "data.dcqd.json").read_text() == "an earlier summary"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config.json", "data.dcqd", "data.dcqd.json",
+        ]
+
     def test_missing_out_dir_error_names_out(self, tmp_path, capsys):
         out = tmp_path / "missing" / "data.dcqd"
         code = cli.main(["gen-data", "--config", _write_config(tmp_path), "--out", str(out)])
@@ -400,6 +492,26 @@ class TestEval:
         rows = _read_csv(out / "metrics.csv")
         assert float(rows[-1]["ver_acc"]) == report["ver_acc"]
         assert float(rows[-1]["id_rank1"]) == report["id_rank1"]
+
+    def test_report_replaces_out_only_on_success(self, tmp_path, capsys, monkeypatch):
+        config = _write_config(tmp_path)
+        run, report = tmp_path / "run", tmp_path / "report.json"
+        assert cli.main(["train", "--config", config, "--out", str(run)]) == 0
+        capsys.readouterr()
+        argv = ["eval", "--checkpoint", str(run / "final.ckpt"), "--out", str(report)]
+        assert cli.main(argv) == 0
+        printed = capsys.readouterr().out
+        assert report.read_text() == printed
+        report.write_text("an earlier report")
+
+        def failing_replace(src, dst):
+            raise OSError(errno.EIO, "cannot rename", src)
+
+        monkeypatch.setattr(checkpoint.os, "replace", failing_replace)
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: [Errno 5] cannot rename: {str(report)!r}\n"
+        assert report.read_text() == "an earlier report"
+        assert not (tmp_path / "report.json.tmp").exists()
 
     def test_missing_checkpoint_is_runtime_failure(self, tmp_path):
         assert cli.main(["eval", "--checkpoint", str(tmp_path / "nope.ckpt")]) == 2
@@ -452,6 +564,18 @@ class TestBadConfigValues:
         # numpy refuses the 7 PiB class index array before touching memory
         err = self._train_error(tmp_path, capsys, "n_classes=1000000000000000")
         assert "Unable to allocate" in err
+
+    @pytest.mark.parametrize("command", ["train", "gen-data"])
+    @pytest.mark.parametrize("value", [10**20, 2**62])
+    def test_count_bound_beyond_float64_integers(self, tmp_path, capsys, command, value):
+        # numpy's warnings are errors here, so a cast warning would fail the command
+        out = tmp_path / "out"
+        argv = [command, "--config", _write_config(tmp_path), "--set", f"max_count={value}"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: max_count must be at most 2**53, got {value}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("method", ["dcq", "cosface-full", "cosface-head-only"])
     @pytest.mark.parametrize("value", ["-1", "0", "NaN", "Infinity"])
@@ -625,6 +749,27 @@ class TestSweep:
         assert code == 2
         assert capsys.readouterr().err == "error: training failed\n"
         assert sorted(p.name for p in out.iterdir()) == ["earlier.txt"]
+
+
+    def test_failed_results_write_keeps_the_earlier_results(self, tmp_path, capsys, monkeypatch):
+        config, out = _write_config(tmp_path, epochs=1), tmp_path / "sweep"
+        argv = ["sweep", "--config", config, "--axis", "K", "--values", "8", "--out", str(out)]
+        assert cli.main(argv) == 0
+        earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(earlier) == ["results.csv", "results.json"]
+
+        def full_disk(path, mode="r"):
+            if path.endswith("results.json"):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+            return open(path, mode)
+
+        # results.csv is written in full before results.json fails
+        monkeypatch.setattr(cli, "open", full_disk, raising=False)
+        argv[argv.index("8")] = "12"
+        assert cli.main(argv) == 2
+        named = str(out / "results.json")
+        assert capsys.readouterr().err == f"error: [Errno 28] {os.strerror(errno.ENOSPC)}: {named!r}\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
 
 
 class TestWriteMetrics:

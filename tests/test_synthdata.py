@@ -104,6 +104,12 @@ class TestLongTailCounts:
         assert s["mean_count"] == pytest.approx(counts.mean())
         assert sum(s["histogram"].values()) == 300
 
+    def test_largest_bound_is_the_last_integer_float64_holds(self):
+        # 2**53 + 1 is the first integer that float64 rounds to a neighbour
+        assert LongTailSpec(1.0, 1, 2**53).max_count == 2**53
+        with pytest.raises(ConfigError, match=r"max_count must be at most 2\*\*53"):
+            LongTailSpec(1.0, 1, 2**53 + 1)
+
 
 class TestDrawInstance:
     def test_zero_sigma_equals_center(self):
