@@ -141,26 +141,19 @@ def head_cost_report(
     for name, value in sizes.items():
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value <= 0:
             raise ConfigError(f"{name} must be a positive int, got {value!r}")
-    full_bytes = C * D * bytes_per_float
-    if method == "full":
-        return CostReport(
-            method=method, class_count=C, queue_size=K, embed_dim=D, batch_size=B,
-            bytes_per_float=bytes_per_float,
-            head_param_bytes=full_bytes,
-            head_macs_per_batch=B * D * C,
-            optimizer_state_bytes=full_bytes,
-            param_bytes_ratio=1.0,
-        )
-    if method == "dcq":
-        return CostReport(
-            method=method, class_count=C, queue_size=K, embed_dim=D, batch_size=B,
-            bytes_per_float=bytes_per_float,
-            head_param_bytes=K * D * bytes_per_float,
-            head_macs_per_batch=B * D * (K + 1),
-            optimizer_state_bytes=0,
-            param_bytes_ratio=K / C,
-        )
-    raise ConfigError(f"unknown method {method!r} for cost report")
+    columns = {"full": (C, C), "dcq": (K, K + 1)}  # (stored, scored) head columns
+    if method not in columns:
+        raise ConfigError(f"unknown method {method!r} for cost report")
+    stored, scored = columns[method]
+    head_bytes = stored * D * bytes_per_float
+    return CostReport(
+        method=method, class_count=C, queue_size=K, embed_dim=D, batch_size=B,
+        bytes_per_float=bytes_per_float,
+        head_param_bytes=head_bytes,
+        head_macs_per_batch=B * D * scored,
+        optimizer_state_bytes=head_bytes if method == "full" else 0,
+        param_bytes_ratio=stored / C,
+    )
 
 
 @dataclass

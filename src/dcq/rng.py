@@ -6,14 +6,15 @@ therefore order-independent: drawing identity 17's noise never depends on
 whether identity 16 was drawn first, and any value can be regenerated from
 its key alone.
 
-The derived key has 128 bits, but not every stream uses all of them.
-``stream`` hands the two 64-bit words to ``np.random.Philox`` as a Python
-list, and numpy converts a list whose words straddle 2**63 (one word at or
-above it, the other below) to float64 before casting to uint64. Those keys
-lose the low bits of both words, leaving about 106 effective bits; this
-happens for about half of all streams. The rounding is part of the stream
-definition: removing it would re-key every stream and change every drawn
-value, so ``philox_keys`` reproduces it.
+``philox_keys`` is the one key derivation; ``stream`` applies its row 0.
+The key has 128 bits, but not every key uses all of them: a key whose two
+64-bit words straddle 2**63 (one word at or above it, the other below) is
+rounded through float64, which drops the low bits of both words and
+leaves about 106 effective bits. About half of all keys straddle. The
+rounding is part of the key's definition, kept from the time keys reached
+numpy as a Python list, which numpy converted that way. Dropping it
+re-keys every stream and changes every drawn value; it is two lines in
+``philox_keys``.
 """
 
 import numpy as np
@@ -37,61 +38,44 @@ PARAM_INIT = 5
 BATCH_REFERENCE = 6  # a single-instance identity's reference noise
 
 
-def _splitmix64(z: int) -> int:
+def _splitmix64(z):
+    """One splitmix64 step on a Python int or a uint64 array.
+
+    The masks keep an int in 64 bits; uint64 arithmetic already wraps.
+    """
     z = (z + _GAMMA) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
 
 
-def _splitmix64_array(z: np.ndarray) -> np.ndarray:
-    """``_splitmix64`` over a uint64 array; array arithmetic wraps mod 2**64."""
-    z = z + np.uint64(_GAMMA)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+def philox_keys(seed: int, *path) -> np.ndarray:
+    """N × 2 uint64 Philox keys, one per broadcast path row.
 
-
-def _mix(h: int, part) -> int:
-    """The key hash after one more integer path component."""
-    return _splitmix64(h ^ _splitmix64((int(part) & _MASK64) ^ _PATH_SALT))
-
-
-def derive_key(seed: int, *path: int) -> list[int]:
-    """Mix a seed and integer path components into two 64-bit key words."""
-    h = _splitmix64(seed & _MASK64)
+    Path components are integers or 1-D integer arrays; they broadcast to
+    N rows, and an all-integer path gives one row. Each component is
+    hashed into the key in turn: an integer with Python ints, so leading
+    scalars cost no array pass, and an array as a uint64 column. A key
+    whose two words straddle 2**63 is rounded through float64 (the module
+    docstring says why).
+    """
+    h = _splitmix64(int(seed) & _MASK64)
     for part in path:
-        h = _mix(h, part)
-    return [h, _splitmix64(h ^ _GAMMA)]
+        if np.ndim(part) == 0:
+            part = int(part) & _MASK64
+        else:
+            part = np.asarray(part, dtype=np.int64).ravel().astype(np.uint64)
+        h = _splitmix64(h ^ _splitmix64(part ^ _PATH_SALT))
+    h = np.atleast_1d(np.asarray(h, dtype=np.uint64))
+    keys = np.stack([h, _splitmix64(h ^ _GAMMA)], axis=1)
+    mixed = (keys[:, 0] >> 63) != (keys[:, 1] >> 63)
+    keys[mixed] = keys[mixed].astype(np.float64).astype(np.uint64)
+    return keys
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:
     """Independent deterministic generator for the given (seed, *path) key."""
-    return np.random.Generator(np.random.Philox(key=derive_key(seed, *path)))
-
-
-def philox_keys(seed: int, *path) -> np.ndarray:
-    """N × 2 uint64 keys that ``stream`` applies, one per broadcast path row.
-
-    Path components are integers or 1-D integer arrays; they broadcast to
-    N rows. Row i equals ``stream(seed, *path_i)``'s Philox key, including
-    the float64 rounding of keys whose words straddle 2**63. The leading
-    scalar components are hashed into the seed with Python ints, as
-    ``derive_key`` does, so only the array columns and what follows them
-    take the array passes.
-    """
-    h, path = _splitmix64(seed & _MASK64), list(path)
-    while path and np.ndim(path[0]) == 0:
-        h = _mix(h, path.pop(0))
-    cols = np.broadcast_arrays(*(np.atleast_1d(np.asarray(p, dtype=np.int64)) for p in path))
-    h = np.full(cols[0].size if cols else 1, h, dtype=np.uint64)
-    for col in cols:
-        part = _splitmix64_array(col.ravel().astype(np.uint64) ^ np.uint64(_PATH_SALT))
-        h = _splitmix64_array(h ^ part)
-    keys = np.stack([h, _splitmix64_array(h ^ np.uint64(_GAMMA))], axis=1)
-    mixed = (keys[:, 0] >> np.uint64(63)) != (keys[:, 1] >> np.uint64(63))
-    keys[mixed] = keys[mixed].astype(np.float64).astype(np.uint64)
-    return keys
+    return np.random.Generator(np.random.Philox(key=philox_keys(seed, *path)[0]))
 
 
 class Rekeyer:

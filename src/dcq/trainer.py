@@ -107,6 +107,11 @@ class TrainConfig:
             decay_epochs=tuple(int(e) for e in self.decay_epochs),
             hidden_dims=tuple(int(h) for h in self.hidden_dims),
         )
+        # manifests and checkpoints store the config as JSON, which takes no numpy integer
+        cfg = cfg.replace(**{
+            f.name: int(value) for f in dataclasses.fields(cfg)
+            if isinstance(value := getattr(cfg, f.name), np.integer)
+        })
         if cfg.sampling not in ("instance", "class"):
             raise ConfigError(f"sampling must be 'instance' or 'class', got {cfg.sampling!r}")
         # chained comparisons reject NaN and infinities
@@ -138,6 +143,13 @@ class TrainConfig:
             raise ConfigError(
                 "n_classes, layer dims and eval_probes must be positive, eval_pairs >= 2"
             )
+        # the rules build_universe, init_extractor and filter_head_classes
+        # apply, checked here so a sweep rejects a value before any run trains
+        if min(cfg.d_in, cfg.embed_dim) < 2:
+            raise ConfigError(f"d_in and embed_dim must be >= 2, got {cfg.d_in}, {cfg.embed_dim}")
+        if cfg.min_instances < 1:
+            raise ConfigError(f"min_instances must be >= 1, got {cfg.min_instances}")
+        LongTailSpec(cfg.zipf_exponent, cfg.min_count, cfg.max_count)
         if cfg.eval_distractors < 0:
             raise ConfigError(f"eval_distractors must be >= 0, got {cfg.eval_distractors}")
         # keys reduce the seed modulo 2**64, so a seed outside would rerun another

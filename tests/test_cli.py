@@ -719,6 +719,20 @@ class TestSweep:
         assert trained == []
         assert not out.exists()
 
+    def test_bad_count_profile_fails_before_any_training(self, tmp_path, capsys, monkeypatch):
+        trained = []
+        monkeypatch.setattr(trainer, "run_training", lambda cfg: trained.append(cfg.zipf_exponent))
+        out = tmp_path / "sweep"
+        code = cli.main([
+            "sweep", "--config", _write_config(tmp_path), "--axis", "zipf_exponent",
+            "--values", "1.5,-1", "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: zipf exponent must be finite and >= 0, got -1\n"
+        assert trained == []
+        assert not out.exists()
+
     def test_existing_file_out_fails_before_any_training(self, tmp_path, capsys, monkeypatch):
         trained = []
         monkeypatch.setattr(trainer, "run_training", lambda cfg: trained.append(cfg.K))

@@ -493,6 +493,15 @@ class TestExperimentGrid:
         assert row == {"axis": "seed", "value": 5, **direct.final_eval}
         assert epochs == without_wall_time(direct.metrics)
 
+    def test_numpy_integer_seed_is_the_python_int_run(self):
+        cfg = TrainConfig(**self.SMALL_CFG)
+        (row,) = run_experiment_grid(cfg, "seed", np.array([5]))
+        (direct,) = run_experiment_grid(cfg, "seed", [5])
+        for r in (row, direct):
+            for epoch in r["epochs"]:
+                epoch.pop("wall_seconds")
+        assert row == direct
+
     def test_invalid_axis(self):
         with pytest.raises(ConfigError):
             run_experiment_grid(TrainConfig(), "epochs", [1, 2])

@@ -210,7 +210,8 @@ class TestConfig:
         for bad in (
             {"sigma": -1.0}, {"d_in": 0}, {"embed_dim": 0}, {"hidden_dims": (16, 0)},
             {"n_classes": 0}, {"eval_pairs": 0}, {"eval_probes": 0},
-            {"eval_distractors": -1},
+            {"eval_distractors": -1}, {"zipf_exponent": -1}, {"max_count": 1}, {"d_in": 1},
+            {"embed_dim": 1}, {"min_instances": 0},
         ):
             with pytest.raises(ConfigError):
                 TrainConfig(**bad).resolve()
@@ -222,6 +223,11 @@ class TestConfig:
                 TrainConfig(seed=bad).resolve()
         for good in (0, 2**63, 2**64 - 1):
             assert TrainConfig(seed=good).resolve().seed == good
+
+    def test_numpy_integers_resolve_to_python_ints(self):
+        cfg = TrainConfig(K=np.int64(8), B=np.int32(8), seed=np.uint64(3), sigma=np.int64(0)).resolve()
+        assert cfg == TrainConfig(K=8, B=8, seed=3, sigma=0).resolve()
+        assert all(type(getattr(cfg, name)) is int for name in ("K", "B", "seed", "sigma"))
 
     def test_dict_roundtrip(self):
         cfg = TrainConfig(method="dcq", K=40, B=8).resolve()
@@ -241,6 +247,15 @@ class TestRunTraining:
         for ra, rb in zip(a.metrics, b.metrics):
             for key in ("epoch", "lr", "train_loss", "ver_acc", "id_rank1"):
                 assert ra[key] == rb[key], key
+
+    def test_numpy_integer_config_runs_as_python_ints(self, tmp_path):
+        # the result checkpoint stores the config as JSON
+        result = run_training(TrainConfig(method="dcq", **{**TINY, "K": np.int64(8)}))
+        save_result_checkpoint(tmp_path / "final.ckpt", result)
+        direct = run_training(TrainConfig(method="dcq", **TINY))
+        assert result.final_eval == direct.final_eval
+        for ra, rb in zip(result.metrics, direct.metrics):
+            assert {**ra, "wall_seconds": 0} == {**rb, "wall_seconds": 0}
 
     def test_generators_opened_do_not_grow_with_steps(self, monkeypatch):
         # batch streams are re-keyed, not constructed, so only setup opens
