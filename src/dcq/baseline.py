@@ -53,6 +53,7 @@ def fc_cosface_loss(
 def filter_head_classes(counts: np.ndarray, min_instances: int) -> tuple[np.ndarray, np.ndarray]:
     """Keep classes with at least ``min_instances``; remap labels densely.
 
+    Fewer than two kept classes raise ConfigError, since a head needs two.
     Returns (retained original class ids, remap array) where
     remap[original] is the dense new label, or −1 for dropped classes.
     """
@@ -60,8 +61,9 @@ def filter_head_classes(counts: np.ndarray, min_instances: int) -> tuple[np.ndar
         raise ConfigError(f"min_instances must be >= 1, got {min_instances}")
     counts = np.asarray(counts, dtype=np.int64)
     retained = np.flatnonzero(counts >= min_instances)
-    if retained.size == 0:
-        raise ConfigError(f"no class has {min_instances} or more instances")
+    if retained.size < 2:
+        n = retained.size
+        raise ConfigError(f"{n} classes have {min_instances} or more instances; a head needs 2")
     remap = np.full(counts.size, -1, dtype=np.int64)
     remap[retained] = np.arange(retained.size)
     return retained, remap

@@ -110,6 +110,16 @@ class MlpParams:
         return MlpParams(self.layer_dims, self.flat.copy(), requires_grad=False)
 
 
+def check_layer_dims(dims: list[int]) -> None:
+    """Raise ConfigError unless ``dims`` has a hidden layer, positive widths and D >= 2."""
+    if len(dims) < 3:
+        raise ConfigError(f"need at least one hidden layer, got dims {dims}")
+    if any(d < 1 for d in dims):
+        raise ConfigError(f"layer dims must be positive, got {dims}")
+    if dims[-1] < 2:
+        raise ConfigError(f"embedding dim must be >= 2, got {dims[-1]}")
+
+
 def init_extractor(layer_dims: list[int], seed: int) -> MlpParams:
     """Gaussian weights scaled by 1/√fan_in, zero biases, hidden slopes at 0.25.
 
@@ -117,12 +127,7 @@ def init_extractor(layer_dims: list[int], seed: int) -> MlpParams:
     embedding width of 2 or more are required.
     """
     dims = [int(d) for d in layer_dims]
-    if len(dims) < 3:
-        raise ConfigError(f"need at least one hidden layer, got dims {dims}")
-    if any(d < 1 for d in dims):
-        raise ConfigError(f"layer dims must be positive, got {dims}")
-    if dims[-1] < 2:
-        raise ConfigError(f"embedding dim must be >= 2, got {dims[-1]}")
+    check_layer_dims(dims)
     params = MlpParams(dims, np.zeros(_layout(dims)[2]), requires_grad=True)
     for i, layer in enumerate(params.layers):
         fan_in = dims[i]

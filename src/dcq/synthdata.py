@@ -333,6 +333,21 @@ def _plan_words(plan: PairPlan, words: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return labels, rows, ~multi.all(axis=1)
 
 
+def check_protocol_sizes(
+    n_identities: int, n_train: int, n_pairs: int, n_probe: int, n_distractors: int
+) -> None:
+    """Raise ConfigError unless ``build_eval_protocol`` can draw these sizes from the universe."""
+    if n_pairs % 2 != 0:
+        raise ConfigError(f"n_pairs must be even for a balanced protocol, got {n_pairs}")
+    if not 0 <= n_distractors <= n_identities - n_train:
+        limit = n_identities - n_train
+        raise ConfigError(f"n_distractors must lie in [0, {limit}], got {n_distractors}")
+    if n_probe > n_train:
+        raise ConfigError(f"{n_probe} probes requested from {n_train} training identities")
+    if n_pairs and n_train < 2:
+        raise ConfigError(f"impostor pairs need 2 or more training identities, got {n_train}")
+
+
 def build_eval_protocol(
     universe: IdentityUniverse,
     counts: np.ndarray,
@@ -349,15 +364,7 @@ def build_eval_protocol(
     """
     counts = np.asarray(counts, dtype=np.int64)
     n_train = int(counts.size)
-    if n_pairs % 2 != 0:
-        raise ConfigError(f"n_pairs must be even for a balanced protocol, got {n_pairs}")
-    if not 0 <= n_distractors <= universe.C - n_train:
-        limit = universe.C - n_train
-        raise ConfigError(f"n_distractors must lie in [0, {limit}], got {n_distractors}")
-    if n_probe > n_train:
-        raise ConfigError(f"{n_probe} probes requested from {n_train} training identities")
-    if n_pairs and n_train < 2:
-        raise ConfigError(f"impostor pairs need 2 or more training identities, got {n_train}")
+    check_protocol_sizes(universe.C, n_train, n_pairs, n_probe, n_distractors)
 
     gen = rng.stream(seed, rng.PROTOCOL)
     half = n_pairs // 2

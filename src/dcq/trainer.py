@@ -26,7 +26,7 @@ from . import class_queue as cq
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import CheckpointError, ConfigError, ShapeError, TrainingDiverged
 from .evalbench import evaluate_protocol
-from .model import MlpParams, extract_features, init_extractor
+from .model import MlpParams, check_layer_dims, extract_features, init_extractor
 from .numerics import Tape, Tensor
 from .synthdata import (
     EvalProtocol,
@@ -36,6 +36,7 @@ from .synthdata import (
     assign_longtail_counts,
     build_eval_protocol,
     build_universe,
+    check_protocol_sizes,
     make_pair_batch,
 )
 
@@ -139,19 +140,21 @@ class TrainConfig:
             raise ConfigError(f"checkpoint_every must be >= 0, got {cfg.checkpoint_every}")
         if not 0.0 <= cfg.sigma < math.inf:
             raise ConfigError(f"sigma must be finite and >= 0, got {cfg.sigma}")
-        if min(cfg.n_classes, cfg.eval_probes, *cfg.layer_dims) < 1 or cfg.eval_pairs < 2:
-            raise ConfigError(
-                "n_classes, layer dims and eval_probes must be positive, eval_pairs >= 2"
-            )
-        # the rules build_universe, init_extractor and filter_head_classes
-        # apply, checked here so a sweep rejects a value before any run trains
-        if min(cfg.d_in, cfg.embed_dim) < 2:
-            raise ConfigError(f"d_in and embed_dim must be >= 2, got {cfg.d_in}, {cfg.embed_dim}")
+        if min(cfg.n_classes, cfg.eval_probes) < 1 or cfg.eval_pairs < 2:
+            raise ConfigError("n_classes and eval_probes must be positive, eval_pairs >= 2")
+        # the rules of _build_run_state's builders, so a sweep rejects a value before any run trains
+        check_layer_dims(cfg.layer_dims)
+        if cfg.d_in < 2:
+            raise ConfigError(f"d_in must be >= 2, got {cfg.d_in}")
         if cfg.min_instances < 1:
             raise ConfigError(f"min_instances must be >= 1, got {cfg.min_instances}")
-        LongTailSpec(cfg.zipf_exponent, cfg.min_count, cfg.max_count)
+        spec = LongTailSpec(cfg.zipf_exponent, cfg.min_count, cfg.max_count)
         if cfg.eval_distractors < 0:
             raise ConfigError(f"eval_distractors must be >= 0, got {cfg.eval_distractors}")
+        C, n_distractors = cfg.n_classes, cfg.eval_distractors
+        check_protocol_sizes(C + n_distractors, C, cfg.eval_pairs, cfg.eval_probes, n_distractors)
+        if cfg.method == METHOD_HEAD_ONLY:  # the counts draw nothing
+            fc.filter_head_classes(assign_longtail_counts(spec, cfg.n_classes), cfg.min_instances)
         # keys reduce the seed modulo 2**64, so a seed outside would rerun another
         if not 0 <= cfg.seed < 2**64:
             raise ConfigError(f"seed must lie in [0, 2**64), got {cfg.seed}")

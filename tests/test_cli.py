@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,9 @@ TINY_CONFIG = {
     "eval_pairs": 40, "eval_probes": 10, "eval_distractors": 5, "decay_epochs": [1],
     "seed": 3,
 }
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _write_config(tmp_path, **extra):
@@ -43,22 +47,32 @@ def _rows_without_wall(path):
 
 class TestBench:
     def test_reference_ratio(self, capsys):
-        code = cli.main(["bench", "--set", "C=642962", "--set", "K=65536", "--set", "D=512"])
-        assert code == 0
+        argv = ["bench", "--set", "n_classes=642962", "--set", "K=65536", "--set", "embed_dim=512"]
+        assert cli.main(argv) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["param_bytes_ratio"] == pytest.approx(0.10193, abs=5e-6)
         assert report["full"]["head_param_bytes"] == 1_316_786_176
         assert report["dcq"]["head_param_bytes"] == 134_217_728
         assert report["dcq"]["optimizer_state_bytes"] == 0
 
+    def test_desk_config_is_the_default_report(self, capsys):
+        assert cli.main(["bench"]) == 0
+        default = capsys.readouterr().out
+        assert cli.main(["bench", "--config", str(CONFIGS / "desk.json")]) == 0
+        assert capsys.readouterr().out == default
+        full = json.loads(default)["full"]
+        sizes = ("class_count", "queue_size", "embed_dim", "batch_size", "bytes_per_float")
+        assert [full[k] for k in sizes] == [2000, 200, 32, 32, 4]
+
     def test_unknown_bench_key(self, capsys):
-        assert cli.main(["bench", "--set", "classes=10"]) == 1
+        assert cli.main(["bench", "--set", "classes=10"]) == 2
+        assert capsys.readouterr().err == "error: unknown config fields: ['classes']\n"
 
     @pytest.mark.parametrize("value", ["abc", "[1]", "2.5", "true"])
     def test_non_int_size_is_a_one_line_error(self, capsys, value):
-        assert cli.main(["bench", "--set", f"C={value}"]) == 2
+        assert cli.main(["bench", "--set", f"n_classes={value}"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: C must be a positive int") and err.count("\n") == 1, err
+        assert err.startswith("error: n_classes must be int") and err.count("\n") == 1, err
 
 
 class TestUsage:
@@ -730,6 +744,51 @@ class TestSweep:
         err = capsys.readouterr().err
         assert code == 2
         assert err == "error: zipf exponent must be finite and >= 0, got -1\n"
+        assert trained == []
+        assert not out.exists()
+
+    def test_any_config_field_is_an_axis(self, tmp_path, capsys):
+        # the tiny profile gives 4 classes of 3 or more instances and 2 of 5 or more
+        config = _write_config(tmp_path, epochs=1, method="cosface-head-only")
+        out = tmp_path / "sweep"
+        code = cli.main([
+            "sweep", "--config", config, "--axis", "min_instances",
+            "--values", "3,5", "--out", str(out),
+        ])
+        assert code == 0
+        rows = _read_csv(out / "results.csv")
+        assert [(r["axis"], r["value"]) for r in rows] == [("min_instances", v) for v in "35"]
+        # a 4-column and a 2-column head train to different losses
+        payload = json.loads((out / "results.json").read_text())
+        losses = [r["epochs"][0]["train_loss"] for r in payload["rows"]]
+        assert losses[0] != losses[1]
+
+    def test_tuple_field_axis_is_a_one_line_error(self, tmp_path, capsys, monkeypatch):
+        trained = []
+        monkeypatch.setattr(trainer, "run_training", lambda cfg: trained.append(cfg))
+        out = tmp_path / "sweep"
+        out.mkdir()
+        (out / "earlier.txt").write_text("x")
+        code = cli.main([
+            "sweep", "--config", _write_config(tmp_path), "--axis", "hidden_dims",
+            "--values", "64,32", "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: hidden_dims must be tuple[int, ...], got 64\n"
+        assert trained == []
+        assert sorted(p.name for p in out.iterdir()) == ["earlier.txt"]
+
+    def test_unbuildable_method_fails_before_any_training(self, tmp_path, capsys, monkeypatch):
+        # no class of the tiny profile has 50 instances, so the head-only run cannot build
+        trained = []
+        monkeypatch.setattr(trainer, "run_training", lambda cfg: trained.append(cfg.method))
+        out = tmp_path / "sweep"
+        code = cli.main([
+            "sweep", "--config", _write_config(tmp_path), "--axis", "method",
+            "--values", "dcq,cosface-head-only", "--set", "min_instances=50", "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: 0 classes have 50 or more instances; a head needs 2\n"
         assert trained == []
         assert not out.exists()
 

@@ -503,8 +503,8 @@ class TestExperimentGrid:
         assert row == direct
 
     def test_invalid_axis(self):
-        with pytest.raises(ConfigError):
-            run_experiment_grid(TrainConfig(), "epochs", [1, 2])
+        with pytest.raises(ConfigError, match="unknown config fields"):
+            run_experiment_grid(TrainConfig(), "queue_size", [1, 2])
 
     GRID_CFG = dict(
         method="dcq", n_classes=300, epochs=12, B=8,

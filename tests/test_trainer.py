@@ -216,6 +216,21 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 TrainConfig(**bad).resolve()
 
+    @pytest.mark.parametrize("bad, message", [
+        ({"method": "cosface-head-only", "min_instances": 11}, "^0 classes have 11 or more"),
+        ({"method": "cosface-head-only", "min_instances": 10}, "^1 classes have 10 or more"),
+        ({"eval_pairs": 41}, "n_pairs must be even"),
+        ({"eval_probes": 13}, "13 probes requested from 12"),
+        ({"n_classes": 1, "eval_probes": 1}, "impostor pairs need 2"),
+        ({"hidden_dims": ()}, "need at least one hidden layer"),
+    ])
+    def test_rejects_what_the_run_cannot_build(self, bad, message):
+        cfg = TrainConfig(**{**TINY, **bad})
+        with pytest.raises(ConfigError, match=message):
+            dcq.trainer._build_run_state(cfg)
+        with pytest.raises(ConfigError, match=message):
+            cfg.resolve()
+
     def test_seed_range(self):
         # every key reduces the seed modulo 2**64: 2**64 would rerun seed 0
         for bad in (-1, 2**64, 2**64 + 1, -(2**63)):
