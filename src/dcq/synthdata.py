@@ -163,10 +163,16 @@ def heldout_instance(universe: IdentityUniverse, identity: int, index: int) -> n
 def _noisy_rows(
     universe: IdentityUniverse, idents: np.ndarray, keys: np.ndarray, rekeyer: rng.Rekeyer
 ) -> np.ndarray:
-    """Row i: ``centers[idents[i]] + sigma *`` row i of ``rekeyer.normal_rows(keys, d_in)``."""
+    """Row i: ``centers[idents[i]] + sigma *`` row i of ``rekeyer.normal_rows(keys, d_in)``.
+
+    The centers are gathered ``rng.KEY_CHUNK`` rows at a time, so no second
+    rows-sized array is held beside the noise.
+    """
     rows = rekeyer.normal_rows(keys, universe.d_in)
-    rows *= universe.sigma
-    rows += universe.centers[idents]
+    for lo in range(0, rows.shape[0], rng.KEY_CHUNK):
+        block = rows[lo : lo + rng.KEY_CHUNK]
+        block *= universe.sigma
+        block += universe.centers[idents[lo : lo + rng.KEY_CHUNK]]
     return rows
 
 

@@ -469,6 +469,17 @@ class TestPairPlan:
         with pytest.raises(ConfigError):
             _plan([0, 0], 2, "class", 0)
 
+    def test_peak_is_about_the_table(self, traced_peak):
+        # the desk config: the 4393 x 32 table plus its keys, owners and
+        # indices, with the centers added a block at a time, not gathered whole
+        cfg = TrainConfig()
+        u = build_universe(cfg.n_classes, cfg.d_in, cfg.sigma, cfg.seed)
+        counts = assign_longtail_counts(
+            LongTailSpec(cfg.zipf_exponent, cfg.min_count, cfg.max_count), cfg.n_classes
+        )
+        peak, plan = traced_peak(lambda: PairPlan(u, counts, cfg.B, cfg.sampling, cfg.seed))
+        assert peak <= 1.3 * plan.data.nbytes
+
 
 class TestEvalProtocol:
     def _protocol(self, n_pairs=200, n_probe=20, n_distractors=30):
