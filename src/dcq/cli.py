@@ -210,7 +210,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_eval(args) -> int:
     result = load_result_checkpoint(args.checkpoint)
-    scores = evalbench.evaluate_protocol(result.extractor, result.protocol, result.counts)
+    scores = evalbench.evaluate_protocol(result.extractor, result.protocol)
     report = {"checkpoint": args.checkpoint, "method": result.config.method, **scores}
     if isinstance(result.head, CosFaceHead):
         alignment = evalbench.tail_alignment_diagnostic(

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .model import MlpParams, extract_features
 from .numerics import Tensor, l2_normalize
-from .synthdata import TAIL_THRESHOLD, EvalProtocol, IdentityUniverse, InstanceRows
+from .synthdata import EvalProtocol, IdentityUniverse, InstanceRows
 
 # Bucket edges straddle the <10-instances tail definition.
 BUCKET_EDGES = (5, 10, 50)
@@ -80,11 +80,8 @@ def identification_hits(
     return np.asarray(gallery_labels)[nearest] == np.asarray(probe_labels)
 
 
-def evaluate_protocol(extractor: MlpParams, protocol: EvalProtocol, counts: np.ndarray) -> dict:
-    """Verification accuracy and rank-1 rate, overall and split by head/tail.
-
-    Tail probes are identities with fewer than ``TAIL_THRESHOLD`` instances.
-    """
+def evaluate_protocol(extractor: MlpParams, protocol: EvalProtocol) -> dict:
+    """Verification accuracy and rank-1 rate, overall and split by ``protocol.probe_tail``."""
     ver_acc, threshold = verification_accuracy(
         embed(extractor, protocol.pair_a),
         embed(extractor, protocol.pair_b),
@@ -96,7 +93,7 @@ def evaluate_protocol(extractor: MlpParams, protocol: EvalProtocol, counts: np.n
         protocol.probe_labels,
         protocol.gallery_labels,
     )
-    tail = np.asarray(counts)[protocol.probe_labels] < TAIL_THRESHOLD
+    tail = protocol.probe_tail
     return {
         "ver_acc": ver_acc,
         "ver_threshold": threshold,

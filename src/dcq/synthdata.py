@@ -5,9 +5,10 @@ are the center plus Gaussian noise. Instance counts follow a clamped Zipf
 profile over identity rank, so a handful of head identities own most of
 the data and the bulk of identities sit in the tail.
 
-Everything here is a pure function of (config, seed): instances are drawn
-from counter-based streams keyed by (seed, stream, identity, index), so
-regeneration is order-independent and bit-identical. ``InstanceRows`` is
+Everything here is a pure function of the config and the seed that
+``build_universe`` takes: every later draw comes from a counter-based
+stream keyed by (``universe.seed``, stream, ...), so regeneration is
+order-independent and bit-identical. ``InstanceRows`` is
 the one layout of the training instances: a training run's ``PairPlan``
 draws every row once through it, while ``dcq gen-data`` and the
 tail-alignment diagnostic draw the same rows a block at a time.
@@ -44,7 +45,7 @@ class IdentityUniverse:
     """C unit-norm cluster centers in d_in dimensions plus a noise scale."""
 
     sigma: float
-    seed: int
+    seed: int  # keys every draw made from the universe
     centers: np.ndarray  # C × d_in, rows unit norm
 
     @property
@@ -90,7 +91,8 @@ class EvalProtocol:
 
     Gallery rows 0..n_probe−1 are the enrolled mates of the probes (one per
     probe identity); the remaining rows are distractor identities disjoint
-    from all training identities.
+    from all training identities. ``probe_tail`` flags the probes whose
+    identity has fewer than ``TAIL_THRESHOLD`` training instances.
     """
 
     pair_a: np.ndarray
@@ -102,7 +104,7 @@ class EvalProtocol:
     probe_labels: np.ndarray
     gallery_x: np.ndarray
     gallery_labels: np.ndarray
-    distractor_labels: np.ndarray
+    probe_tail: np.ndarray  # bool
 
 
 def build_universe(C: int, d_in: int, sigma: float, seed: int) -> IdentityUniverse:
@@ -221,9 +223,7 @@ class PairPlan:
     identity, whose reference is fresh noise.
     """
 
-    def __init__(
-        self, universe: IdentityUniverse, counts: np.ndarray, batch_size: int, mode: str, seed: int
-    ):
+    def __init__(self, universe: IdentityUniverse, counts: np.ndarray, batch_size: int, mode: str):
         if mode not in ("instance", "class"):
             raise ConfigError(f"sampling mode must be 'instance' or 'class', got {mode!r}")
         rows = InstanceRows(universe, counts)
@@ -232,7 +232,7 @@ class PairPlan:
         self.universe, self.counts = universe, rows.counts
         self.starts, self.owner = rows.starts, rows.owner
         self.data = rows.draw(0, rows.owner.size)
-        self.batch_size, self.mode, self.seed = batch_size, mode, seed
+        self.batch_size, self.mode = batch_size, mode
         # the identities with a row, which class mode picks among
         self.eligible = np.flatnonzero(rows.counts)
         self.rekeyer = rows.rekeyer
@@ -246,20 +246,20 @@ def make_pair_batch(plan: PairPlan, step: int) -> PairBatch:
     """Step ``step``'s B (query, reference, label) triples.
 
     The batch is a pure function of the first raw words of
-    ``rng.stream(seed, rng.BATCH, step)``. Instance mode picks the owner of
-    a uniformly drawn training row, so identities in proportion to their
-    instance counts, class mode uniformly over identities with at least one
-    instance; each row then draws a query index and a distinct reference
-    index of its identity.
+    ``rng.stream(plan.universe.seed, rng.BATCH, step)``. Instance mode picks
+    the owner of a uniformly drawn training row, so identities in proportion
+    to their instance counts, class mode uniformly over identities with at
+    least one instance; each row then draws a query index and a distinct
+    reference index of its identity.
     Every bounded draw is a multiply-shift of a 32-bit half-word, biased by
     less than bound / 2**32 (``_lemire``). A single-instance identity's reference is its center plus
-    ``sigma * rng.stream(seed, rng.BATCH_REFERENCE, step, row).standard_normal(d_in)``.
+    ``sigma * rng.stream(universe.seed, rng.BATCH_REFERENCE, step, row).standard_normal(d_in)``.
     A step outside the planned block plans the ``PLAN_BLOCK_STEPS`` steps
     from it on; rows are gathered from ``plan.data`` when a step is served.
     """
-    i = step - plan.first
+    u, i = plan.universe, step - plan.first
     if not 0 <= i < plan.single.size:
-        keys = rng.philox_keys(plan.seed, rng.BATCH, np.arange(step, step + PLAN_BLOCK_STEPS))
+        keys = rng.philox_keys(u.seed, rng.BATCH, np.arange(step, step + PLAN_BLOCK_STEPS))
         words = plan.rekeyer.raw_words(keys, _words_per_step(plan.batch_size, plan.mode))
         plan.labels, plan.rows, plan.single = _plan_words(plan, words)
         plan.first, i = step, 0
@@ -268,8 +268,8 @@ def make_pair_batch(plan: PairPlan, step: int) -> PairBatch:
     y = plan.labels[i].copy()
     if plan.single[i]:
         single = np.flatnonzero(plan.counts[y] == 1)
-        keys = rng.philox_keys(plan.seed, rng.BATCH_REFERENCE, step, single)
-        x[B + single] = _noisy_rows(plan.universe, y[single], keys, plan.rekeyer)
+        keys = rng.philox_keys(u.seed, rng.BATCH_REFERENCE, step, single)
+        x[B + single] = _noisy_rows(u, y[single], keys, plan.rekeyer)
     return PairBatch(x_t=Tensor(x[:B]), x_w=Tensor(x[B:]), y=y)
 
 
@@ -339,15 +339,10 @@ def _plan_words(plan: PairPlan, words: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return labels, rows, ~multi.all(axis=1)
 
 
-def check_protocol_sizes(
-    n_identities: int, n_train: int, n_pairs: int, n_probe: int, n_distractors: int
-) -> None:
-    """Raise ConfigError unless ``build_eval_protocol`` can draw these sizes from the universe."""
+def check_protocol_sizes(n_train: int, n_pairs: int, n_probe: int) -> None:
+    """Raise ConfigError unless ``build_eval_protocol`` can draw these sizes."""
     if n_pairs % 2 != 0:
         raise ConfigError(f"n_pairs must be even for a balanced protocol, got {n_pairs}")
-    if not 0 <= n_distractors <= n_identities - n_train:
-        limit = n_identities - n_train
-        raise ConfigError(f"n_distractors must lie in [0, {limit}], got {n_distractors}")
     if n_probe > n_train:
         raise ConfigError(f"{n_probe} probes requested from {n_train} training identities")
     if n_pairs and n_train < 2:
@@ -355,24 +350,22 @@ def check_protocol_sizes(
 
 
 def build_eval_protocol(
-    universe: IdentityUniverse,
-    counts: np.ndarray,
-    n_pairs: int,
-    n_probe: int,
-    n_distractors: int,
-    seed: int,
+    universe: IdentityUniverse, counts: np.ndarray, n_pairs: int, n_probe: int
 ) -> EvalProtocol:
     """Balanced verification pairs plus probe/gallery sets with distractors.
 
-    Training identities are 0..len(counts)−1; the distractors are the
-    ``n_distractors`` identities after them, which training never touches.
-    All evaluation inputs are drawn from the held-out instance stream.
+    Training identities are 0..len(counts)−1; the distractors are every
+    identity of the universe after them, which training never touches.
+    Labels and probes are drawn from ``rng.stream(universe.seed, rng.PROTOCOL)``,
+    and all evaluation inputs from the held-out instance stream.
     """
     counts = np.asarray(counts, dtype=np.int64)
     n_train = int(counts.size)
-    check_protocol_sizes(universe.C, n_train, n_pairs, n_probe, n_distractors)
+    if n_train > universe.C:
+        raise ConfigError(f"{n_train} training identities do not fit a universe of {universe.C}")
+    check_protocol_sizes(n_train, n_pairs, n_probe)
 
-    gen = rng.stream(seed, rng.PROTOCOL)
+    gen = rng.stream(universe.seed, rng.PROTOCOL)
     half = n_pairs // 2
 
     # every protocol draw first, in a fixed order, in one call: per genuine
@@ -390,7 +383,7 @@ def build_eval_protocol(
     index_b = np.concatenate([g[:, 2], imp[:, 3]])
     genuine = np.arange(n_pairs) < half
     probe_ids = gen.choice(n_train, size=n_probe, replace=False).astype(np.int64)
-    distractor_ids = (n_train + np.arange(n_distractors)).astype(np.int64)
+    distractor_ids = np.arange(n_train, universe.C, dtype=np.int64)
 
     # held-out rows, equal to heldout_instance per row:
     # pair_a | pair_b | probes (index 0) | mates (index 1) | distractors (index 0)
@@ -398,13 +391,12 @@ def build_eval_protocol(
     index = np.concatenate([
         index_a, index_b,
         np.zeros(n_probe, dtype=np.int64), np.ones(n_probe, dtype=np.int64),
-        np.zeros(n_distractors, dtype=np.int64),
+        np.zeros(distractor_ids.size, dtype=np.int64),
     ])
     keys = rng.philox_keys(universe.seed, rng.INSTANCE_NOISE, INSTANCE_HELDOUT, idents, index)
     rows = _noisy_rows(universe, idents, keys, rng.Rekeyer())
     cuts = [n_pairs, 2 * n_pairs, 2 * n_pairs + n_probe]
     pair_a, pair_b, probe_x, gallery_x = np.split(rows, cuts)
-    gallery_labels = np.concatenate([probe_ids, distractor_ids])
 
     return EvalProtocol(
         pair_a=pair_a,
@@ -415,8 +407,8 @@ def build_eval_protocol(
         probe_x=probe_x,
         probe_labels=probe_ids,
         gallery_x=gallery_x,
-        gallery_labels=gallery_labels,
-        distractor_labels=distractor_ids,
+        gallery_labels=np.concatenate([probe_ids, distractor_ids]),
+        probe_tail=counts[probe_ids] < TAIL_THRESHOLD,
     )
 
 

@@ -151,8 +151,7 @@ class TrainConfig:
         spec = LongTailSpec(cfg.zipf_exponent, cfg.min_count, cfg.max_count)
         if cfg.eval_distractors < 0:
             raise ConfigError(f"eval_distractors must be >= 0, got {cfg.eval_distractors}")
-        C, n_distractors = cfg.n_classes, cfg.eval_distractors
-        check_protocol_sizes(C + n_distractors, C, cfg.eval_pairs, cfg.eval_probes, n_distractors)
+        check_protocol_sizes(cfg.n_classes, cfg.eval_pairs, cfg.eval_probes)
         if cfg.method == METHOD_HEAD_ONLY:  # the counts draw nothing
             fc.filter_head_classes(assign_longtail_counts(spec, cfg.n_classes), cfg.min_instances)
         # keys reduce the seed modulo 2**64, so a seed outside would rerun another
@@ -334,9 +333,7 @@ def _build_run_state(cfg: TrainConfig) -> TrainResult:
     universe = build_universe(cfg.n_classes + cfg.eval_distractors, cfg.d_in, cfg.sigma, cfg.seed)
     spec = LongTailSpec(cfg.zipf_exponent, cfg.min_count, cfg.max_count)
     counts = assign_longtail_counts(spec, cfg.n_classes)
-    protocol = build_eval_protocol(
-        universe, counts, cfg.eval_pairs, cfg.eval_probes, cfg.eval_distractors, cfg.seed
-    )
+    protocol = build_eval_protocol(universe, counts, cfg.eval_pairs, cfg.eval_probes)
     extractor = init_extractor(cfg.layer_dims, cfg.seed)
     if cfg.method == METHOD_DCQ:
         head = QueueHead(cfg, extractor, counts)
@@ -411,11 +408,11 @@ def run_training(
         result = load_result_checkpoint(resume_from)
         if result.config != cfg:
             raise ConfigError("checkpoint config does not match the requested config")
-    extractor, head, counts = result.extractor, result.head, result.counts
+    extractor, head = result.extractor, result.head
 
     global_step = result.final_step
     start_epoch = global_step // result.steps_per_epoch
-    plan = PairPlan(result.universe, head.train_counts, cfg.B, cfg.sampling, cfg.seed)
+    plan = PairPlan(result.universe, head.train_counts, cfg.B, cfg.sampling)
     every = cfg.checkpoint_every if checkpoint_dir is not None else 0
 
     scores = None
@@ -457,7 +454,7 @@ def run_training(
             epoch_losses.append(loss_value)
             global_step += 1
 
-        scores = evaluate_protocol(extractor, result.protocol, counts)
+        scores = evaluate_protocol(extractor, result.protocol)
         result.metrics.append(
             {
                 "epoch": epoch,
@@ -475,7 +472,7 @@ def run_training(
 
     # the last epoch already scored the final model
     result.final_eval = (
-        dict(scores) if scores is not None else evaluate_protocol(extractor, result.protocol, counts)
+        dict(scores) if scores is not None else evaluate_protocol(extractor, result.protocol)
     )
     return result
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -548,8 +549,28 @@ class TestEvaluateProtocol:
             eval_pairs=40, eval_probes=12, eval_distractors=5, decay_epochs=(1,),
         )
         result = run_training(cfg)
-        scores = evaluate_protocol(result.extractor, result.protocol, result.counts)
+        scores = evaluate_protocol(result.extractor, result.protocol)
         assert set(scores) >= {"ver_acc", "id_rank1", "tail_rank1", "head_rank1"}
         assert scores["tail_probes"] == int(
             (result.counts[result.protocol.probe_labels] < 10).sum()
         )
+
+    def test_probe_tail_sets_the_split(self):
+        # flipping the protocol's tail flags swaps the tail and head rates
+        u = build_universe(60, 8, 0.2, seed=4)
+        counts = assign_longtail_counts(LongTailSpec(1.0, 2, 20), 50)
+        protocol = synthdata.build_eval_protocol(u, counts, 20, 30)
+        extractor = init_extractor([8, 16, 8], seed=4)
+        hits = identification_hits(
+            embed(extractor, protocol.probe_x), embed(extractor, protocol.gallery_x),
+            protocol.probe_labels, protocol.gallery_labels,
+        )
+        tail = protocol.probe_tail
+        assert 0 < tail.sum() < tail.size
+        scores = evaluate_protocol(extractor, protocol)
+        assert scores["tail_rank1"] == float(hits[tail].mean())
+        assert scores["head_rank1"] == float(hits[~tail].mean())
+        flipped = evaluate_protocol(extractor, dataclasses.replace(protocol, probe_tail=~tail))
+        assert flipped["tail_rank1"] == scores["head_rank1"]
+        assert flipped["head_rank1"] == scores["tail_rank1"]
+        assert flipped["tail_probes"] == tail.size - scores["tail_probes"]

@@ -12,6 +12,7 @@ from dcq.synthdata import (
     LongTailSpec,
     PLAN_BLOCK_STEPS,
     PairPlan,
+    TAIL_THRESHOLD,
     assign_longtail_counts,
     build_eval_protocol,
     build_universe,
@@ -148,7 +149,7 @@ class TestInstanceRows:
         rows = InstanceRows(u, counts)
         assert rows.index.tolist() == [0, 1, 2, 3, 0, 0, 1, 2, 0, 0, 1]
         # a plan holds the same layout and rows as its own attributes
-        plan = PairPlan(u, counts, 4, "instance", 0)
+        plan = PairPlan(u, counts, 4, "instance")
         for layout, data in ((rows, rows.draw(0, 11)), (plan, plan.data)):
             assert data.shape == (11, 6)
             assert layout.starts.tolist() == [0, 4, 5, 5, 8, 9, 9]
@@ -165,13 +166,13 @@ class TestInstanceRows:
             with pytest.raises(ConfigError):
                 InstanceRows(u, counts)
             with pytest.raises(ConfigError):
-                PairPlan(u, counts, 2, "instance", 0)
+                PairPlan(u, counts, 2, "instance")
 
 
-def _plan(counts, batch_size, mode, seed, universe_seed=4):
+def _plan(counts, batch_size, mode, seed):
     counts = np.asarray(counts, dtype=np.int64)
-    universe = build_universe(counts.size, 6, 0.1, universe_seed)
-    return PairPlan(universe, counts, batch_size, mode, seed)
+    universe = build_universe(counts.size, 6, 0.1, seed)
+    return PairPlan(universe, counts, batch_size, mode)
 
 
 def _longtail_counts(min_count):
@@ -206,7 +207,8 @@ def _oracle_batch(plan, step):
     The rows come from ``plan.data``, which ``TestInstanceRows`` checks
     against ``draw_instance``.
     """
-    words = _StepWords(plan.seed, step)
+    seed = plan.universe.seed
+    words = _StepWords(seed, step)
     counts = plan.counts.tolist()
     if plan.mode == "instance":
         owner = [ident for ident, n in enumerate(counts) for _ in range(n)]
@@ -225,7 +227,7 @@ def _oracle_batch(plan, step):
         if n > 1:
             x_w.append(plan.data[start + r + (r >= q)])
         else:
-            noise = rng.stream(plan.seed, rng.BATCH_REFERENCE, step, row).standard_normal(u.d_in)
+            noise = rng.stream(seed, rng.BATCH_REFERENCE, step, row).standard_normal(u.d_in)
             x_w.append(u.centers[ident] + u.sigma * noise)
     return np.array(labels), np.array(x_t), np.array(x_w)
 
@@ -236,7 +238,7 @@ class TestPairBatch:
         counts = np.arange(1, 11) * 3
         total = 100_000
         seen = np.zeros(10)
-        plan = PairPlan(u, counts, 1000, "class", 5)
+        plan = PairPlan(u, counts, 1000, "class")
         for step in range(100):
             seen += np.bincount(make_pair_batch(plan, step).y, minlength=10)
         freq = seen / total
@@ -248,7 +250,7 @@ class TestPairBatch:
         u = build_universe(2, 4, 0.1, seed=6)
         counts = np.array([90, 10])
         seen = np.zeros(2)
-        plan = PairPlan(u, counts, 1000, "instance", 6)
+        plan = PairPlan(u, counts, 1000, "instance")
         for step in range(100):
             seen += np.bincount(make_pair_batch(plan, step).y, minlength=2)
         assert abs(seen[0] / 100_000 - 0.9) < 0.02
@@ -257,7 +259,7 @@ class TestPairBatch:
     def test_pairs_share_label_and_instances_differ(self):
         u = build_universe(6, 8, 0.2, seed=7)
         counts = np.array([5, 4, 3, 2, 2, 2])
-        batch = make_pair_batch(PairPlan(u, counts, 64, "instance", 7), 1)
+        batch = make_pair_batch(PairPlan(u, counts, 64, "instance"), 1)
         assert batch.x_t.shape == (64, 8) and batch.x_w.shape == (64, 8)
         # label sharing is structural; multi-instance identities must give
         # distinct query/reference vectors
@@ -268,7 +270,7 @@ class TestPairBatch:
     def test_single_instance_identity_gets_fresh_reference(self):
         # the identity's only row is the table's last
         u = build_universe(1, 8, 0.2, seed=8)
-        plan = PairPlan(u, np.array([1]), 4, "instance", 8)
+        plan = PairPlan(u, np.array([1]), 4, "instance")
         batch = make_pair_batch(plan, 0)
         stored = draw_instance(u, 0, 0)
         for i in range(4):
@@ -279,10 +281,10 @@ class TestPairBatch:
     def test_deterministic_given_stream(self):
         u = build_universe(6, 8, 0.2, seed=7)
         counts = np.array([5, 4, 3, 2, 2, 2])
-        warm = PairPlan(u, counts, 16, "instance", 7)
+        warm = PairPlan(u, counts, 16, "instance")
         make_pair_batch(warm, 0)
         a = make_pair_batch(warm, 3)
-        b = make_pair_batch(PairPlan(u, counts, 16, "instance", 7), 3)
+        b = make_pair_batch(PairPlan(u, counts, 16, "instance"), 3)
         np.testing.assert_array_equal(a.x_t.data, b.x_t.data)
         np.testing.assert_array_equal(a.x_w.data, b.x_w.data)
         np.testing.assert_array_equal(a.y, b.y)
@@ -291,16 +293,16 @@ class TestPairBatch:
         # with no single-instance identity, the batch is what Generator.choice
         # then the per-row index draws below make on the step's stream, as
         # long as numpy redraws none of them
-        u = build_universe(40, 4, 0.1, seed=9)
         counts = np.arange(40) % 7
         counts[counts == 1] = 0  # zeros, count-2 and larger
-        rows = InstanceRows(u, counts)
-        data = rows.draw(0, counts.sum())
         eligible = np.flatnonzero(counts)
         weights = counts[eligible] / counts[eligible].sum()
         for seed in range(200):
+            u = build_universe(40, 4, 0.1, seed)
+            rows = InstanceRows(u, counts)
+            data = rows.draw(0, counts.sum())
             for mode, p in (("instance", weights), ("class", None)):
-                batch = make_pair_batch(PairPlan(u, counts, 16, mode, seed), 0)
+                batch = make_pair_batch(PairPlan(u, counts, 16, mode), 0)
                 ref = rng.stream(seed, rng.BATCH, 0)
                 idents = ref.choice(eligible, size=16, p=p)
                 x_t, x_w = [], []
@@ -317,7 +319,7 @@ class TestPairBatch:
     def test_bad_mode(self):
         u = build_universe(2, 4, 0.1, seed=0)
         with pytest.raises(ConfigError):
-            PairPlan(u, np.array([1, 1]), 2, "epoch", 0)
+            PairPlan(u, np.array([1, 1]), 2, "epoch")
 
 
 class TestPairPlan:
@@ -358,7 +360,7 @@ class TestPairPlan:
     @pytest.mark.parametrize("seed", [1, 17, 29])
     def test_blocks_match_reference(self, mode, seed):
         # both block edges and the first step of the next block
-        plan = _plan(_longtail_counts(2), 16, mode, seed, universe_seed=seed)
+        plan = _plan(_longtail_counts(2), 16, mode, seed)
         flags = self._assert_oracle(plan, range(PLAN_BLOCK_STEPS + 2))
         assert not any(flags)
 
@@ -395,6 +397,18 @@ class TestPairPlan:
         plan = _plan([6, 5, 4, 3, 2, 1], 4, mode, 9)
         flags = self._assert_oracle(plan, range(PLAN_BLOCK_STEPS + 20))
         assert any(flags) and not all(flags)
+
+    @pytest.mark.parametrize("mode", ["instance", "class"])
+    def test_words_are_the_universe_seeds_streams(self, mode):
+        # two universes that differ only in seed: each plan's batches are the
+        # oracle's, which reads rng.stream(universe.seed, BATCH, t)
+        counts = _longtail_counts(1)
+        labels = []
+        for seed in (3, 4):
+            plan = PairPlan(build_universe(counts.size, 6, 0.1, seed), counts, 16, mode)
+            self._assert_oracle(plan, range(3))
+            labels.append(make_pair_batch(plan, 0).y)
+        assert not np.array_equal(*labels)
 
     def test_planning_opens_no_single_streams(self, monkeypatch):
         calls = []
@@ -477,20 +491,20 @@ class TestPairPlan:
         counts = assign_longtail_counts(
             LongTailSpec(cfg.zipf_exponent, cfg.min_count, cfg.max_count), cfg.n_classes
         )
-        peak, plan = traced_peak(lambda: PairPlan(u, counts, cfg.B, cfg.sampling, cfg.seed))
+        peak, plan = traced_peak(lambda: PairPlan(u, counts, cfg.B, cfg.sampling))
         assert peak <= 1.3 * plan.data.nbytes
 
 
 class TestEvalProtocol:
-    def _protocol(self, n_pairs=200, n_probe=20, n_distractors=30):
+    def _protocol(self, n_pairs=200, n_probe=20):
         u = build_universe(80, 8, 0.1, seed=11)  # 50 train + 30 distractors
         counts = assign_longtail_counts(LongTailSpec(1.0, 2, 20), 50)
-        return build_eval_protocol(u, counts, n_pairs, n_probe, n_distractors, seed=11), counts
+        return build_eval_protocol(u, counts, n_pairs, n_probe), counts
 
     def test_distractors_disjoint_from_training(self):
         p, counts = self._protocol()
         train_labels = set(range(len(counts)))
-        assert set(p.distractor_labels.tolist()).isdisjoint(train_labels)
+        assert set(p.gallery_labels[p.probe_labels.size :].tolist()).isdisjoint(train_labels)
         assert set(p.gallery_labels.tolist()) >= set(p.probe_labels.tolist())
 
     def test_genuine_pairs_share_labels(self):
@@ -514,15 +528,15 @@ class TestEvalProtocol:
     def test_size_validation(self):
         u = build_universe(60, 8, 0.1, seed=12)
         counts = assign_longtail_counts(LongTailSpec(1.0, 2, 20), 50)
-        for n_distractors in (11, -1):  # 10 identities follow the 50 trained ones
-            with pytest.raises(ConfigError, match="n_distractors"):
-                build_eval_protocol(u, counts, 100, 10, n_distractors, seed=0)
+        # 61 training identities do not fit the 60 of the universe: one line names both
+        with pytest.raises(ConfigError, match=r"\A61 training identities .*universe of 60\Z"):
+            build_eval_protocol(u, np.full(61, 2), 100, 10)
         with pytest.raises(ConfigError):
-            build_eval_protocol(u, counts, 100, 51, 5, seed=0)
+            build_eval_protocol(u, counts, 100, 51)
         with pytest.raises(ConfigError):
-            build_eval_protocol(u, counts, 101, 10, 5, seed=0)
+            build_eval_protocol(u, counts, 101, 10)
         with pytest.raises(ConfigError, match="impostor pairs"):
-            build_eval_protocol(u, counts[:1], 2, 1, 5, seed=0)
+            build_eval_protocol(u, counts[:1], 2, 1)
 
     def test_probe_and_gallery_rows_are_heldout_draws(self):
         p, _ = self._protocol()
@@ -531,30 +545,18 @@ class TestEvalProtocol:
         for i, ident in enumerate(p.probe_labels.tolist()):
             np.testing.assert_array_equal(p.probe_x[i], heldout_instance(u, ident, 0))
             np.testing.assert_array_equal(p.gallery_x[i], heldout_instance(u, ident, 1))
-        for i, ident in enumerate(p.distractor_labels.tolist()):
+        for i, ident in enumerate(p.gallery_labels[n_probe:].tolist()):
             np.testing.assert_array_equal(p.gallery_x[n_probe + i], heldout_instance(u, ident, 0))
 
     @pytest.mark.parametrize("n_train", [2, 50])
     def test_draws_match_per_pair_loop(self, n_train):
-        # reference: the protocol draws one call at a time, pair by pair
-        u = build_universe(n_train + 10, 8, 0.1, seed=11)
         counts = np.full(n_train, 3)
         n_pairs, n_probe = 24, 2
         for seed in range(6):
-            p = build_eval_protocol(u, counts, n_pairs, n_probe, 5, seed=seed)
-            gen = rng.stream(seed, rng.PROTOCOL)
-            label_a, label_b, index_a, index_b = [], [], [], []
-            for i in range(n_pairs):
-                a = int(gen.integers(n_train))
-                b = a
-                if i >= n_pairs // 2:
-                    b = int(gen.integers(n_train - 1))
-                    b += b >= a
-                label_a.append(a)
-                label_b.append(b)
-                index_a.append(int(gen.integers(1 << 30)))
-                index_b.append(int(gen.integers(1 << 30)))
-            probes = gen.choice(n_train, size=n_probe, replace=False)
+            u = build_universe(n_train + 5, 8, 0.1, seed)
+            p = build_eval_protocol(u, counts, n_pairs, n_probe)
+            drawn = _protocol_loop(seed, n_train, n_pairs, n_probe)
+            label_a, label_b, index_a, index_b, probes = drawn
             np.testing.assert_array_equal(p.pair_label_a, label_a)
             np.testing.assert_array_equal(p.pair_label_b, label_b)
             np.testing.assert_array_equal(p.pair_genuine, np.arange(n_pairs) < n_pairs // 2)
@@ -563,11 +565,55 @@ class TestEvalProtocol:
                 np.testing.assert_array_equal(p.pair_a[i], heldout_instance(u, label_a[i], index_a[i]))
                 np.testing.assert_array_equal(p.pair_b[i], heldout_instance(u, label_b[i], index_b[i]))
 
+    def test_labels_and_probes_follow_the_universe_seed(self):
+        # two universes that differ only in seed draw their own protocols
+        counts = np.full(30, 3)
+        labels = []
+        for seed in (5, 6):
+            p = build_eval_protocol(build_universe(34, 8, 0.1, seed), counts, 20, 6)
+            label_a, label_b, _, _, probes = _protocol_loop(seed, 30, 20, 6)
+            np.testing.assert_array_equal(p.pair_label_a, label_a)
+            np.testing.assert_array_equal(p.pair_label_b, label_b)
+            np.testing.assert_array_equal(p.probe_labels, probes)
+            labels.append(p.pair_label_a)
+        assert not np.array_equal(*labels)
+
+    @pytest.mark.parametrize("spare", [0, 1, 7])
+    def test_distractors_are_every_identity_after_training(self, spare):
+        u = build_universe(12 + spare, 8, 0.1, seed=3)
+        p = build_eval_protocol(u, np.full(12, 4), 10, 4)
+        np.testing.assert_array_equal(p.gallery_labels[4:], np.arange(12, u.C))
+        assert p.gallery_x.shape == (4 + spare, 8)
+
+    def test_probe_tail_flags_probes_below_the_threshold(self):
+        p, counts = self._protocol(n_probe=50)  # every identity, counts 20 down to 2
+        assert p.probe_tail.dtype == bool
+        np.testing.assert_array_equal(p.probe_tail, counts[p.probe_labels] < TAIL_THRESHOLD)
+        assert p.probe_tail.any() and not p.probe_tail.all()
+
     def test_deterministic(self):
         a, _ = self._protocol()
         b, _ = self._protocol()
         np.testing.assert_array_equal(a.pair_a, b.pair_a)
         np.testing.assert_array_equal(a.gallery_x, b.gallery_x)
+
+
+def _protocol_loop(seed, n_train, n_pairs, n_probe):
+    """The protocol's labels, indices and probes drawn one call at a time, pair by pair."""
+    gen = rng.stream(seed, rng.PROTOCOL)
+    label_a, label_b, index_a, index_b = [], [], [], []
+    for i in range(n_pairs):
+        a = int(gen.integers(n_train))
+        b = a
+        if i >= n_pairs // 2:
+            b = int(gen.integers(n_train - 1))
+            b += b >= a
+        label_a.append(a)
+        label_b.append(b)
+        index_a.append(int(gen.integers(1 << 30)))
+        index_b.append(int(gen.integers(1 << 30)))
+    probes = gen.choice(n_train, size=n_probe, replace=False)
+    return label_a, label_b, index_a, index_b, probes
 
 
 class TestDatasetFile:

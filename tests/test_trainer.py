@@ -420,8 +420,9 @@ class TestRunTraining:
         # plus 2 distractors in d_in=8, every trained identity with 20 instances
         universe = build_universe(5, 8, sigma, cfg.seed)
         counts = np.full(3, 20)
-        plan = PairPlan(universe, counts, 12, "instance", 99)
-        probe = make_pair_batch(plan, 0)
+        plan = PairPlan(universe, counts, 12, "instance")
+        # 14 epochs of 60 // 12 = 5 steps train on steps 0..69, so step 70 is held out
+        probe = make_pair_batch(plan, 70)
         series, frozen = [], {}
 
         def hook(rec):
