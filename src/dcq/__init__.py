@@ -19,7 +19,7 @@ from .errors import (
     ShapeError,
     TrainingDiverged,
 )
-from .numerics import LossDiagnostics, Tape, Tensor, finite_difference_check
+from .numerics import Tape, Tensor, finite_difference_check
 from .model import MlpParams, extract_features, init_extractor
 from .synthdata import (
     EvalProtocol,
@@ -51,7 +51,7 @@ __all__ = [
     "AlignmentReport", "CheckpointError", "CheckpointIntegrityError",
     "CheckpointVersionError", "ClassQueue", "ConfigError", "ContractError",
     "CostReport", "DcqError", "EmaGenerator", "EvalProtocol", "FcHead",
-    "IdentityUniverse", "LongTailSpec", "LossDiagnostics", "MlpParams",
+    "IdentityUniverse", "LongTailSpec", "MlpParams",
     "NumericError", "PairBatch", "PairPlan", "ShapeError", "Tape", "Tensor",
     "TrainConfig", "TrainResult", "TrainingDiverged",
     "assign_longtail_counts", "build_eval_protocol", "build_universe",

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import rng
 from .errors import ConfigError
-from .numerics import LossDiagnostics, Tape, Tensor, l2_normalize, margin_softmax_ce, matmul
+from .numerics import Tape, Tensor, l2_normalize, margin_softmax_ce, matmul
 
 # CosFace defaults for the full-head baseline.
 DEFAULT_SCALE = 64.0
@@ -40,7 +40,7 @@ def fc_cosface_loss(
     s: float,
     m: float,
     tape: Tape | None = None,
-) -> tuple[Tensor, LossDiagnostics]:
+) -> tuple[Tensor, np.ndarray]:
     """Cosine logits against every head column, margin at the true class.
 
     Gradients flow to both the features and the head weights.

@@ -23,7 +23,6 @@ import numpy as np
 from .errors import ConfigError, ContractError, ShapeError
 from .model import MlpParams, extract_features
 from .numerics import (
-    LossDiagnostics,
     Tape,
     Tensor,
     l2_normalize,
@@ -160,7 +159,7 @@ def dcq_cosface_loss(
     s: float,
     m: float,
     tape: Tape | None = None,
-) -> tuple[Tensor, LossDiagnostics]:
+) -> tuple[Tensor, np.ndarray]:
     """Margin softmax over [positive, queue] logits with the target at index 0.
 
     logits = s · ([l_pos, l_neg] − m at column 0), the two blocks scored as

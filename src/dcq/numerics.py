@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -234,31 +233,9 @@ def sum_all(x: Tensor, tape: Tape | None = None) -> Tensor:
     return out
 
 
-@dataclass
-class LossDiagnostics:
-    """Softmax probabilities split into the ground-truth entry and the rest.
-
-    p_pos[i] is the probability of row i's target class; p_neg[i] holds the
-    remaining C−1 probabilities in original column order with the target
-    column removed, built on access. p_pos + p_neg.sum(axis=1) == 1 per row.
-    Only tests read p_neg: test_numerics, test_baseline and test_acceptance
-    rebuild each row's full softmax from it as their oracle.
-    """
-
-    p_pos: np.ndarray
-    probs: np.ndarray
-    targets: np.ndarray
-
-    @property
-    def p_neg(self) -> np.ndarray:
-        keep = np.ones(self.probs.shape, dtype=bool)
-        keep[np.arange(self.targets.size), self.targets] = False
-        return self.probs[keep].reshape(self.targets.size, -1)
-
-
 def margin_softmax_ce(
     blocks: Sequence[Tensor], targets: np.ndarray, s: float, m: float, tape: Tape | None = None
-) -> tuple[Tensor, LossDiagnostics]:
+) -> tuple[Tensor, np.ndarray]:
     """CosFace loss: mean cross entropy of softmax(s·(cos − m·onehot(target))).
 
     ``cos`` is the B×C column concatenation of the B×Cᵢ ``blocks``; one tape
@@ -266,9 +243,11 @@ def margin_softmax_ce(
     the max-shifted softmax run in place. Backward computes the B×C gradient
     once and gives each block a view of its columns. Entries at a large
     negative value get probability exactly 0, hence exactly zero gradient.
-    Returns the scalar loss and per-row probability diagnostics. Raises
-    ConfigError unless s is finite and > 0 and m finite and >= 0, and
-    IndexError for targets outside [0, C).
+    Returns the scalar loss and the B×C softmax matrix ``probs``, whose row
+    i sums to 1 and holds row i's target probability at ``targets[i]``.
+    The tape's backward reads ``probs``, so a caller must not write to it
+    before ``backward`` has run. Raises ConfigError unless s is finite and
+    > 0 and m finite and >= 0, and IndexError for targets outside [0, C).
     """
     # chained comparisons reject NaN and infinities
     if not 0.0 < s < math.inf:
@@ -309,7 +288,7 @@ def margin_softmax_ce(
         candidates.append((b, lambda d, sl=sl: d[:, sl]))
         offset = sl.stop
     _register(tape, loss, candidates, prelude)
-    return loss, LossDiagnostics(probs[rows, targets], probs, targets)
+    return loss, probs
 
 
 def finite_difference_check(

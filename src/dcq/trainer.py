@@ -151,6 +151,12 @@ class TrainConfig:
         spec = LongTailSpec(cfg.zipf_exponent, cfg.min_count, cfg.max_count)
         if cfg.eval_distractors < 0:
             raise ConfigError(f"eval_distractors must be >= 0, got {cfg.eval_distractors}")
+        # the dataset format stores identities as u32; numpy's arange is empty near 2**63
+        if cfg.n_classes + cfg.eval_distractors >= 2**32:
+            raise ConfigError(
+                f"n_classes + eval_distractors must be < 2**32, "
+                f"got {cfg.n_classes} + {cfg.eval_distractors}"
+            )
         check_protocol_sizes(cfg.n_classes, cfg.eval_pairs, cfg.eval_probes)
         if cfg.method == METHOD_HEAD_ONLY:  # the counts draw nothing
             fc.filter_head_classes(assign_longtail_counts(spec, cfg.n_classes), cfg.min_instances)
@@ -389,8 +395,10 @@ def run_training(
     """Train one model per the config; returns parameters and metric series.
 
     ``hooks`` is called after each step's updates with a record of ``step``,
-    ``epoch``, ``loss``, ``labels``, ``diagnostics``, ``w_pos`` (the B × D
-    positive weights for dcq, None otherwise) and ``state``, the live
+    ``epoch``, ``loss``, ``labels``, ``probs`` (the head's B × C softmax
+    matrix; row i's target column is 0 for dcq and
+    ``state.head.label_map[labels[i]]`` for the CosFace methods), ``w_pos``
+    (the B × D positive weights for dcq, None otherwise) and ``state``, the live
     ``TrainResult``, which hooks only read. The record's arrays belong to the
     step and are not written after the hook returns, so it copies nothing.
     dcq's queue and generator are ``state.head.queue`` and ``state.head.generator``.
@@ -424,7 +432,7 @@ def run_training(
             batch = make_pair_batch(plan, global_step)
             tape = Tape()
             feats = extract_features(extractor, batch.x_t, tape)
-            loss, diag = head.loss(feats, batch, tape)
+            loss, probs = head.loss(feats, batch, tape)
 
             loss_value = float(loss.data)
             if not np.isfinite(loss_value):
@@ -447,7 +455,7 @@ def run_training(
                 hooks(
                     {
                         "step": global_step, "epoch": epoch, "loss": loss_value,
-                        "labels": batch.y, "diagnostics": diag,
+                        "labels": batch.y, "probs": probs,
                         "w_pos": head.w_pos, "state": result,
                     }
                 )

@@ -61,7 +61,7 @@ class TestFcCosfaceLoss:
         y = np.array([1, 4, 1])
         f = Tensor(f_raw, requires_grad=True)
         tape = Tape()
-        loss, diag = fc_cosface_loss(f, head, y, s=1.0, m=0.0, tape=tape)
+        loss, probs = fc_cosface_loss(f, head, y, s=1.0, m=0.0, tape=tape)
         tape.backward(loss)
 
         f_norms = np.linalg.norm(f_raw, axis=1, keepdims=True)
@@ -71,7 +71,7 @@ class TestFcCosfaceLoss:
         rows = np.arange(b)
         p = np.empty((b, c))
         for i in range(b):
-            p[i] = np.insert(diag.p_neg[i], y[i], diag.p_pos[i])
+            p[i] = probs[i]
 
         # feature side: (-(1-p+) w+ + sum p- w-) per row, projected and scaled
         expected_df = np.empty_like(f_raw)
@@ -140,12 +140,12 @@ class TestPullPushLedger:
             f = Tensor(features[pick])
             y = labels[pick]
             tape = Tape()
-            loss, diag = margin_softmax_ce([matmul(f, w, tape)], y, 1.0, 0.0, tape)
+            loss, probs = margin_softmax_ce([matmul(f, w, tape)], y, 1.0, 0.0, tape)
             tape.backward(loss)
             sgd_momentum_step(w.data, tape.grad(w), velocity, lr, 0.0, 0.0)
 
             for i in range(b):
-                p_row = np.insert(diag.p_neg[i], y[i], diag.p_pos[i])
+                p_row = probs[i]
                 for j in range(c):
                     if j == y[i]:
                         ledger[:, j] += lr * (1.0 - p_row[j]) * features[pick[i]] / b

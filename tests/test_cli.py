@@ -409,7 +409,7 @@ class TestGenData:
         assert not out.exists()
 
     def test_class_count_too_large_to_allocate(self, tmp_path, capsys):
-        # numpy refuses the 7 PiB class index array before touching memory
+        # the u32 bound on the universe rejects it before numpy allocates anything
         out = tmp_path / "data.dcqd"
         code = cli.main([
             "gen-data", "--config", _write_config(tmp_path),
@@ -417,8 +417,20 @@ class TestGenData:
         ])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1, err
+        assert err == "error: n_classes + eval_distractors must be < 2**32, got 1000000000000000 + 5\n"
         assert not out.exists()
+
+    def test_universe_beyond_u32_identities_writes_nothing(self, tmp_path, capsys):
+        # numpy's arange is empty at this size: the command wrote a 20-byte dataset with C=0
+        out = tmp_path / "X"
+        code = cli.main([
+            "gen-data", "--set", "n_classes=9223372036854775807", "--set", "eval_probes=1",
+            "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: n_classes + eval_distractors") and err.count("\n") == 1, err
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_write_leaves_existing_out_untouched(self, tmp_path, capsys, monkeypatch):
         # 621 records: the draw fails on the second of three blocks
@@ -575,9 +587,9 @@ class TestBadConfigValues:
         assert "zipf exponent must be finite and >= 0" in err
 
     def test_class_count_too_large_to_allocate(self, tmp_path, capsys):
-        # numpy refuses the 7 PiB class index array before touching memory
+        # the u32 bound on the universe rejects it before numpy allocates anything
         err = self._train_error(tmp_path, capsys, "n_classes=1000000000000000")
-        assert "Unable to allocate" in err
+        assert err == "error: n_classes + eval_distractors must be < 2**32, got 1000000000000000 + 5\n"
 
     @pytest.mark.parametrize("command", ["train", "gen-data"])
     @pytest.mark.parametrize("value", [10**20, 2**62])

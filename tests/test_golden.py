@@ -155,7 +155,7 @@ def test_golden_multi_instance_checkpoint(sampling, tmp_path):
     assert digest == MULTI_INSTANCE_PINS[sampling][1]
 
 
-HOOK_RECORD_KEYS = {"step", "epoch", "loss", "labels", "diagnostics", "w_pos", "state"}
+HOOK_RECORD_KEYS = {"step", "epoch", "loss", "labels", "probs", "w_pos", "state"}
 
 
 @pytest.mark.parametrize("method", ["dcq", "cosface-full"])
@@ -165,7 +165,7 @@ def test_recording_hook_changes_nothing(method, tmp_path):
 
     def hook(rec):
         records.append(rec)
-        arrays = (rec["labels"], rec["w_pos"], rec["diagnostics"].probs)
+        arrays = (rec["labels"], rec["w_pos"], rec["probs"])
         copies.append([None if a is None else a.copy() for a in arrays])
 
     result = run_training(
@@ -178,7 +178,7 @@ def test_recording_hook_changes_nothing(method, tmp_path):
         assert set(rec) == HOOK_RECORD_KEYS
         # the record's arrays are not written after the hook returns
         np.testing.assert_array_equal(rec["labels"], labels)
-        np.testing.assert_array_equal(rec["diagnostics"].probs, probs)
+        np.testing.assert_array_equal(rec["probs"], probs)
         assert rec["state"] is result
         if method == "dcq":
             assert rec["w_pos"].shape == (GOLDEN_BASE["B"], GOLDEN_BASE["embed_dim"])

@@ -207,9 +207,9 @@ class TestNormalizeRows:
 
 class TestSoftmaxCrossEntropy:
     def test_equal_logits(self):
-        loss, diag = margin_softmax_ce([Tensor(np.zeros((1, 4)))], np.array([2]), 1.0, 0.0)
+        loss, probs = margin_softmax_ce([Tensor(np.zeros((1, 4)))], np.array([2]), 1.0, 0.0)
         assert abs(float(loss.data) - math.log(4)) < 1e-12
-        np.testing.assert_allclose(diag.p_pos, [0.25], atol=1e-15)
+        np.testing.assert_allclose(probs[[0], [2]], [0.25], atol=1e-15)
 
     def test_dominant_target_logit(self):
         logits = np.zeros((1, 5))
@@ -236,11 +236,12 @@ class TestSoftmaxCrossEntropy:
         b, c = int(rng.integers(1, 5)), int(rng.integers(2, 7))
         logits = Tensor(rng.standard_normal((b, c)) * rng.uniform(0.1, 30))
         targets = rng.integers(0, c, size=b)
-        _, diag = margin_softmax_ce([logits], targets, 1.0, 0.0)
-        total = diag.p_pos + diag.p_neg.sum(axis=1)
+        _, probs = margin_softmax_ce([logits], targets, 1.0, 0.0)
+        p_pos, p_neg = _split_at_targets(probs, targets)
+        total = p_pos + p_neg.sum(axis=1)
         assert np.abs(total - 1.0).max() < 1e-12
-        assert (diag.p_pos >= 0).all() and (diag.p_pos <= 1).all()
-        assert (diag.p_neg >= 0).all() and (diag.p_neg <= 1).all()
+        assert (p_pos >= 0).all() and (p_pos <= 1).all()
+        assert (p_neg >= 0).all() and (p_neg <= 1).all()
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=50, deadline=None)
@@ -250,8 +251,17 @@ class TestSoftmaxCrossEntropy:
         b, c = int(rng.integers(1, 5)), int(rng.integers(2, 7))
         logits = Tensor(rng.standard_normal((b, c)))
         targets = rng.integers(0, c, size=b)
-        _, diag = margin_softmax_ce([logits], targets, 1.0, 0.0)
-        assert np.abs((1.0 - diag.p_pos) - diag.p_neg.sum(axis=1)).max() < 1e-12
+        _, probs = margin_softmax_ce([logits], targets, 1.0, 0.0)
+        p_pos, p_neg = _split_at_targets(probs, targets)
+        assert np.abs((1.0 - p_pos) - p_neg.sum(axis=1)).max() < 1e-12
+
+
+def _split_at_targets(probs, targets):
+    """Each row's target probability, and its other entries in column order."""
+    rows = np.arange(targets.size)
+    others = np.ones(probs.shape, dtype=bool)
+    others[rows, targets] = False
+    return probs[rows, targets], probs[others].reshape(rows.size, -1)
 
 
 def _margin_softmax_reference(cos, targets, s, m):
@@ -271,23 +281,20 @@ class TestMarginSoftmaxCe:
     def _check_against_reference(self, cos, targets, s, m):
         x = Tensor(cos.copy(), requires_grad=True)
         tape = Tape()
-        loss, diag = margin_softmax_ce([x], targets, s, m, tape)
+        loss, probs = margin_softmax_ce([x], targets, s, m, tape)
         tape.backward(loss)
         ref_loss, ref_probs, ref_grad = _margin_softmax_reference(cos, targets, s, m)
-        rows = np.arange(cos.shape[0])
-        others = np.ones(cos.shape, dtype=bool)
-        others[rows, targets] = False
+        p_pos, p_neg = _split_at_targets(probs, targets)
+        ref_pos, ref_neg = _split_at_targets(ref_probs, targets)
         # 1 − p and log z cancel when p nears 1, so relative errors are floored
         # at 1e-12 of a unit probability (scaled by s/B for the gradient)
         assert abs(float(loss.data) - ref_loss) <= 1e-12 * max(1.0, abs(ref_loss))
-        np.testing.assert_allclose(diag.p_pos, ref_probs[rows, targets], rtol=1e-12, atol=0)
-        np.testing.assert_allclose(
-            diag.p_neg, ref_probs[others].reshape(rows.size, -1), rtol=1e-12, atol=0
-        )
+        np.testing.assert_allclose(p_pos, ref_pos, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(p_neg, ref_neg, rtol=1e-12, atol=0)
         unit = s / cos.shape[0]
         np.testing.assert_allclose(tape.grad(x), ref_grad, rtol=1e-12, atol=1e-12 * unit)
         np.testing.assert_array_equal(x.data, cos)  # the input is not written
-        return tape.grad(x), diag
+        return tape.grad(x), p_neg
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=50, deadline=None)
@@ -309,9 +316,9 @@ class TestMarginSoftmaxCe:
         muted = np.zeros(cos.shape, dtype=bool)
         muted[:, 1:] = rng.random((b, k)) < 0.4
         cos[muted] = MASK_VALUE
-        grad, diag = self._check_against_reference(cos, np.zeros(b, dtype=np.int64), 50.0, 0.3)
+        grad, p_neg = self._check_against_reference(cos, np.zeros(b, dtype=np.int64), 50.0, 0.3)
         assert (grad[muted] == 0.0).all()
-        assert (diag.p_neg[muted[:, 1:]] == 0.0).all()
+        assert (p_neg[muted[:, 1:]] == 0.0).all()
 
     def test_unit_scale_no_margin_is_cross_entropy(self):
         logits = np.array([[0.3, -1.2, 2.0], [1.0, 1.0, -0.5]])
@@ -338,16 +345,17 @@ class TestMarginSoftmaxCe:
 
         blocks = [Tensor(cos[:, lo:hi], requires_grad=True) for lo, hi in zip(edges, edges[1:])]
         tape = Tape()
-        loss, diag = margin_softmax_ce(blocks, targets, s, m, tape)
+        loss, probs = margin_softmax_ce(blocks, targets, s, m, tape)
         tape.backward(loss)
         whole = Tensor(cos, requires_grad=True)
         ref_tape = Tape()
-        ref_loss, ref_diag = margin_softmax_ce([whole], targets, s, m, ref_tape)
+        ref_loss, ref_probs = margin_softmax_ce([whole], targets, s, m, ref_tape)
         ref_tape.backward(ref_loss)
 
         assert loss.data.tobytes() == ref_loss.data.tobytes()
-        assert diag.probs.tobytes() == ref_diag.probs.tobytes()
-        assert diag.p_pos.tobytes() == ref_diag.p_pos.tobytes()
+        assert probs.tobytes() == ref_probs.tobytes()
+        rows = np.arange(b)
+        assert probs[rows, targets].tobytes() == ref_probs[rows, targets].tobytes()
         ref_grad = ref_tape.grad(whole)
         for block, lo, hi in zip(blocks, edges, edges[1:]):
             assert tape.grad(block).tobytes() == ref_grad[:, lo:hi].tobytes()
@@ -395,20 +403,20 @@ class TestBackwardPass:
         w = Tensor(rng.standard_normal((d, c)), requires_grad=True)
         y = np.array([1])
         tape = Tape()
-        loss, diag = margin_softmax_ce([matmul(f, w, tape)], y, 1.0, 0.0, tape)
+        loss, probs = margin_softmax_ce([matmul(f, w, tape)], y, 1.0, 0.0, tape)
         tape.backward(loss)
 
-        p_full = np.insert(diag.p_neg[0], y[0], diag.p_pos[0])
+        p_full = probs[0]
         w_pos = w.data[:, y[0]]
         negatives = [j for j in range(c) if j != y[0]]
-        df_expected = -(1 - diag.p_pos[0]) * w_pos
-        for j, p in zip(negatives, diag.p_neg[0]):
+        df_expected = -(1 - p_full[y[0]]) * w_pos
+        for j, p in zip(negatives, p_full[negatives]):
             df_expected = df_expected + p * w.data[:, j]
         np.testing.assert_allclose(tape.grad(f)[0], df_expected, atol=1e-9)
 
         dw = tape.grad(w)
-        np.testing.assert_allclose(dw[:, y[0]], -(1 - diag.p_pos[0]) * f.data[0], atol=1e-9)
-        for j, p in zip(negatives, diag.p_neg[0]):
+        np.testing.assert_allclose(dw[:, y[0]], -(1 - p_full[y[0]]) * f.data[0], atol=1e-9)
+        for j, p in zip(negatives, p_full[negatives]):
             np.testing.assert_allclose(dw[:, j], p * f.data[0], atol=1e-9)
         assert abs(p_full.sum() - 1.0) < 1e-12
 

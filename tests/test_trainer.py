@@ -231,6 +231,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match=message):
             cfg.resolve()
 
+    def test_universe_fits_u32_identities(self):
+        # the dataset header and records store identities as u32
+        for n_classes, distractors in ((2**32 - 1, 0), (2**32 - 101, 100)):
+            cfg = TrainConfig(n_classes=n_classes, eval_distractors=distractors).resolve()
+            assert cfg.n_classes + cfg.eval_distractors == 2**32 - 1
+        for n_classes, distractors in ((2**32, 0), (2**32 - 100, 100), (2**63 - 1, 100)):
+            message = rf"\An_classes \+ eval_distractors must be < 2\*\*32, got {n_classes} \+ {distractors}\Z"
+            with pytest.raises(ConfigError, match=message):
+                TrainConfig(n_classes=n_classes, eval_distractors=distractors).resolve()
+
     def test_seed_range(self):
         # every key reduces the seed modulo 2**64: 2**64 would rerun seed 0
         for bad in (-1, 2**64, 2**64 + 1, -(2**63)):
