@@ -35,13 +35,14 @@ from .synthdata import (
 )
 from .class_queue import ClassQueue, EmaGenerator, dcq_cosface_loss, dcq_logits_with_mask
 from .baseline import FcHead, fc_cosface_loss, filter_head_classes
-from .trainer import TrainConfig, TrainResult, lr_at_step, run_training, sgd_momentum_step
+from .trainer import (
+    TrainConfig, TrainResult, lr_at_step, run_experiment_grid, run_training, sgd_momentum_step,
+)
 from .evalbench import (
     AlignmentReport,
     CostReport,
     evaluate_protocol,
     head_cost_report,
-    run_experiment_grid,
     tail_alignment_diagnostic,
     verification_accuracy,
 )

@@ -28,6 +28,7 @@ from .trainer import (
     CosFaceHead,
     TrainConfig,
     load_result_checkpoint,
+    run_experiment_grid,
     run_training,
     save_result_checkpoint,
 )
@@ -49,23 +50,19 @@ def _format_float(x) -> str:
     return format(float(x), ".17g")
 
 
-def write_metrics(rows: list[dict], path, fmt: str = "csv") -> None:
-    """Metrics rows as CSV with a fixed header, or as JSON column arrays."""
-    if fmt not in ("csv", "json"):
-        raise UsageError(f"format must be csv or json, got {fmt!r}")
-    if fmt == "csv":
-        lines = [",".join(METRICS_COLUMNS)]
-        for row in rows:
-            cells = [str(int(row["epoch"]))]
-            cells += [_format_float(row[c]) for c in METRICS_COLUMNS[1:]]
-            lines.append(",".join(cells))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-    else:
-        columns = {c: [row[c] for row in rows] for c in METRICS_COLUMNS}
-        with open(path, "w") as fh:
-            json.dump(columns, fh, indent=2)
-            fh.write("\n")
+def write_metrics(rows: list[dict], run_dir) -> None:
+    """The rows as ``metrics.csv`` with a fixed header and ``metrics.json`` columns, in run_dir."""
+    lines = [",".join(METRICS_COLUMNS)]
+    for row in rows:
+        cells = [str(int(row["epoch"]))]
+        cells += [_format_float(row[c]) for c in METRICS_COLUMNS[1:]]
+        lines.append(",".join(cells))
+    with open(os.path.join(run_dir, "metrics.csv"), "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    columns = {c: [row[c] for row in rows] for c in METRICS_COLUMNS}
+    with open(os.path.join(run_dir, "metrics.json"), "w") as fh:
+        json.dump(columns, fh, indent=2)
+        fh.write("\n")
 
 
 def _parse_set_value(raw: str):
@@ -164,8 +161,7 @@ def _cmd_train(args) -> int:
         _write_manifest(os.path.join(stage, "manifest.json"), run_dir, cfg, overrides)
         with np.errstate(**QUIET_DIVERGENCE):
             result = run_training(cfg, resume_from=args.resume, checkpoint_dir=stage)
-        write_metrics(result.metrics, os.path.join(stage, "metrics.csv"), "csv")
-        write_metrics(result.metrics, os.path.join(stage, "metrics.json"), "json")
+        write_metrics(result.metrics, stage)
         save_result_checkpoint(os.path.join(stage, "final.ckpt"), result)
     summary = {k: v for k, v in result.final_eval.items() if v is not None}
     print(json.dumps({"run_dir": run_dir, "final": summary}, indent=2))
@@ -190,7 +186,7 @@ def _cmd_sweep(args) -> int:
     values = [_parse_set_value(v) for v in args.values.split(",")]
     with _staged_outputs(args.out) as stage:
         with np.errstate(**QUIET_DIVERGENCE):
-            rows = evalbench.run_experiment_grid(cfg, args.axis, values)
+            rows = run_experiment_grid(cfg, args.axis, values)
         header = ["axis", "value", "ver_acc", "id_rank1", "tail_rank1", "head_rank1", "tail_probes"]
         lines = [",".join(header)]
         for row in rows:

@@ -1,4 +1,4 @@
-"""Verification/identification metrics, head-cost accounting and sweeps.
+"""Verification/identification metrics, head-cost accounting and the alignment diagnostic.
 
 Wall-clock numbers are reported where available but never asserted;
 only analytic byte and multiply-accumulate counts are contract-bearing.
@@ -246,20 +246,3 @@ def tail_alignment_diagnostic(
         report.class_counts[name] = int(values.size)
     return report
 
-
-def run_experiment_grid(base_config, axis: str, values) -> list[dict]:
-    """Train one model per value of the config field ``axis``; every other field is shared.
-
-    Returns one result row per value, in the order given, with the run's
-    whole ``final_eval`` and its per-epoch metric curves.
-    """
-    from .trainer import run_training  # local import to avoid a cycle
-
-    # every value's config is checked before any training starts
-    configs = [base_config.replace(**{axis: value}).resolve() for value in values]
-    rows = []
-    for value, cfg in zip(values, configs):
-        result = run_training(cfg)
-        epochs = [dict(r) for r in result.metrics]
-        rows.append({"axis": axis, "value": value, **result.final_eval, "epochs": epochs})
-    return rows

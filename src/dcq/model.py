@@ -67,7 +67,8 @@ class MlpParams:
         self.layer_dims = list(layer_dims)
         self.flat = flat
         entries, self.n_decayed, _ = _layout(self.layer_dims)
-        t = {name: Tensor(view, requires_grad) for name, view in self.views(flat)}
+        self._named = [(name, Tensor(view, requires_grad)) for name, view in self.views(flat)]
+        t = dict(self._named)
         self.layers = [
             LayerParams(t[f"layer{i}.weight"], t[f"layer{i}.bias"], t.get(f"layer{i}.slope"))
             for i in range(len(layer_dims) - 1)
@@ -84,13 +85,8 @@ class MlpParams:
         return self.layer_dims[-1]
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for i, layer in enumerate(self.layers):
-            out.append((f"layer{i}.weight", layer.weight))
-            out.append((f"layer{i}.bias", layer.bias))
-            if layer.slope is not None:
-                out.append((f"layer{i}.slope", layer.slope))
-        return out
+        """(name, Tensor) per parameter, in ``_layout`` order: per layer, weight, bias, slope."""
+        return list(self._named)
 
     def views(self, buf: np.ndarray) -> list[tuple[str, np.ndarray]]:
         """Name and view of each parameter's slot in ``buf``, a buffer laid out as ``flat``."""

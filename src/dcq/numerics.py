@@ -74,15 +74,6 @@ class Tape:
         self._on_tape: set[int] = set()
         self._grads: dict[int, np.ndarray] | None = None
 
-    def tracks(self, t: Tensor) -> bool:
-        return t.requires_grad or t.uid in self._on_tape
-
-    def _record(self, out: Tensor, parents: list[tuple[Tensor, Callable]], prelude=None) -> None:
-        if not parents:
-            return
-        self._nodes.append((out.uid, prelude, [(t.uid, vjp) for t, vjp in parents]))
-        self._on_tape.add(out.uid)
-
     def backward(self, loss: Tensor) -> None:
         """Populate gradients of ``loss`` w.r.t. every tracked leaf.
 
@@ -121,10 +112,13 @@ class Tape:
 
 
 def _register(tape: Tape | None, out: Tensor, candidates, prelude=None) -> None:
+    """Record ``out``'s node with the (Tensor, VJP) candidates that are leaves or on the tape."""
     if tape is None:
         return
-    parents = [(t, fn) for t, fn in candidates if tape.tracks(t)]
-    tape._record(out, parents, prelude)
+    parents = [(t.uid, vjp) for t, vjp in candidates if t.requires_grad or t.uid in tape._on_tape]
+    if parents:
+        tape._nodes.append((out.uid, prelude, parents))
+        tape._on_tape.add(out.uid)
 
 
 def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:

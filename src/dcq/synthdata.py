@@ -141,25 +141,27 @@ def tail_summary(counts: np.ndarray) -> dict:
     }
 
 
-def _noise(universe: IdentityUniverse, substream: int, identity: int, index: int) -> np.ndarray:
+def _instance(universe: IdentityUniverse, substream: int, identity: int, index: int) -> np.ndarray:
+    """Center plus sigma times the normals keyed by (``substream``, identity, index).
+
+    Raises IndexError unless ``identity`` is in the universe and ``index`` is >= 0.
+    """
+    if not 0 <= identity < universe.C:
+        raise IndexError(f"identity {identity} out of range [0, {universe.C})")
+    if index < 0:
+        raise IndexError(f"negative instance index {index}")
     gen = rng.stream(universe.seed, rng.INSTANCE_NOISE, substream, identity, index)
-    return universe.sigma * gen.standard_normal(universe.d_in)
+    return universe.centers[identity] + universe.sigma * gen.standard_normal(universe.d_in)
 
 
 def draw_instance(universe: IdentityUniverse, identity: int, instance_index: int) -> np.ndarray:
     """Center plus per-(identity, index) Gaussian noise; not re-normalized."""
-    if not 0 <= identity < universe.C:
-        raise IndexError(f"identity {identity} out of range [0, {universe.C})")
-    if instance_index < 0:
-        raise IndexError(f"negative instance index {instance_index}")
-    return universe.centers[identity] + _noise(universe, INSTANCE_QUERY, identity, instance_index)
+    return _instance(universe, INSTANCE_QUERY, identity, instance_index)
 
 
 def heldout_instance(universe: IdentityUniverse, identity: int, index: int) -> np.ndarray:
     """Evaluation-only draw from a stream disjoint from training instances."""
-    if not 0 <= identity < universe.C:
-        raise IndexError(f"identity {identity} out of range [0, {universe.C})")
-    return universe.centers[identity] + _noise(universe, INSTANCE_HELDOUT, identity, index)
+    return _instance(universe, INSTANCE_HELDOUT, identity, index)
 
 
 def _noisy_rows(
@@ -340,12 +342,19 @@ def _plan_words(plan: PairPlan, words: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def check_protocol_sizes(n_train: int, n_pairs: int, n_probe: int) -> None:
-    """Raise ConfigError unless ``build_eval_protocol`` can draw these sizes."""
-    if n_pairs % 2 != 0:
-        raise ConfigError(f"n_pairs must be even for a balanced protocol, got {n_pairs}")
-    if n_probe > n_train:
-        raise ConfigError(f"{n_probe} probes requested from {n_train} training identities")
-    if n_pairs and n_train < 2:
+    """Raise ConfigError unless ``evaluate_protocol`` can score a protocol of these sizes.
+
+    ``n_pairs`` (a config's ``eval_pairs``) is even and at least 2, and
+    ``1 <= n_probe <= n_train`` (``eval_probes``, ``n_classes``) with ``n_train >= 2``.
+    """
+    if n_pairs < 2 or n_pairs % 2 != 0:
+        raise ConfigError(f"n_pairs must be even and >= 2 (eval_pairs), got {n_pairs}")
+    if not 1 <= n_probe <= n_train:
+        raise ConfigError(
+            f"{n_probe} probes requested from {n_train} training identities "
+            f"(eval_probes must lie in [1, n_classes])"
+        )
+    if n_train < 2:
         raise ConfigError(f"impostor pairs need 2 or more training identities, got {n_train}")
 
 

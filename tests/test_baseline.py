@@ -37,6 +37,10 @@ class TestFcCosfaceLoss:
         with pytest.raises(IndexError):
             fc_cosface_loss(Tensor(np.ones((1, 3))), head, np.array([3]), 1.0, 0.0)
 
+    def test_head_of_one_class_rejected(self):
+        with pytest.raises(ConfigError, match="needs >= 2 classes, got 1"):
+            FcHead(4, 1, seed=0)
+
     def test_scale_one_margin_zero_equals_cross_entropy_on_cosines(self):
         rng = np.random.default_rng(1)
         head = _head_with(rng.standard_normal((4, 5)))

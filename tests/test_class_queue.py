@@ -13,7 +13,7 @@ from dcq.class_queue import (
     dcq_cosface_loss,
     dcq_logits_with_mask,
 )
-from dcq.errors import ConfigError, ContractError
+from dcq.errors import ConfigError, ContractError, ShapeError
 from dcq.model import extract_features, init_extractor
 from dcq.numerics import Tape, Tensor, l2_normalize
 
@@ -197,6 +197,19 @@ class TestClassQueue:
         with pytest.raises(ConfigError):
             q.update(Tensor(self._unit_rows(3, 3)), np.array([1, 2, 3]))
 
+    def test_zero_capacity_rejected(self):
+        with pytest.raises(ConfigError, match="queue capacity must be positive, got 0"):
+            ClassQueue(8, 0)
+
+    def test_update_shapes_checked(self):
+        q = ClassQueue(embed_dim=3, capacity=4)
+        with pytest.raises(ShapeError, match="do not match embed dim 3"):
+            q.update(Tensor(self._unit_rows(2, 4)), np.array([1, 2]))
+        with pytest.raises(ShapeError, match=r"labels \(3,\) for 2 weights"):
+            q.update(Tensor(self._unit_rows(2, 3)), np.array([1, 2, 3]))
+        # nothing was written
+        assert q.cursor == 0 and (q.labels == SENTINEL_LABEL).all()
+
     @given(st.integers(2, 9), st.lists(st.integers(1, 6), min_size=1, max_size=20),
            st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
@@ -233,6 +246,11 @@ class TestLogitsWithMask:
     def setup_method(self):
         self.extractor = init_extractor([5, 6, 4], seed=7)
         self.gen = EmaGenerator(self.extractor, alpha=0.999)
+
+    def test_mismatched_shapes_rejected(self):
+        q = ClassQueue(4, 5)
+        with pytest.raises(ShapeError, match=r"features \(3, 4\) vs positive weights \(2, 4\)"):
+            dcq_logits_with_mask(Tensor(np.ones((3, 4))), Tensor(np.ones((2, 4))), q, [0, 1, 2])
 
     def test_aligned_positive_gives_unit_logit(self):
         rng = np.random.default_rng(4)

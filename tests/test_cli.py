@@ -2,6 +2,7 @@ import csv
 import errno
 import json
 import os
+import shlex
 import struct
 import subprocess
 import sys
@@ -26,6 +27,7 @@ TINY_CONFIG = {
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _write_config(tmp_path, **extra):
@@ -88,6 +90,27 @@ class TestUsage:
 
     def test_bad_set_syntax(self, capsys):
         assert cli.main(["bench", "--set", "C"]) == 1
+
+
+def _readme_cli_lines() -> list[str]:
+    """The ``dcq …`` lines of the shell block under the README's ``## CLI`` heading."""
+    section = README.read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0].strip() for line in block.splitlines() if line.startswith("dcq ")]
+
+
+class TestReadmeExamples:
+    def test_the_block_has_every_command(self):
+        commands = {line.split()[1] for line in _readme_cli_lines()}
+        assert commands == {"train", "gen-data", "sweep", "eval", "bench", "gradcheck"}
+
+    @pytest.mark.parametrize("line", _readme_cli_lines())
+    def test_line_parses_and_names_config_fields(self, line):
+        args = cli.build_parser().parse_args(shlex.split(line)[1:])
+        overrides = cli._collect_overrides(getattr(args, "set", None))
+        trainer.TrainConfig().replace(**overrides)
+        if args.command == "sweep":  # the axis names a config field too
+            trainer.TrainConfig().replace(**{args.axis: None})
 
 
 class TestTrain:
@@ -165,7 +188,7 @@ class TestTrain:
         (out / "notes.txt").write_text("mine")
         (out / "epoch_001.ckpt").write_bytes(b"an earlier checkpoint")
 
-        def failing_write_metrics(rows, path, fmt="csv"):
+        def failing_write_metrics(rows, run_dir):
             raise MemoryError("no room for the metrics")
 
         # writing the metrics fails after training and both periodic saves
@@ -228,7 +251,8 @@ class TestTrain:
     def test_failed_staged_write_names_the_file_under_out(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "run"
 
-        def full_disk(rows, path, fmt="csv"):
+        def full_disk(rows, run_dir):
+            path = os.path.join(run_dir, "metrics.csv")
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
 
         monkeypatch.setattr(cli, "write_metrics", full_disk)
@@ -612,7 +636,8 @@ class TestBadConfigValues:
     @pytest.mark.parametrize(
         "setting",
         ["lr0=-1", "lr0=0", "lr0=NaN", "lr0=Infinity", "sgd_momentum=-5", "sgd_momentum=1",
-         "weight_decay=-1e9", "weight_decay=Infinity", "decay_epochs=[-1]", "checkpoint_every=-1"],
+         "weight_decay=-1e9", "weight_decay=Infinity", "decay_epochs=[-1]", "checkpoint_every=-1",
+         "B=0", "epochs=0", "decay_factor=0", "decay_factor=1.5", "eval_pairs=0", "eval_probes=0"],
     )
     def test_bad_optimizer_value(self, tmp_path, capsys, setting):
         field = setting.partition("=")[0]
@@ -653,6 +678,10 @@ class TestEvalUnreadableCheckpoint:
     def test_version_1_file(self, tmp_path, capsys):
         err = self._rewritten(tmp_path, capsys, lambda body: struct.pack_into("<I", body, 4, 1))
         assert "version 1" in err
+
+    def test_trailing_bytes(self, tmp_path, capsys):
+        err = self._rewritten(tmp_path, capsys, lambda body: body.extend(bytes(4)))
+        assert err == "error: 4 trailing bytes in checkpoint\n"
 
     def test_block_count_past_the_last_block(self, tmp_path, capsys):
         def one_more_block(body):
@@ -866,13 +895,13 @@ class TestWriteMetrics:
     ]
 
     def test_header_only_for_zero_rows(self, tmp_path):
-        path = tmp_path / "m.csv"
-        cli.write_metrics([], path, "csv")
+        path = tmp_path / "metrics.csv"
+        cli.write_metrics([], tmp_path)
         assert path.read_text() == "epoch,lr,train_loss,ver_acc,id_rank1,wall_seconds\n"
 
     def test_csv_roundtrips_exactly(self, tmp_path):
-        path = tmp_path / "m.csv"
-        cli.write_metrics(self.ROWS, path, "csv")
+        path = tmp_path / "metrics.csv"
+        cli.write_metrics(self.ROWS, tmp_path)
         parsed = _read_csv(path)
         for src, row in zip(self.ROWS, parsed):
             assert int(row["epoch"]) == src["epoch"]
@@ -880,9 +909,8 @@ class TestWriteMetrics:
                 assert float(row[col]) == src[col], col
 
     def test_csv_and_json_contain_identical_numbers(self, tmp_path):
-        cpath, jpath = tmp_path / "m.csv", tmp_path / "m.json"
-        cli.write_metrics(self.ROWS, cpath, "csv")
-        cli.write_metrics(self.ROWS, jpath, "json")
+        cpath, jpath = tmp_path / "metrics.csv", tmp_path / "metrics.json"
+        cli.write_metrics(self.ROWS, tmp_path)
         parsed_csv = _read_csv(cpath)
         parsed_json = json.loads(jpath.read_text())
         for i, row in enumerate(parsed_csv):

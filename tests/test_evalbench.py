@@ -15,7 +15,6 @@ from dcq.evalbench import (
     evaluate_protocol,
     head_cost_report,
     identification_hits,
-    run_experiment_grid,
     tail_alignment_diagnostic,
     verification_accuracy,
 )
@@ -28,7 +27,7 @@ from dcq.synthdata import (
     build_universe,
     draw_instance,
 )
-from dcq.trainer import TrainConfig, run_training
+from dcq.trainer import TrainConfig, run_experiment_grid, run_training
 
 
 def _unit(rows):

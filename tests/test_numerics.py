@@ -437,6 +437,13 @@ class TestBackwardPass:
         err = finite_difference_check(fn, [w1, b1, slope, w2])
         assert err < 1e-5
 
+    def test_grad_before_backward_rejected(self):
+        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        tape = Tape()
+        sum_all(x, tape)
+        with pytest.raises(ContractError, match=r"grad\(\) before backward\(\)"):
+            tape.grad(x)
+
     def test_backward_on_non_scalar_rejected(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
         tape = Tape()
@@ -519,6 +526,14 @@ class TestFiniteDifferenceCheck:
         with pytest.raises(NumericError):
             finite_difference_check(fn, [x])
 
+    def test_non_finite_perturbed_value_raises(self):
+        # the loss is finite at x, but x + h overflows to inf
+        x = Tensor(np.asarray([[1e308]]), requires_grad=True)
+        with np.errstate(over="ignore"), pytest.raises(
+            NumericError, match="non-finite value during finite differencing"
+        ):
+            finite_difference_check(lambda tape: sum_all(x, tape), [x], h=1e308)
+
 
 class TestOpPlumbing:
     @staticmethod
@@ -562,6 +577,10 @@ class TestOpPlumbing:
     def test_bad_axis_rejected(self):
         with pytest.raises(ShapeError):
             l2_normalize(Tensor(np.ones((2, 2))), axis=2)
+
+    def test_rowwise_dot_shapes_must_match(self):
+        with pytest.raises(ShapeError, match=r"\(2, 3\) vs \(2, 4\)"):
+            rowwise_dot(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))))
 
     def test_all_values_finite_after_ops(self):
         rng = np.random.default_rng(12)

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from dcq import rng, synthdata
 from dcq.errors import ConfigError
+from dcq.evalbench import evaluate_protocol
+from dcq.model import init_extractor
 from dcq.synthdata import (
     InstanceRows,
     LongTailSpec,
@@ -124,10 +126,11 @@ class TestDrawInstance:
 
     def test_index_validation(self):
         u = build_universe(3, 6, 0.2, seed=3)
-        with pytest.raises(IndexError):
-            draw_instance(u, 5, 0)
-        with pytest.raises(IndexError):
-            draw_instance(u, 1, -1)
+        for oracle in (draw_instance, heldout_instance):
+            with pytest.raises(IndexError, match=r"\Aidentity 5 out of range \[0, 3\)\Z"):
+                oracle(u, 5, 0)
+            with pytest.raises(IndexError, match=r"\Anegative instance index -1\Z"):
+                oracle(u, 1, -1)
 
     def test_law_of_large_numbers(self):
         sigma = 0.3
@@ -537,6 +540,18 @@ class TestEvalProtocol:
             build_eval_protocol(u, counts, 101, 10)
         with pytest.raises(ConfigError, match="impostor pairs"):
             build_eval_protocol(u, counts[:1], 2, 1)
+        # sizes evaluate_protocol cannot score
+        with pytest.raises(ConfigError, match="n_pairs must be even and >= 2"):
+            build_eval_protocol(u, counts, 0, 10)
+        with pytest.raises(ConfigError, match="0 probes requested from 50"):
+            build_eval_protocol(u, counts, 10, 0)
+
+    def test_smallest_sizes_are_scored(self):
+        u = build_universe(60, 8, 0.1, seed=12)
+        counts = assign_longtail_counts(LongTailSpec(1.0, 2, 20), 2)
+        p = build_eval_protocol(u, counts, 2, 1)
+        scores = evaluate_protocol(init_extractor([8, 16, 4], seed=1), p)
+        assert 0.0 <= scores["ver_acc"] <= 1.0 and scores["id_rank1"] in (0.0, 1.0)
 
     def test_probe_and_gallery_rows_are_heldout_draws(self):
         p, _ = self._protocol()
@@ -669,6 +684,16 @@ class TestDatasetFile:
             path.write_bytes(bad)
             with pytest.raises(ConfigError):
                 read_dataset(path)
+
+    def test_other_version_rejected(self, tmp_path):
+        u = build_universe(3, 4, 0.2, seed=15)
+        path = tmp_path / "data.dcqd"
+        write_dataset(path, u, np.array([2, 1, 1]))
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<I", raw, 4, 2)  # the version follows the 4-byte magic
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ConfigError, match=r"\Aunsupported dataset version 2\Z"):
+            read_dataset(path)
 
     def test_magic_check(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -211,7 +211,8 @@ class TestConfig:
             {"sigma": -1.0}, {"d_in": 0}, {"embed_dim": 0}, {"hidden_dims": (16, 0)},
             {"n_classes": 0}, {"eval_pairs": 0}, {"eval_probes": 0},
             {"eval_distractors": -1}, {"zipf_exponent": -1}, {"max_count": 1}, {"d_in": 1},
-            {"embed_dim": 1}, {"min_instances": 0},
+            {"embed_dim": 1}, {"min_instances": 0}, {"B": 0}, {"epochs": 0},
+            {"decay_factor": 0}, {"decay_factor": 1.5},
         ):
             with pytest.raises(ConfigError):
                 TrainConfig(**bad).resolve()
@@ -527,6 +528,28 @@ class TestCheckpointFormat:
         body[rank_at] = 255
         path.write_bytes(with_crc(bytes(body)))
         with pytest.raises(CheckpointIntegrityError):
+            load_checkpoint(path)
+
+    def test_file_shorter_than_a_header_is_integrity_error(self, tmp_path):
+        path = tmp_path / "x.ckpt"
+        path.write_bytes(b"DCQC\x02\x00")
+        with pytest.raises(CheckpointIntegrityError, match=r"\Acheckpoint truncated \(6 bytes\)\Z"):
+            load_checkpoint(path)
+
+    def test_array_block_past_the_body_is_integrity_error(self, tmp_path):
+        # the CRC is valid, but the last array's payload runs past the body's end
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(path, {}, {"a": np.arange(3.0)})
+        path.write_bytes(with_crc(path.read_bytes()[:-4 - 8]))
+        with pytest.raises(CheckpointIntegrityError, match=r"\Aarray block 'a' truncated\Z"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_are_integrity_error(self, tmp_path):
+        meta, arrays = self._payload()
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(path, meta, arrays)
+        path.write_bytes(with_crc(path.read_bytes()[:-4] + bytes(4)))
+        with pytest.raises(CheckpointIntegrityError, match=r"\A4 trailing bytes in checkpoint\Z"):
             load_checkpoint(path)
 
     def test_truncated_file_is_integrity_error(self, tmp_path):
