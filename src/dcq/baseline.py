@@ -28,10 +28,6 @@ class FcHead:
         w = gen.standard_normal((embed_dim, n_classes)) / np.sqrt(embed_dim)
         self.W = Tensor(w, requires_grad=True)
 
-    @property
-    def n_classes(self) -> int:
-        return self.W.shape[1]
-
 
 def fc_cosface_loss(
     f: Tensor,

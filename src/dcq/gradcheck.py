@@ -103,7 +103,7 @@ def check_fc_loss(seed: int) -> float:
     return finite_difference_check(fn, params)
 
 
-def run_gradient_suite(n_configs: int = 20, seed: int = 1):
+def run_gradient_suite(n_configs: int, seed: int):
     """(name, max relative error) for every randomized configuration."""
     results = []
     for i in range(n_configs):

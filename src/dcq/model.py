@@ -99,7 +99,7 @@ class MlpParams:
 
     def gather(self, value_of: Callable[[Tensor], np.ndarray]) -> np.ndarray:
         """A new buffer laid out as ``flat`` holding ``value_of(p)`` in each parameter p's slot."""
-        return np.concatenate([value_of(p).reshape(-1) for p in self.buffer_order])
+        return np.concatenate([value_of(p) for p in self.buffer_order], axis=None)
 
     def copy(self) -> "MlpParams":
         """Gradient-free deep copy into a new buffer, as the EMA shadow."""

@@ -35,10 +35,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "uid")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim and not arr.flags["C_CONTIGUOUS"]:
-            arr = np.ascontiguousarray(arr)  # keep 0-d scalars 0-d
-        self.data = arr
+        self.data = np.asarray(data, dtype=np.float64, order="C")
         self.requires_grad = bool(requires_grad)
         self.uid = next(_uid_counter)
 
@@ -222,7 +219,7 @@ def sum_all(x: Tensor, tape: Tape | None = None) -> Tensor:
 
     Only tests call it: test_numerics and test_model reduce graphs to a loss with it.
     """
-    out = Tensor(np.asarray(x.data.sum()))
+    out = Tensor(x.data.sum())
     _register(tape, out, [(x, lambda g, shape=x.data.shape: np.full(shape, float(g)))])
     return out
 
@@ -267,7 +264,7 @@ def margin_softmax_ce(
     np.exp(probs, out=probs)
     z = probs.sum(axis=1, keepdims=True)
     probs /= z
-    loss = Tensor(np.asarray((np.log(z[:, 0]) - shifted_target).mean()))
+    loss = Tensor((np.log(z[:, 0]) - shifted_target).mean())
 
     def prelude(g):  # s·(probs − onehot)·g/B, rounded as ((p − onehot)·(g/B))·s
         c = float(g) / n_rows

@@ -62,8 +62,8 @@ class LongTailSpec:
     """Clamped Zipf profile: count(rank r) ∝ r^(−exponent), r starting at 1."""
 
     zipf_exponent: float
-    min_count: int = 1
-    max_count: int = 1000
+    min_count: int
+    max_count: int
 
     def __post_init__(self):
         # a chained comparison rejects NaN and infinities
@@ -107,12 +107,23 @@ class EvalProtocol:
     probe_tail: np.ndarray  # bool
 
 
-def build_universe(C: int, d_in: int, sigma: float, seed: int) -> IdentityUniverse:
-    """Centers drawn as normalized Gaussians from per-identity streams."""
+def check_universe(C: int, d_in: int, sigma: float, seed: int) -> None:
+    """Raise ConfigError unless ``build_universe`` can draw a universe from these values."""
     if C < 1:
         raise ConfigError(f"need at least one identity, got C={C}")
     if d_in < 2:
-        raise ConfigError(f"input dimension must be >= 2, got {d_in}")
+        raise ConfigError(f"d_in must be >= 2, got {d_in}")
+    # a chained comparison rejects NaN and infinities
+    if not 0.0 <= sigma < np.inf:
+        raise ConfigError(f"sigma must be finite and >= 0, got {sigma}")
+    # keys reduce a seed modulo 2**64, so a seed outside would rerun another
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
+
+
+def build_universe(C: int, d_in: int, sigma: float, seed: int) -> IdentityUniverse:
+    """Centers drawn as normalized Gaussians from per-identity streams."""
+    check_universe(C, d_in, sigma, seed)
     centers = rng.Rekeyer().normal_rows(rng.philox_keys(seed, rng.CENTERS, np.arange(C)), d_in)
     # each stacked row·row product is the ddot that np.linalg.norm(row) runs
     centers /= np.sqrt((centers[:, None, :] @ centers[:, :, None])[:, 0])

@@ -37,6 +37,7 @@ from .synthdata import (
     build_eval_protocol,
     build_universe,
     check_protocol_sizes,
+    check_universe,
     make_pair_batch,
 )
 
@@ -138,14 +139,10 @@ class TrainConfig:
             raise ConfigError(f"decay_epochs must be >= 0, got {list(cfg.decay_epochs)}")
         if cfg.checkpoint_every < 0:
             raise ConfigError(f"checkpoint_every must be >= 0, got {cfg.checkpoint_every}")
-        if not 0.0 <= cfg.sigma < math.inf:
-            raise ConfigError(f"sigma must be finite and >= 0, got {cfg.sigma}")
         if cfg.n_classes < 1:
             raise ConfigError(f"n_classes must be >= 1, got {cfg.n_classes}")
         # the rules of _build_run_state's builders, so a sweep rejects a value before any run trains
         check_layer_dims(cfg.layer_dims)
-        if cfg.d_in < 2:
-            raise ConfigError(f"d_in must be >= 2, got {cfg.d_in}")
         if cfg.min_instances < 1:
             raise ConfigError(f"min_instances must be >= 1, got {cfg.min_instances}")
         spec = LongTailSpec(cfg.zipf_exponent, cfg.min_count, cfg.max_count)
@@ -157,12 +154,10 @@ class TrainConfig:
                 f"n_classes + eval_distractors must be < 2**32, "
                 f"got {cfg.n_classes} + {cfg.eval_distractors}"
             )
+        check_universe(cfg.n_classes + cfg.eval_distractors, cfg.d_in, cfg.sigma, cfg.seed)
         check_protocol_sizes(cfg.n_classes, cfg.eval_pairs, cfg.eval_probes)
         if cfg.method == METHOD_HEAD_ONLY:  # the counts draw nothing
             fc.filter_head_classes(assign_longtail_counts(spec, cfg.n_classes), cfg.min_instances)
-        # keys reduce the seed modulo 2**64, so a seed outside would rerun another
-        if not 0 <= cfg.seed < 2**64:
-            raise ConfigError(f"seed must lie in [0, 2**64), got {cfg.seed}")
         return cfg
 
     def _check_types(self) -> None:

@@ -10,6 +10,7 @@ from dcq.baseline import FcHead, fc_cosface_loss
 from dcq.errors import ConfigError, ContractError, NumericError, ShapeError
 from dcq.class_queue import MASK_VALUE, dcq_cosface_loss
 from dcq import numerics
+from dcq.model import init_extractor
 from dcq.numerics import (
     Tape,
     Tensor,
@@ -33,6 +34,33 @@ def _matmul_reference(a, b):
             for l in range(k):
                 out[i, j] += a[i, l] * b[l, j]
     return out
+
+
+class TestTensorConversion:
+    def test_parameter_views_are_wrapped_without_a_copy(self):
+        # SGD writes MlpParams.flat in place, so a copy would silently detach a parameter
+        params = init_extractor([4, 8, 3], seed=1)
+        views = dict(params.views(params.flat))
+        weight, slope = views["layer0.weight"], views["layer0.slope"]
+        assert slope.ndim == 0
+        assert Tensor(weight).data is weight
+        assert Tensor(slope).data is slope
+
+    def test_non_contiguous_input_is_copied_in_row_major_order(self):
+        base = np.arange(24.0).reshape(4, 6)
+        for arr in (np.asfortranarray(base), base[:, ::2]):
+            assert not arr.flags["C_CONTIGUOUS"]
+            data = Tensor(arr).data
+            assert data.flags["C_CONTIGUOUS"] and not np.shares_memory(data, arr)
+            np.testing.assert_array_equal(data, arr)
+
+    def test_converts_to_float64(self):
+        scalar = Tensor(1.5).data
+        assert scalar.dtype == np.float64 and scalar.shape == () and scalar == 1.5
+        single = np.arange(6, dtype=np.float32).reshape(2, 3)
+        data = Tensor(single).data
+        assert data.dtype == np.float64 and data.flags["C_CONTIGUOUS"]
+        np.testing.assert_array_equal(data, single)
 
 
 class TestMatmul:

@@ -55,7 +55,15 @@ class TestBuildUniverse:
             build_universe(0, 8, 0.1, seed=0)
         with pytest.raises(ConfigError):
             build_universe(5, 1, 0.1, seed=0)
-
+        # a NaN sigma drew NaN instances, and seed -1 reran seed 2**64 - 1
+        for sigma in (float("nan"), -0.1, float("inf")):
+            with pytest.raises(ConfigError, match=rf"\Asigma must be finite and >= 0, got {sigma}\Z"):
+                build_universe(10, 4, sigma, 1)
+        for seed in (-1, 2**64):
+            with pytest.raises(ConfigError, match=rf"\Aseed must lie in \[0, 2\*\*64\), got {seed}\Z"):
+                build_universe(10, 4, 0.1, seed)
+        assert build_universe(10, 4, 0.0, 1).sigma == 0.0
+        assert build_universe(10, 4, 0.1, 2**64 - 1).seed == 2**64 - 1
 
     @pytest.mark.parametrize("C", [1, 7, 2200])
     @pytest.mark.parametrize("d_in", [2, 3, 32])

@@ -1,3 +1,4 @@
+import math
 import struct
 import warnings
 import zlib
@@ -9,7 +10,7 @@ import dcq.checkpoint
 import dcq.class_queue
 import dcq.trainer
 from dcq import rng
-from dcq.baseline import FcHead, fc_cosface_loss
+from dcq.baseline import FcHead, fc_cosface_loss, filter_head_classes
 from dcq.checkpoint import load_checkpoint, save_checkpoint
 from dcq.class_queue import SENTINEL_LABEL, ClassQueue, dcq_cosface_loss, dcq_logits_with_mask
 from dcq.evalbench import head_cost_report
@@ -22,7 +23,7 @@ from dcq.errors import (
     TrainingDiverged,
 )
 from dcq.model import extract_features, init_extractor
-from dcq.numerics import Tape, Tensor
+from dcq.numerics import Tape, Tensor, margin_softmax_ce
 from dcq.synthdata import PairPlan, build_universe, make_pair_batch
 from dcq.trainer import (
     TrainConfig,
@@ -44,6 +45,30 @@ TINY = dict(
     zipf_exponent=1.0, eval_pairs=40, eval_probes=10, eval_distractors=5,
     decay_epochs=(2,),
 )
+
+
+def _accepts(build) -> bool:
+    """False if ``build()`` raises ConfigError, True if it returns."""
+    try:
+        build()
+    except ConfigError:
+        return False
+    return True
+
+
+def _cosface(s: float, m: float):
+    return margin_softmax_ce([Tensor(np.zeros((2, 3)))], np.array([0, 2]), s, m)
+
+
+# Rules that resolve and a public builder each state: per config field, the
+# fields resolve needs beside TINY and the builder called with the value.
+RESTATED_RULES = {
+    "min_instances": ({}, lambda v: filter_head_classes(np.array([3, 3]), v)),
+    "sampling": ({}, lambda v: PairPlan(build_universe(4, 4, 0.1, 1), np.array([2, 2]), 4, v)),
+    "alpha": ({}, lambda v: dcq.class_queue.EmaGenerator(init_extractor([4, 8, 4], 1), v)),
+    "s": ({}, lambda v: _cosface(v, 0.1)),
+    "K": ({"B": 32}, lambda v: ClassQueue(4, v).update(Tensor(np.zeros((32, 4))), np.arange(32))),
+}
 
 
 class TestSgdMomentumStep:
@@ -224,6 +249,8 @@ class TestConfig:
         ({"eval_probes": 13}, "13 probes requested from 12"),
         ({"n_classes": 1, "eval_probes": 1}, "impostor pairs need 2"),
         ({"hidden_dims": ()}, "need at least one hidden layer"),
+        ({"sigma": math.nan}, r"^sigma must be finite and >= 0, got nan$"),
+        ({"seed": -1}, r"^seed must lie in \[0, 2\*\*64\), got -1$"),
     ])
     def test_rejects_what_the_run_cannot_build(self, bad, message):
         cfg = TrainConfig(**{**TINY, **bad})
@@ -231,6 +258,26 @@ class TestConfig:
             dcq.trainer._build_run_state(cfg)
         with pytest.raises(ConfigError, match=message):
             cfg.resolve()
+
+    @pytest.mark.parametrize("field, value", [
+        ("min_instances", 0), ("min_instances", 1),
+        ("sampling", "instance"), ("sampling", "class"), ("sampling", "Instance"), ("sampling", ""),
+        ("alpha", -0.1), ("alpha", 0), ("alpha", 1), ("alpha", 1.1), ("alpha", math.nan),
+        ("s", 0), ("s", 1e-9), ("s", 64), ("s", math.inf), ("s", math.nan),
+        ("K", 31), ("K", 32),
+    ])
+    def test_resolve_and_the_builder_agree(self, field, value):
+        # both statements guard an entry point (the config, the public API),
+        # so they must not drift apart
+        extra, build = RESTATED_RULES[field]
+        by_config = _accepts(lambda: TrainConfig(**{**TINY, **extra, field: value}).resolve())
+        assert by_config == _accepts(lambda: build(value))
+
+    @pytest.mark.parametrize("m", [-0.1, 0, 0.35, 0.999, 1.0, 1.5, math.inf, math.nan])
+    def test_every_margin_resolve_accepts_the_op_accepts(self, m):
+        # resolve's [0, 1) is stricter than the op's finite and >= 0 on purpose
+        if _accepts(lambda: TrainConfig(**{**TINY, "m": m}).resolve()):
+            assert _accepts(lambda: _cosface(1.0, m))
 
     def test_universe_fits_u32_identities(self):
         # the dataset header and records store identities as u32
@@ -411,7 +458,7 @@ class TestRunTraining:
     def test_head_only_filters_and_remaps(self):
         cfg = TrainConfig(method="cosface-head-only", min_instances=5, **TINY)
         result = run_training(cfg)
-        assert result.head.n_classes == int((result.counts >= 5).sum())
+        assert result.head.W.shape[1] == int((result.counts >= 5).sum())
         assert result.head.retained_ids is not None
 
     def test_monotone_loss_on_separable_toy(self):
