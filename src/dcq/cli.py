@@ -33,8 +33,6 @@ from .trainer import (
     save_result_checkpoint,
 )
 
-SEED_ENV_VAR = "DCQ_SEED"
-
 # A diverging run ends in TrainingDiverged, one line; numpy's overflow and
 # invalid-value warnings on the way there would print lines before it.
 QUIET_DIVERGENCE = {"over": "ignore", "invalid": "ignore"}
@@ -83,22 +81,19 @@ def _collect_overrides(pairs: list[str]) -> dict:
 
 
 def load_config(path: str | None, overrides: dict) -> TrainConfig:
-    """File config (plain dict or manifest), then overrides, then env seed."""
+    """File config (plain dict or manifest), then overrides."""
     data: dict = {}
     if path:
         with open(path) as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except ValueError as exc:  # UnicodeDecodeError is one too
+                raise ConfigError(f"{path}: {exc}") from None
         if isinstance(data, dict):
             data = data.get("config", data)  # accept a manifest directly
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: config must be a JSON object, got {type(data).__name__}")
     data.update(overrides)
-    raw_seed = os.environ.get(SEED_ENV_VAR)
-    if "seed" not in data and raw_seed:
-        try:
-            data["seed"] = int(raw_seed)
-        except ValueError:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw_seed!r}") from None
     return TrainConfig.from_dict(data)
 
 
@@ -114,16 +109,6 @@ def _write_manifest(path: str, run_dir: str, cfg: TrainConfig, overrides: dict) 
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _default_run_dir(base: str, seed: int) -> str:
-    stamp = time.strftime("%Y%m%d-%H%M%S")
-    candidate = os.path.join(base, f"{stamp}-seed{seed}")
-    suffix = 0
-    while os.path.exists(candidate):
-        suffix += 1
-        candidate = os.path.join(base, f"{stamp}-seed{seed}-{suffix}")
-    return candidate
 
 
 @contextlib.contextmanager
@@ -156,15 +141,14 @@ def _staged_outputs(out: str):
 def _cmd_train(args) -> int:
     overrides = _collect_overrides(args.set)
     cfg = load_config(args.config, overrides).resolve()
-    run_dir = args.out or _default_run_dir("runs", cfg.seed)
-    with _staged_outputs(run_dir) as stage:
-        _write_manifest(os.path.join(stage, "manifest.json"), run_dir, cfg, overrides)
+    with _staged_outputs(args.out) as stage:
+        _write_manifest(os.path.join(stage, "manifest.json"), args.out, cfg, overrides)
         with np.errstate(**QUIET_DIVERGENCE):
             result = run_training(cfg, resume_from=args.resume, checkpoint_dir=stage)
         write_metrics(result.metrics, stage)
         save_result_checkpoint(os.path.join(stage, "final.ckpt"), result)
     summary = {k: v for k, v in result.final_eval.items() if v is not None}
-    print(json.dumps({"run_dir": run_dir, "final": summary}, indent=2))
+    print(json.dumps({"run_dir": args.out, "final": summary}, indent=2))
     return 0
 
 
@@ -260,7 +244,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="run one training job")
     add_config_args(p)
-    p.add_argument("--out", help="run directory (default: runs/<stamp>-seed<seed>)")
+    p.add_argument("--out", required=True, help="run directory")
     p.add_argument("--resume", help="checkpoint to continue from")
     p.set_defaults(func=_cmd_train)
 

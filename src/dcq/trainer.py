@@ -410,8 +410,10 @@ def run_training(
         result = _build_run_state(cfg)
     else:
         result = load_result_checkpoint(resume_from)
-        if result.config != cfg:
-            raise ConfigError("checkpoint config does not match the requested config")
+        differ = [f.name for f in dataclasses.fields(cfg)
+                  if getattr(result.config, f.name) != getattr(cfg, f.name)]
+        if differ:
+            raise ConfigError(f"checkpoint config differs from the requested config in {differ}")
     extractor, head = result.extractor, result.head
 
     global_step = result.final_step

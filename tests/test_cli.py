@@ -312,15 +312,13 @@ class TestTrain:
         target.write_text("x")  # makedirs onto a file fails
         assert cli.main(["train", "--config", config, "--out", str(target)]) == 2
 
-    def test_seed_env_fallback(self, tmp_path, monkeypatch):
-        data = {k: v for k, v in TINY_CONFIG.items() if k != "seed"}
-        config = tmp_path / "c.json"
-        config.write_text(json.dumps(data))
-        out = tmp_path / "env-run"
-        monkeypatch.setenv(cli.SEED_ENV_VAR, "77")
-        cli.main(["train", "--config", str(config), "--out", str(out)])
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["seed"] == 77
+    def test_out_is_required(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # a default run directory would land here
+        config = _write_config(tmp_path)
+        assert cli.main(["train", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "--out" in err and err.count("\n") == 1, err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_resume_pipeline(self, tmp_path):
         config = _write_config(tmp_path, epochs=4, checkpoint_every=2)
@@ -336,39 +334,59 @@ class TestTrain:
         resumed_rows = _rows_without_wall(out2 / "metrics.csv")
         assert resumed_rows == full_rows[2:]
 
+    def test_resume_names_the_fields_that_differ(self, tmp_path, capsys):
+        config = _write_config(tmp_path, epochs=4, checkpoint_every=2)
+        out1, out2 = tmp_path / "full", tmp_path / "resumed"
+        assert cli.main(["train", "--config", config, "--out", str(out1)]) == 0
+        code = cli.main([
+            "train", "--config", config, "--out", str(out2), "--set", "epochs=3",
+            "--set", "checkpoint_every=1", "--resume", str(out1 / "epoch_002.ckpt"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: checkpoint config differs from the requested config in"
+            " ['epochs', 'checkpoint_every']\n"
+        )
+        assert not out2.exists()
+
 
 class TestSeedEnvVar:
-    @pytest.mark.parametrize("command,extra", [
-        ("train", []),
-        ("gen-data", []),
-        ("sweep", ["--axis", "alpha", "--values", "0.9"]),
-    ])
-    def test_non_integer_seed_is_a_one_line_error(self, tmp_path, capsys, monkeypatch,
-                                                  command, extra):
+    """The seed comes from the config file or ``--set seed=N`` alone."""
+
+    def test_dcq_seed_in_the_environment_changes_nothing(self, tmp_path, capsys, monkeypatch):
         data = {k: v for k, v in TINY_CONFIG.items() if k != "seed"}
         config = tmp_path / "c.json"
         config.write_text(json.dumps(data))
         out = tmp_path / "out"
-        monkeypatch.setenv(cli.SEED_ENV_VAR, "abc")
-        code = cli.main([command, "--config", str(config), "--out", str(out), *extra])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.count("\n") == 1, err
-        assert err.startswith("error: DCQ_SEED") and "'abc'" in err, err
-        assert not out.exists()
+        monkeypatch.setenv("DCQ_SEED", "abc")
+        assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 1
 
     @pytest.mark.parametrize("value", ["-1", str(2**64)])
-    def test_seed_outside_64_bits_is_a_one_line_error(self, tmp_path, capsys, monkeypatch,
-                                                      value):
-        data = {k: v for k, v in TINY_CONFIG.items() if k != "seed"}
-        config = tmp_path / "c.json"
-        config.write_text(json.dumps(data))
+    def test_seed_outside_64_bits_is_a_one_line_error(self, tmp_path, capsys, value):
         out = tmp_path / "out"
-        monkeypatch.setenv(cli.SEED_ENV_VAR, value)
-        code = cli.main(["train", "--config", str(config), "--out", str(out)])
+        code = cli.main(["train", "--config", _write_config(tmp_path), "--set", f"seed={value}",
+                         "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 2
         assert err == f"error: seed must lie in [0, 2**64), got {value}\n", err
+        assert not out.exists()
+
+
+class TestConfigNotJson:
+    @pytest.mark.parametrize("content", [b"", b'{"seed": 1', b"\xff"], ids=["empty", "truncated", "not-utf8"])
+    @pytest.mark.parametrize("command", ["train", "gen-data", "sweep"])
+    def test_one_line_error_naming_the_file(self, tmp_path, capsys, command, content):
+        config = tmp_path / "config.json"
+        config.write_bytes(content)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(config), "--out", str(out)]
+        if command == "sweep":
+            argv += ["--axis", "alpha", "--values", "0.9"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: "), err
+        assert err.count("\n") == 1, err
         assert not out.exists()
 
 
