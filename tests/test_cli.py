@@ -353,7 +353,7 @@ class TestTrain:
 class TestSeedEnvVar:
     """The seed comes from the config file or ``--set seed=N`` alone."""
 
-    def test_dcq_seed_in_the_environment_changes_nothing(self, tmp_path, capsys, monkeypatch):
+    def test_dcq_seed_in_the_environment_changes_nothing(self, tmp_path, monkeypatch):
         data = {k: v for k, v in TINY_CONFIG.items() if k != "seed"}
         config = tmp_path / "c.json"
         config.write_text(json.dumps(data))
@@ -373,21 +373,27 @@ class TestSeedEnvVar:
         assert not out.exists()
 
 
+def _config_file_error(tmp_path, capsys, command: str, content: bytes) -> str:
+    """Run ``command`` on a config file holding ``content``; return its one-line error."""
+    config = tmp_path / "config.json"
+    config.write_bytes(content)
+    out = tmp_path / "out"
+    argv = [command, "--config", str(config), "--out", str(out)]
+    if command == "sweep":
+        argv += ["--axis", "alpha", "--values", "0.9"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1, err
+    assert not out.exists()
+    return err
+
+
 class TestConfigNotJson:
     @pytest.mark.parametrize("content", [b"", b'{"seed": 1', b"\xff"], ids=["empty", "truncated", "not-utf8"])
     @pytest.mark.parametrize("command", ["train", "gen-data", "sweep"])
     def test_one_line_error_naming_the_file(self, tmp_path, capsys, command, content):
-        config = tmp_path / "config.json"
-        config.write_bytes(content)
-        out = tmp_path / "out"
-        argv = [command, "--config", str(config), "--out", str(out)]
-        if command == "sweep":
-            argv += ["--axis", "alpha", "--values", "0.9"]
-        assert cli.main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {config}: "), err
-        assert err.count("\n") == 1, err
-        assert not out.exists()
+        err = _config_file_error(tmp_path, capsys, command, content)
+        assert err.startswith(f"error: {tmp_path / 'config.json'}: "), err
 
 
 class TestConfigNotAnObject:
@@ -396,17 +402,8 @@ class TestConfigNotAnObject:
     )
     @pytest.mark.parametrize("command", ["train", "gen-data", "sweep"])
     def test_one_line_error(self, tmp_path, capsys, command, content):
-        config = tmp_path / "config.json"
-        config.write_text(content)
-        out = tmp_path / "out"
-        argv = [command, "--config", str(config), "--out", str(out)]
-        if command == "sweep":
-            argv += ["--axis", "alpha", "--values", "0.9"]
-        assert cli.main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {config}: config must be a JSON object"), err
-        assert err.count("\n") == 1, err
-        assert not out.exists()
+        err = _config_file_error(tmp_path, capsys, command, content.encode())
+        assert err.startswith(f"error: {tmp_path / 'config.json'}: config must be a JSON object"), err
 
 
 class TestRetiredConfigField:
