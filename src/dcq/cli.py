@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import json
 import os
 import shutil
@@ -43,24 +44,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _format_float(x) -> str:
-    # 17 significant digits round-trip float64 exactly
-    return format(float(x), ".17g")
+def _write_csv(path, columns, rows) -> None:
+    # csv writes a float as its repr, which round-trips float64 exactly
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, columns, lineterminator="\n", extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def write_metrics(rows: list[dict], run_dir) -> None:
-    """The rows as ``metrics.csv`` with a fixed header and ``metrics.json`` columns, in run_dir."""
-    lines = [",".join(METRICS_COLUMNS)]
-    for row in rows:
-        cells = [str(int(row["epoch"]))]
-        cells += [_format_float(row[c]) for c in METRICS_COLUMNS[1:]]
-        lines.append(",".join(cells))
-    with open(os.path.join(run_dir, "metrics.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    columns = {c: [row[c] for row in rows] for c in METRICS_COLUMNS}
-    with open(os.path.join(run_dir, "metrics.json"), "w") as fh:
-        json.dump(columns, fh, indent=2)
-        fh.write("\n")
+    """The rows as ``metrics.csv`` in run_dir, one per epoch under a fixed header."""
+    _write_csv(os.path.join(run_dir, "metrics.csv"), METRICS_COLUMNS, rows)
 
 
 def _parse_set_value(raw: str):
@@ -115,14 +109,17 @@ def _write_manifest(path: str, run_dir: str, cfg: TrainConfig, overrides: dict) 
 def _staged_outputs(out: str):
     """A staging directory whose files are moved into ``out`` when the block succeeds.
 
-    ``out`` is made if missing, and the staging directory ``out/.partial-*``
-    inside it. On success each staged file replaces ``out/<name>``, in sorted
-    order, and the staging directory is removed. On failure the staging
-    directory is removed, or ``out`` if this call made it, so every file
-    already in ``out`` stays as it was. An OSError naming a staged file is
-    re-raised naming the same file under ``out``.
+    ``out`` is made if missing, with its missing parents, and the staging
+    directory ``out/.partial-*`` inside it. On success each staged file
+    replaces ``out/<name>``, in sorted order, and the staging directory is
+    removed. On failure the staging directory is removed, or the highest
+    directory this call made, so every file already there stays as it was.
+    An OSError naming a staged file is re-raised naming the same file under
+    ``out``.
     """
-    created = not os.path.isdir(out)
+    made, head = None, os.path.abspath(out)
+    while not os.path.lexists(head):
+        made, head = head, os.path.dirname(head)
     os.makedirs(out, exist_ok=True)
     stage = tempfile.mkdtemp(prefix=".partial-", dir=out)
     try:
@@ -131,7 +128,7 @@ def _staged_outputs(out: str):
             os.replace(os.path.join(stage, name), os.path.join(out, name))
         os.rmdir(stage)
     except BaseException as exc:
-        shutil.rmtree(out if created else stage, ignore_errors=True)
+        shutil.rmtree(made or stage, ignore_errors=True)
         if isinstance(exc, OSError) and str(exc.filename).startswith(stage + os.sep):
             named = os.path.join(out, exc.filename[len(stage) + 1 :])
             raise type(exc)(exc.errno, exc.strerror, named) from exc
@@ -172,15 +169,8 @@ def _cmd_sweep(args) -> int:
         with np.errstate(**QUIET_DIVERGENCE):
             rows = run_experiment_grid(cfg, args.axis, values)
         header = ["axis", "value", "ver_acc", "id_rank1", "tail_rank1", "head_rank1", "tail_probes"]
-        lines = [",".join(header)]
-        for row in rows:
-            cells = [row["axis"], json.dumps(row["value"])]
-            for key in header[2:]:
-                value = row.get(key)
-                cells.append("" if value is None else _format_float(value))
-            lines.append(",".join(cells))
-        with open(os.path.join(stage, "results.csv"), "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        cells = ({**row, "value": json.dumps(row["value"])} for row in rows)
+        _write_csv(os.path.join(stage, "results.csv"), header, cells)
         with open(os.path.join(stage, "results.json"), "w") as fh:
             json.dump({"config": cfg.to_dict(), "rows": rows}, fh, indent=2)
             fh.write("\n")

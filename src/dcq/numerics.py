@@ -63,7 +63,7 @@ class Tape:
     gradient as soon as that output's node has run, so only the gradients of
     leaves survive it, and ``grad`` serves leaves only. A warmed-up full-FC
     training step at C=20000, B=D=32 so holds 4.13 D×C-sized temporaries at
-    its peak, fewer than when the tape kept every output and gradient.
+    its peak.
     """
 
     def __init__(self):

@@ -448,7 +448,8 @@ def write_dataset(path, universe: IdentityUniverse, counts: np.ndarray) -> dict:
     ``rng.KEY_CHUNK`` rows at a time through ``replace_on_success``, so on
     failure ``path`` is untouched. A JSON summary with the counts histogram
     and tail fraction goes to ``<path>.json`` through the same writer, put
-    in place just before the dataset file.
+    in place just after the dataset file, so a failed dataset write leaves
+    no new summary.
     """
     rows = InstanceRows(universe, counts)
     total = rows.owner.size
@@ -463,9 +464,9 @@ def write_dataset(path, universe: IdentityUniverse, counts: np.ndarray) -> dict:
             records["index"] = rows.index[lo:hi]
             records["x"] = rows.draw(lo, hi)
             fh.write(records)
-        summary = tail_summary(rows.counts)
-        with replace_on_success(f"{path}.json") as summary_fh:
-            summary_fh.write(json.dumps(summary, indent=2, sort_keys=True).encode())
+    summary = tail_summary(rows.counts)
+    with replace_on_success(f"{path}.json") as fh:
+        fh.write(json.dumps(summary, indent=2, sort_keys=True).encode())
     return summary
 
 
