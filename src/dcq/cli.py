@@ -109,23 +109,24 @@ def _write_manifest(path: str, run_dir: str, cfg: TrainConfig, overrides: dict) 
 def _staged_outputs(out: str):
     """A staging directory whose files are moved into ``out`` when the block succeeds.
 
-    ``out`` is made if missing, with its missing parents, and the staging
-    directory ``out/.partial-*`` inside it. On success each staged file
-    replaces ``out/<name>``, in sorted order, and the staging directory is
-    removed. On failure the staging directory is removed, or the highest
-    directory this call made, so every file already there stays as it was.
-    An OSError naming a staged file is re-raised naming the same file under
-    ``out``.
+    ``out`` is resolved lexically, as ``os.path.abspath`` does, and made if
+    missing, with its missing parents, and the staging directory
+    ``out/.partial-*`` inside it. On success each staged file replaces
+    ``out/<name>``, in sorted order, and the staging directory is removed.
+    On failure the staging directory is removed, or the highest directory
+    this call made, so every file already there stays as it was. An OSError
+    naming a staged file is re-raised naming the same file under ``out``.
     """
-    made, head = None, os.path.abspath(out)
+    path = os.path.abspath(out)
+    made, head = None, path
     while not os.path.lexists(head):
         made, head = head, os.path.dirname(head)
-    os.makedirs(out, exist_ok=True)
-    stage = tempfile.mkdtemp(prefix=".partial-", dir=out)
+    os.makedirs(path, exist_ok=True)
+    stage = tempfile.mkdtemp(prefix=".partial-", dir=path)
     try:
         yield stage
         for name in sorted(os.listdir(stage)):
-            os.replace(os.path.join(stage, name), os.path.join(out, name))
+            os.replace(os.path.join(stage, name), os.path.join(path, name))
         os.rmdir(stage)
     except BaseException as exc:
         shutil.rmtree(made or stage, ignore_errors=True)

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import rng
 from .errors import ConfigError, ShapeError
 from .model import MlpParams, extract_features
 from .numerics import Tensor, l2_normalize
@@ -17,13 +18,6 @@ from .synthdata import EvalProtocol, IdentityUniverse, InstanceRows
 
 # Bucket edges straddle the <10-instances tail definition.
 BUCKET_EDGES = (5, 10, 50)
-
-# Rows per embed call in the alignment diagnostic: enough to amortise the
-# per-op overhead. One call over a whole desk table (4393 rows) takes 11-12 ms
-# against 5 ms in 256-row blocks (one thread): at that size every temporary
-# is a fresh multi-megabyte array, and the PReLU factor lookup alone runs
-# about 5x slower per row than on a block.
-EMBED_BLOCK_ROWS = 256
 
 
 def embed(extractor: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -85,7 +79,7 @@ def evaluate_protocol(extractor: MlpParams, protocol: EvalProtocol) -> dict:
     ver_acc, threshold = verification_accuracy(
         embed(extractor, protocol.pair_a),
         embed(extractor, protocol.pair_b),
-        protocol.pair_genuine,
+        protocol.pair_label_a == protocol.pair_label_b,
     )
     hits = identification_hits(
         embed(extractor, protocol.probe_x),
@@ -183,8 +177,8 @@ def tail_alignment_diagnostic(
     ``head_w`` is the D×n matrix of learned columns; ``class_ids`` maps its
     columns to original identities (defaults to 0..n−1).
 
-    The head classes' training instances are drawn and embedded in blocks
-    of about ``EMBED_BLOCK_ROWS`` rows, and single-instance classes drawn
+    The head classes' training instances are drawn and embedded in the
+    blocks of ``InstanceRows.blocks``, and single-instance classes drawn
     again on their own 1-row input, since numpy
     sends a 1-row matmul down the BLAS vector path. A row's embedding is
     then the one a per-class call gives whenever every layer width is a
@@ -208,11 +202,8 @@ def tail_alignment_diagnostic(
     head_counts = np.zeros_like(counts)
     head_counts[class_ids] = counts[class_ids]
     rows = InstanceRows(universe, head_counts)
-    n_rows = rows.owner.size
-    # near-equal blocks, so none holds a single row unless the table does
-    bounds = np.linspace(0, n_rows, -(-n_rows // EMBED_BLOCK_ROWS) + 1).astype(np.int64)
-    emb = np.empty((n_rows, extractor.d_out))
-    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+    emb = np.empty((rows.owner.size, extractor.d_out))
+    for lo, hi in rows.blocks():
         emb[lo:hi] = l2_normalize(Tensor(embed(extractor, rows.draw(lo, hi)))).data
     n = counts[class_ids]
     starts = rows.starts[class_ids]
@@ -225,7 +216,7 @@ def tail_alignment_diagnostic(
     for k in np.unique(n[n > 0]).tolist():
         group = np.flatnonzero(n == k)
         names[group] = _bucket_name(k)
-        step = max(1, EMBED_BLOCK_ROWS // k)  # block-sized gathers keep the peak low
+        step = max(1, rng.KEY_CHUNK // k)  # block-sized gathers keep the peak low
         for lo in range(0, group.size, step):
             sel = group[lo : lo + step]
             means[sel] = emb[starts[sel, None] + np.arange(k)].mean(axis=1)

@@ -11,7 +11,7 @@ stream keyed by (``universe.seed``, stream, ...), so regeneration is
 order-independent and bit-identical. ``InstanceRows`` is
 the one layout of the training instances: a training run's ``PairPlan``
 draws every row once through it, while ``dcq gen-data`` and the
-tail-alignment diagnostic draw the same rows a block at a time.
+tail-alignment diagnostic draw the same rows in its ``blocks``.
 ``draw_instance`` and ``heldout_instance`` stay the single-key
 definitions those rows and the eval protocol must match. A training
 batch is defined on the first raw Philox words of its step's stream;
@@ -91,15 +91,15 @@ class EvalProtocol:
 
     Gallery rows 0..n_probe−1 are the enrolled mates of the probes (one per
     probe identity); the remaining rows are distractor identities disjoint
-    from all training identities. ``probe_tail`` flags the probes whose
-    identity has fewer than ``TAIL_THRESHOLD`` training instances.
+    from all training identities. A pair is genuine when its two labels
+    match. ``probe_tail`` flags the probes whose identity has fewer than
+    ``TAIL_THRESHOLD`` training instances.
     """
 
     pair_a: np.ndarray
     pair_b: np.ndarray
     pair_label_a: np.ndarray
     pair_label_b: np.ndarray
-    pair_genuine: np.ndarray  # bool
     probe_x: np.ndarray
     probe_labels: np.ndarray
     gallery_x: np.ndarray
@@ -213,6 +213,16 @@ class InstanceRows:
             universe.seed, rng.INSTANCE_NOISE, INSTANCE_QUERY, self.owner, self.index
         )
         self.rekeyer = rng.Rekeyer()
+
+    def blocks(self) -> list[tuple[int, int]]:
+        """The N rows in ceil(N / ``rng.KEY_CHUNK``) near-equal ``(lo, hi)`` ranges, in order.
+
+        None holds a single row unless the table does. One embed call over the 4393-row desk
+        table takes 11-12 ms, against 5 ms in 256-row blocks (one thread).
+        """
+        n = self.owner.size
+        m = -(-n // rng.KEY_CHUNK)
+        return [(i * n // m, (i + 1) * n // m) for i in range(m)]
 
     def draw(self, lo: int, hi: int) -> np.ndarray:
         """Rows lo..hi−1, (hi − lo) × d_in."""
@@ -401,7 +411,6 @@ def build_eval_protocol(
     label_b = np.concatenate([g[:, 0], imp[:, 1] + (imp[:, 1] >= imp[:, 0])])
     index_a = np.concatenate([g[:, 1], imp[:, 2]])
     index_b = np.concatenate([g[:, 2], imp[:, 3]])
-    genuine = np.arange(n_pairs) < half
     probe_ids = gen.choice(n_train, size=n_probe, replace=False).astype(np.int64)
     distractor_ids = np.arange(n_train, universe.C, dtype=np.int64)
 
@@ -423,7 +432,6 @@ def build_eval_protocol(
         pair_b=pair_b,
         pair_label_a=label_a,
         pair_label_b=label_b,
-        pair_genuine=genuine,
         probe_x=probe_x,
         probe_labels=probe_ids,
         gallery_x=gallery_x,
@@ -444,9 +452,9 @@ def write_dataset(path, universe: IdentityUniverse, counts: np.ndarray) -> dict:
 
     Layout: little-endian header (magic, version u32, C u32, d_in u32,
     total u32) followed by one record per instance: identity u32,
-    instance u32, d_in float64 values. Records are drawn and written
-    ``rng.KEY_CHUNK`` rows at a time through ``replace_on_success``, so on
-    failure ``path`` is untouched. A JSON summary with the counts histogram
+    instance u32, d_in float64 values. Records are drawn and written one
+    of ``InstanceRows.blocks`` at a time through ``replace_on_success``, so
+    on failure ``path`` is untouched. A JSON summary with the counts histogram
     and tail fraction goes to ``<path>.json`` through the same writer, put
     in place just after the dataset file, so a failed dataset write leaves
     no new summary.
@@ -457,8 +465,7 @@ def write_dataset(path, universe: IdentityUniverse, counts: np.ndarray) -> dict:
     with replace_on_success(path) as fh:
         fh.write(DATASET_MAGIC)
         fh.write(struct.pack("<IIII", DATASET_VERSION, rows.counts.size, universe.d_in, total))
-        for lo in range(0, total, rng.KEY_CHUNK):
-            hi = min(lo + rng.KEY_CHUNK, total)
+        for lo, hi in rows.blocks():
             records = block[: hi - lo]
             records["ident"] = rows.owner[lo:hi]
             records["index"] = rows.index[lo:hi]

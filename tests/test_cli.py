@@ -489,7 +489,7 @@ class TestGenData:
         err = capsys.readouterr().err
         assert code == 2
         assert err == "error: no room for the block\n"
-        assert calls == [(0, 256), (256, 512)]
+        assert calls == [(0, 207), (207, 414)]
         assert out.read_bytes() == b"an earlier dataset"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data.dcqd"]
 
@@ -804,6 +804,14 @@ class TestSweep:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: K must be int")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_failed_sweep_through_dotdot_leaves_no_directory(self, tmp_path, capsys, monkeypatch):
+        # x/../y/z names y/z, so x is never made, and a failure removes y
+        monkeypatch.chdir(tmp_path)
+        code = cli.main(["sweep", "--axis", "K", "--values", "abc", "--out", "x/../y/z"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: K must be int")
+        assert list(tmp_path.iterdir()) == []
 
     def test_string_values_read_back_as_their_json_text(self, tmp_path, capsys):
         out = tmp_path / "sweep"

@@ -8,7 +8,6 @@ from dcq import evalbench, rng, synthdata
 from dcq.baseline import FcHead, filter_head_classes
 from dcq.errors import ConfigError, ShapeError
 from dcq.evalbench import (
-    EMBED_BLOCK_ROWS,
     _bucket_name,
     cosine_distances,
     embed,
@@ -352,7 +351,7 @@ class TestTailAlignmentMatchesLoop:
         # at least two blocks, one class straddling a block edge, and
         # classes with 0 and 1 instances
         ends = np.cumsum(counts)
-        bounds = np.linspace(0, ends[-1], math.ceil(ends[-1] / EMBED_BLOCK_ROWS) + 1)
+        bounds = np.linspace(0, ends[-1], math.ceil(ends[-1] / rng.KEY_CHUNK) + 1)
         edge = bounds[1:-1].astype(np.int64)
         assert edge.size >= 1
         assert ((ends - counts < edge[:, None]) & (ends > edge[:, None])).any()
@@ -433,7 +432,7 @@ def test_alignment_embeds_row_blocks_not_classes(monkeypatch):
 
     monkeypatch.setattr(evalbench, "embed", counting_embed)
     tail_alignment_diagnostic(head_w, universe, counts, extractor)
-    assert len(calls) == math.ceil(counts.sum() / EMBED_BLOCK_ROWS) + 3
+    assert len(calls) == math.ceil(counts.sum() / rng.KEY_CHUNK) + 3
     assert sum(calls) == counts.sum() + 3
 
 
@@ -456,7 +455,7 @@ def test_alignment_draws_rows_a_block_at_a_time(monkeypatch):
     monkeypatch.setattr(synthdata.InstanceRows, "draw", spy_draw)
     monkeypatch.setattr(rng.Rekeyer, "normal_rows", spy_normals)
     tail_alignment_diagnostic(head_w, universe, counts, extractor)
-    n_blocks = math.ceil(counts.sum() / EMBED_BLOCK_ROWS)
+    n_blocks = math.ceil(counts.sum() / rng.KEY_CHUNK)
     singles = int((counts == 1).sum())
     assert n_blocks >= 2 and singles >= 1
     assert normals == draws

@@ -179,6 +179,19 @@ class TestInstanceRows:
             with pytest.raises(ConfigError):
                 PairPlan(u, counts, 2, "instance")
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 255, 256, 257, 513, 4393])
+    def test_blocks_tile_the_table_in_near_equal_ranges(self, n):
+        # the rows split over three identities; the blocks depend on n alone
+        u = build_universe(3, 2, 0.1, seed=22)
+        blocks = InstanceRows(u, np.array([n // 2, 0, n - n // 2])).blocks()
+        edges = [0] + [hi for _, hi in blocks]
+        assert [lo for lo, _ in blocks] == edges[:-1] and edges[-1] == n
+        assert len(blocks) == -(-n // rng.KEY_CHUNK)
+        sizes = [hi - lo for lo, hi in blocks]
+        assert all(0 < size <= rng.KEY_CHUNK for size in sizes)
+        assert max(sizes, default=0) - min(sizes, default=0) <= 1
+        assert 1 not in sizes or n == 1
+
 
 def _plan(counts, batch_size, mode, seed):
     counts = np.asarray(counts, dtype=np.int64)
@@ -519,14 +532,15 @@ class TestEvalProtocol:
         assert set(p.gallery_labels.tolist()) >= set(p.probe_labels.tolist())
 
     def test_genuine_pairs_share_labels(self):
+        # the first half of the pairs are genuine, the rest impostors
         p, _ = self._protocol()
-        assert (p.pair_label_a[p.pair_genuine] == p.pair_label_b[p.pair_genuine]).all()
-        assert (p.pair_label_a[~p.pair_genuine] != p.pair_label_b[~p.pair_genuine]).all()
+        half = p.pair_label_a.size // 2
+        assert (p.pair_label_a[:half] == p.pair_label_b[:half]).all()
+        assert (p.pair_label_a[half:] != p.pair_label_b[half:]).all()
 
     def test_exact_balance(self):
         p, _ = self._protocol(n_pairs=200)
-        assert int(p.pair_genuine.sum()) == 100
-        assert int((~p.pair_genuine).sum()) == 100
+        assert int((p.pair_label_a == p.pair_label_b).sum()) == 100
 
     def test_each_probe_identity_enrolled_once(self):
         p, _ = self._protocol()
@@ -582,7 +596,8 @@ class TestEvalProtocol:
             label_a, label_b, index_a, index_b, probes = drawn
             np.testing.assert_array_equal(p.pair_label_a, label_a)
             np.testing.assert_array_equal(p.pair_label_b, label_b)
-            np.testing.assert_array_equal(p.pair_genuine, np.arange(n_pairs) < n_pairs // 2)
+            genuine = p.pair_label_a == p.pair_label_b
+            np.testing.assert_array_equal(genuine, np.arange(n_pairs) < n_pairs // 2)
             np.testing.assert_array_equal(p.probe_labels, probes)
             for i in range(n_pairs):
                 np.testing.assert_array_equal(p.pair_a[i], heldout_instance(u, label_a[i], index_a[i]))
@@ -657,7 +672,7 @@ class TestDatasetFile:
 
     def test_bytes_match_record_layout(self, tmp_path):
         # one block, then three blocks with classes 0 and 3 straddling the
-        # block edges at rows 256 and 512
+        # block edges at rows 183 and 367
         assert rng.KEY_CHUNK == 256
         u = build_universe(4, 3, 0.2, seed=14)
         for counts in (np.array([2, 1, 0, 3]), np.array([300, 1, 0, 250])):
