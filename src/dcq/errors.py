@@ -34,13 +34,7 @@ class CheckpointIntegrityError(CheckpointError):
 
 
 class TrainingDiverged(NumericError):
-    """Training aborted on a non-finite loss. Carries the offending batch."""
-
-    def __init__(self, message, step=None, labels=None, batch=None):
-        super().__init__(message)
-        self.step = step
-        self.labels = labels
-        self.batch = batch
+    """Training aborted on a non-finite loss."""
 
 
 class UsageError(DcqError):

@@ -20,7 +20,9 @@ batch is defined on the first raw Philox words of its step's stream;
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -440,9 +442,6 @@ def build_eval_protocol(
     )
 
 
-_HEADER_BYTES = len(DATASET_MAGIC) + 16
-
-
 def _record_dtype(d_in: int) -> np.dtype:
     return np.dtype([("ident", "<u4"), ("index", "<u4"), ("x", "<f8", (d_in,))])
 
@@ -457,8 +456,13 @@ def write_dataset(path, universe: IdentityUniverse, counts: np.ndarray) -> dict:
     on failure ``path`` is untouched. A JSON summary with the counts histogram
     and tail fraction goes to ``<path>.json`` through the same writer, put
     in place just after the dataset file, so a failed dataset write leaves
-    no new summary.
+    no new summary. Before anything is drawn, an ``IsADirectoryError`` names
+    ``path`` or ``<path>.json`` if either is a directory, so neither rename
+    meets one.
     """
+    for target in (str(path), f"{path}.json"):
+        if os.path.isdir(target):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
     rows = InstanceRows(universe, counts)
     total = rows.owner.size
     block = np.empty(min(total, rng.KEY_CHUNK), dtype=_record_dtype(universe.d_in))
@@ -475,29 +479,3 @@ def write_dataset(path, universe: IdentityUniverse, counts: np.ndarray) -> dict:
     with replace_on_success(f"{path}.json") as fh:
         fh.write(json.dumps(summary, indent=2, sort_keys=True).encode())
     return summary
-
-
-def read_dataset(path) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray]:
-    """Read a materialized dataset: (header, identities, instance ids, data)."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    magic = raw[: len(DATASET_MAGIC)]
-    if magic != DATASET_MAGIC:
-        raise ConfigError(f"not a dataset file (magic {magic!r})")
-    if len(raw) < _HEADER_BYTES:
-        raise ConfigError(f"dataset header truncated: {len(raw)} of {_HEADER_BYTES} bytes")
-    version, n_classes, d_in, total = struct.unpack_from("<IIII", raw, len(DATASET_MAGIC))
-    if version != DATASET_VERSION:
-        raise ConfigError(f"unsupported dataset version {version}")
-    dtype = _record_dtype(d_in)
-    expected = _HEADER_BYTES + total * dtype.itemsize
-    if len(raw) != expected:
-        raise ConfigError(f"dataset file has {len(raw)} bytes, its header implies {expected}")
-    records = np.frombuffer(raw, dtype=dtype, offset=_HEADER_BYTES)
-    header = {"version": version, "C": n_classes, "d_in": d_in, "total": total}
-    return (
-        header,
-        records["ident"].astype(np.int64),
-        records["index"].astype(np.int64),
-        records["x"].astype(np.float64),
-    )

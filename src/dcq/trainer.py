@@ -437,8 +437,7 @@ def run_training(
                 raise TrainingDiverged(
                     f"non-finite loss {loss_value!r} at step {global_step} "
                     f"(epoch {epoch}, labels {batch.y.tolist()}, "
-                    f"feature range [{feats.data.min():.3e}, {feats.data.max():.3e}])",
-                    step=global_step, labels=batch.y, batch=batch,
+                    f"feature range [{feats.data.min():.3e}, {feats.data.max():.3e}])"
                 )
 
             # backward before the head's update: the dcq loss's closures read the live queue

@@ -426,10 +426,8 @@ class TestGenData:
         assert out.exists() and (tmp_path / "data.dcqd.json").exists()
         summary = json.loads(capsys.readouterr().out)
         assert summary["identities"] == 12
-        from dcq.synthdata import read_dataset
-
-        header, _, _, _ = read_dataset(out)
-        assert header["C"] == 12 and header["d_in"] == 8
+        _, _, n_classes, d_in, _ = struct.unpack_from("<4sIIII", out.read_bytes())
+        assert n_classes == 12 and d_in == 8
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity"])
     def test_non_finite_zipf_exponent(self, tmp_path, capsys, value):
@@ -518,6 +516,23 @@ class TestGenData:
         assert capsys.readouterr().err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data"]
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("earlier", [True, False])
+    def test_directory_at_summary_path_writes_nothing(self, tmp_path, capsys, earlier):
+        out = tmp_path / "data.dcqd"
+        (tmp_path / "data.dcqd.json" / "inner").mkdir(parents=True)
+        if earlier:
+            out.write_bytes(b"an earlier dataset")
+        code = cli.main(["gen-data", "--config", _write_config(tmp_path), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{out}.json'\n"
+        if earlier:
+            assert out.read_bytes() == b"an earlier dataset"
+        else:
+            assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            ["config.json"] + ["data.dcqd"] * earlier + ["data.dcqd.json"]
+        )
 
     def test_missing_out_dir_error_names_out(self, tmp_path, capsys):
         out = tmp_path / "missing" / "data.dcqd"
