@@ -99,6 +99,11 @@ def _readme_cli_lines() -> list[str]:
     return [line.split("#", 1)[0].strip() for line in block.splitlines() if line.startswith("dcq ")]
 
 
+def _readme_dataset_snippet() -> str:
+    """The python block after "With numpy:" in the README's account of ``dcq gen-data``."""
+    return README.read_text().split("With numpy:\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+
+
 class TestReadmeExamples:
     def test_the_block_has_every_command(self):
         commands = {line.split()[1] for line in _readme_cli_lines()}
@@ -111,6 +116,22 @@ class TestReadmeExamples:
         trainer.TrainConfig().replace(**overrides)
         if args.command == "sweep":  # the axis names a config field too
             trainer.TrainConfig().replace(**{args.axis: None})
+
+    def test_dataset_snippet_reads_what_gen_data_wrote(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = _write_config(tmp_path)
+        assert cli.main(["gen-data", "--config", config, "--out", "data.dcqd"]) == 0
+        namespace = {}
+        exec(_readme_dataset_snippet(), namespace)
+        universe = synthdata.build_universe(12, 8, 0.05, 3)
+        counts = synthdata.assign_longtail_counts(synthdata.LongTailSpec(1.0, 2, 10), 12)
+        header = [namespace[k] for k in ("magic", "version", "C", "d_in", "total")]
+        assert header == [b"DCQD", 1, 12, 8, counts.sum()]
+        records = namespace["records"]
+        assert records["ident"].tolist() == np.repeat(np.arange(12), counts).tolist()
+        assert records["index"].tolist() == [k for n in counts for k in range(n)]
+        for ident, index, x in records[[0, 1, -2, -1]]:
+            np.testing.assert_array_equal(x, synthdata.draw_instance(universe, int(ident), int(index)))
 
 
 class TestTrain:
