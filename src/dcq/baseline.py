@@ -46,20 +46,16 @@ def fc_cosface_loss(
     return margin_softmax_ce([matmul(f_hat, w_hat, tape)], y, s, m, tape)
 
 
-def filter_head_classes(counts: np.ndarray, min_instances: int) -> tuple[np.ndarray, np.ndarray]:
-    """Keep classes with at least ``min_instances``; remap labels densely.
+def head_class_count(counts: np.ndarray, min_instances: int) -> int:
+    """The number n of classes with at least ``min_instances``; a head keeps classes 0..n−1.
 
-    Fewer than two kept classes raise ConfigError, since a head needs two.
-    Returns (retained original class ids, remap array) where
-    remap[original] is the dense new label, or −1 for dropped classes.
+    ``counts`` are non-increasing in class id, as ``assign_longtail_counts``
+    makes them, so the kept classes are the first n. Fewer than two raise
+    ConfigError, since a head needs two.
     """
     if min_instances < 1:
         raise ConfigError(f"min_instances must be >= 1, got {min_instances}")
-    counts = np.asarray(counts, dtype=np.int64)
-    retained = np.flatnonzero(counts >= min_instances)
-    if retained.size < 2:
-        n = retained.size
+    n = int((np.asarray(counts) >= min_instances).sum())
+    if n < 2:
         raise ConfigError(f"{n} classes have {min_instances} or more instances; a head needs 2")
-    remap = np.full(counts.size, -1, dtype=np.int64)
-    remap[retained] = np.arange(retained.size)
-    return retained, remap
+    return n

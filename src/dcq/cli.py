@@ -185,8 +185,7 @@ def _cmd_eval(args) -> int:
     report = {"checkpoint": args.checkpoint, "method": result.config.method, **scores}
     if isinstance(result.head, CosFaceHead):
         alignment = evalbench.tail_alignment_diagnostic(
-            result.head.W.data, result.universe, result.counts,
-            result.extractor, class_ids=result.head.retained_ids,
+            result.head.W.data, result.universe, result.counts, result.extractor
         )
         report["head_alignment"] = alignment.mean_cosine
     text = json.dumps(report, indent=2)

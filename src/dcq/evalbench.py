@@ -170,12 +170,11 @@ def tail_alignment_diagnostic(
     universe: IdentityUniverse,
     counts: np.ndarray,
     extractor: MlpParams,
-    class_ids: np.ndarray | None = None,
 ) -> AlignmentReport:
     """Per-bucket cosine between FC columns and their class's mean embedding.
 
-    ``head_w`` is the D×n matrix of learned columns; ``class_ids`` maps its
-    columns to original identities (defaults to 0..n−1).
+    ``head_w`` is the D×n matrix of learned columns, column j being class j
+    of the first n of ``counts``.
 
     The head classes' training instances are drawn and embedded in the
     blocks of ``InstanceRows.blocks``, and single-instance classes drawn
@@ -185,35 +184,24 @@ def tail_alignment_diagnostic(
     multiple of 8; at other widths OpenBLAS may round a row differently at
     another row count, and the batched computation is the definition.
     """
-    counts = np.asarray(counts, dtype=np.int64)
-    if class_ids is None:
-        class_ids = np.arange(head_w.shape[-1])
-    class_ids = np.asarray(class_ids, dtype=np.int64)
-    if class_ids.ndim != 1 or head_w.shape != (extractor.d_out, class_ids.size):
+    if head_w.ndim != 2 or head_w.shape[0] != extractor.d_out or head_w.shape[1] > len(counts):
         raise ShapeError(
             f"head_w shape {head_w.shape} != (embed dim {extractor.d_out}, "
-            f"{class_ids.size} class ids)"
+            f"at most {len(counts)} classes)"
         )
-    if ((class_ids < 0) | (class_ids >= counts.size)).any() or (
-        np.unique(class_ids).size != class_ids.size
-    ):
-        raise ConfigError(f"class_ids must be unique and in [0, {counts.size})")
     # only the head's classes need instances
-    head_counts = np.zeros_like(counts)
-    head_counts[class_ids] = counts[class_ids]
-    rows = InstanceRows(universe, head_counts)
+    rows = InstanceRows(universe, counts[: head_w.shape[1]])
     emb = np.empty((rows.owner.size, extractor.d_out))
     for lo, hi in rows.blocks():
         emb[lo:hi] = l2_normalize(Tensor(embed(extractor, rows.draw(lo, hi)))).data
-    n = counts[class_ids]
-    starts = rows.starts[class_ids]
+    n, starts = rows.counts, rows.starts
     for row in starts[n == 1].tolist():
         emb[row] = l2_normalize(Tensor(embed(extractor, rows.draw(row, row + 1)))).data
     del rows  # free the row keys and layout before the gathers below
 
     means = np.zeros((n.size, extractor.d_out))
     names = np.empty(n.size, dtype=object)
-    for k in np.unique(n[n > 0]).tolist():
+    for k in np.unique(n).tolist():
         group = np.flatnonzero(n == k)
         names[group] = _bucket_name(k)
         step = max(1, rng.KEY_CHUNK // k)  # block-sized gathers keep the peak low
@@ -228,8 +216,7 @@ def tail_alignment_diagnostic(
     dots = (head_w.T[:, None, :] @ means[:, :, None])[:, 0, 0]
     norms = np.sqrt((w[:, None, :] @ w[:, :, None])[:, 0, 0])
     norms *= np.sqrt((means[:, None, :] @ means[:, :, None])[:, 0, 0])
-    keep = n > 0
-    cos, names = (dots / np.maximum(norms, 1e-12))[keep], names[keep]
+    cos = dots / np.maximum(norms, 1e-12)
     report = AlignmentReport()
     for name in dict.fromkeys(names):
         values = cos[names == name]

@@ -197,16 +197,15 @@ class InstanceRows:
     """The training instances of a universe, laid out by identity and drawn by row range.
 
     Row ``starts[i] + k``, whose ``owner`` is i and ``index`` k, equals
-    ``draw_instance(universe, i, k)`` for ``k < counts[i]``; identities
-    with a zero count own no rows. The rows' Philox keys are derived once,
-    here, and ``draw`` re-keys one generator per row, so rows drawn a block
-    at a time carry the bits of one whole draw.
+    ``draw_instance(universe, i, k)`` for ``k < counts[i]``. The rows'
+    Philox keys are derived once, here, and ``draw`` re-keys one generator
+    per row, so rows drawn a block at a time carry the bits of one whole draw.
     """
 
     def __init__(self, universe: IdentityUniverse, counts: np.ndarray):
         counts = np.asarray(counts, dtype=np.int64)
-        if counts.size > universe.C or (counts < 0).any():
-            raise ConfigError(f"counts must be {universe.C} or fewer non-negative entries")
+        if not 1 <= counts.size <= universe.C or (counts < 1).any():
+            raise ConfigError(f"counts must be 1 to {universe.C} entries, each at least 1")
         self.universe, self.counts = universe, counts
         self.starts = np.cumsum(counts) - counts
         self.owner = np.repeat(np.arange(counts.size), counts)
@@ -252,14 +251,10 @@ class PairPlan:
         if mode not in ("instance", "class"):
             raise ConfigError(f"sampling mode must be 'instance' or 'class', got {mode!r}")
         rows = InstanceRows(universe, counts)
-        if not rows.counts.any():
-            raise ConfigError("no identity has a positive instance count")
         self.universe, self.counts = universe, rows.counts
         self.starts, self.owner = rows.starts, rows.owner
         self.data = rows.draw(0, rows.owner.size)
         self.batch_size, self.mode = batch_size, mode
-        # the identities with a row, which class mode picks among
-        self.eligible = np.flatnonzero(rows.counts)
         self.rekeyer = rows.rekeyer
         self.first = 0
         self.labels = np.empty((0, batch_size), dtype=np.int64)
@@ -273,9 +268,9 @@ def make_pair_batch(plan: PairPlan, step: int) -> PairBatch:
     The batch is a pure function of the first raw words of
     ``rng.stream(plan.universe.seed, rng.BATCH, step)``. Instance mode picks
     the owner of a uniformly drawn training row, so identities in proportion
-    to their instance counts, class mode uniformly over identities with at
-    least one instance; each row then draws a query index and a distinct
-    reference index of its identity.
+    to their instance counts, class mode uniformly over identities; each
+    row then draws a query index and a distinct reference index of its
+    identity.
     Every bounded draw is a multiply-shift of a 32-bit half-word, biased by
     less than bound / 2**32 (``_lemire``). A single-instance identity's reference is its center plus
     ``sigma * rng.stream(universe.seed, rng.BATCH_REFERENCE, step, row).standard_normal(d_in)``.
@@ -338,17 +333,17 @@ def _plan_words(plan: PairPlan, words: np.ndarray) -> tuple[np.ndarray, np.ndarr
     below N; class mode draws B identities from the half-words. The index
     draws then take the next half-words, query then reference per row.
     """
-    B, eligible = plan.batch_size, plan.eligible
+    B, C = plan.batch_size, plan.counts.size
     if plan.mode == "instance":
         u = (words[:, :B] >> np.uint64(11)) * 2.0**-53
         labels = plan.owner[(u * plan.owner.size).astype(np.intp)]
         halves = _halves(words[:, B:])
     else:
         halves = _halves(words)
-        labels = eligible[_lemire(halves, np.full((words.shape[0], B), eligible.size))]
+        labels = _lemire(halves, np.full((words.shape[0], B), C))
         # the index draws go on from the next 32-bit value, which may be the
         # high half of the identity draws' last word
-        halves = halves[:, B if eligible.size > 1 else 0 :]
+        halves = halves[:, B if C > 1 else 0 :]
     n = plan.counts[labels]
     # a query index in [0, n), then a reference index in [0, n - 1) per row
     bounds = np.repeat(n, 2, axis=1)

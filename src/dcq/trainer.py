@@ -157,7 +157,7 @@ class TrainConfig:
         check_universe(cfg.n_classes + cfg.eval_distractors, cfg.d_in, cfg.sigma, cfg.seed)
         check_protocol_sizes(cfg.n_classes, cfg.eval_pairs, cfg.eval_probes)
         if cfg.method == METHOD_HEAD_ONLY:  # the counts draw nothing
-            fc.filter_head_classes(assign_longtail_counts(spec, cfg.n_classes), cfg.min_instances)
+            fc.head_class_count(assign_longtail_counts(spec, cfg.n_classes), cfg.min_instances)
         return cfg
 
     def _check_types(self) -> None:
@@ -283,22 +283,22 @@ class CosFaceHead(fc.FcHead):
     """A CosFace baseline's head: FC columns for the classes its method trains.
 
     cosface-full keeps every class, since each has min_count >= 1 instances;
-    cosface-head-only keeps those with ``cfg.min_instances`` or more.
-    ``retained_ids`` are the kept classes, ``label_map`` maps a class to its
-    column (−1 if dropped) and ``train_counts`` zeroes the dropped counts.
+    cosface-head-only keeps the first n, those with ``cfg.min_instances`` or
+    more (``fc.head_class_count``). Class j is column j, and ``train_counts``
+    are the kept classes' counts.
     """
 
     def __init__(self, cfg: TrainConfig, counts: np.ndarray):
         self.cfg, self.w_pos = cfg, None
         min_instances = cfg.min_instances if cfg.method == METHOD_HEAD_ONLY else 1
-        self.retained_ids, self.label_map = fc.filter_head_classes(counts, min_instances)
-        self.train_counts = np.where(self.label_map >= 0, counts, 0)
-        super().__init__(cfg.embed_dim, self.retained_ids.size, cfg.seed)
+        n = fc.head_class_count(counts, min_instances)
+        self.train_counts = counts[:n]
+        super().__init__(cfg.embed_dim, n, cfg.seed)
         self.velocity = np.zeros_like(self.W.data)
         self.arrays, self.velocities = {"head.W": self.W.data}, {"head.W": self.velocity}
 
     def loss(self, f: Tensor, batch, tape: Tape):
-        return fc.fc_cosface_loss(f, self, self.label_map[batch.y], self.cfg.s, self.cfg.m, tape)
+        return fc.fc_cosface_loss(f, self, batch.y, self.cfg.s, self.cfg.m, tape)
 
     def update(self, extractor: MlpParams, batch, tape: Tape, lr: float) -> None:
         momentum, decay = self.cfg.sgd_momentum, self.cfg.weight_decay
@@ -392,11 +392,11 @@ def run_training(
 
     ``hooks`` is called after each step's updates with a record of ``step``,
     ``epoch``, ``loss``, ``labels``, ``probs`` (the head's B × C softmax
-    matrix; row i's target column is 0 for dcq and
-    ``state.head.label_map[labels[i]]`` for the CosFace methods), ``w_pos``
-    (the B × D positive weights for dcq, None otherwise) and ``state``, the live
-    ``TrainResult``, which hooks only read. The record's arrays belong to the
-    step and are not written after the hook returns, so it copies nothing.
+    matrix; row i's target column is 0 for dcq and ``labels[i]`` for the
+    CosFace methods), ``w_pos`` (the B × D positive weights for dcq, None
+    otherwise) and ``state``, the live ``TrainResult``, which hooks only
+    read. The record's arrays belong to the step and are not written after
+    the hook returns, so it copies nothing.
     dcq's queue and generator are ``state.head.queue`` and ``state.head.generator``.
     ``resume_from`` continues from a checkpoint written with the same
     config; only epochs after the checkpoint are run and reported.

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dcq.baseline import FcHead, fc_cosface_loss, filter_head_classes
+from dcq.baseline import FcHead, fc_cosface_loss, head_class_count
 from dcq.errors import ConfigError
 from dcq.numerics import Tape, Tensor
 from dcq.synthdata import LongTailSpec, assign_longtail_counts
@@ -98,29 +98,24 @@ class TestFcCosfaceLoss:
             np.testing.assert_allclose(dw[:, j], expected, atol=1e-9)
 
 
-class TestFilterHeadClasses:
+class TestHeadClassCount:
     def test_threshold_one_keeps_everything(self):
-        retained, remap = filter_head_classes(np.array([5, 1, 3]), 1)
-        assert retained.tolist() == [0, 1, 2]
-        assert remap.tolist() == [0, 1, 2]
+        assert head_class_count(np.array([5, 3, 1]), 1) == 3
 
     def test_threshold_nine(self):
-        retained, remap = filter_head_classes(np.array([12, 9, 3]), 9)
-        assert retained.tolist() == [0, 1]
-        assert remap.tolist() == [0, 1, -1]
+        assert head_class_count(np.array([12, 9, 3]), 9) == 2
 
     def test_retained_fraction_matches_enumeration(self):
         counts = assign_longtail_counts(LongTailSpec(1.5, 2, 200), 2000)
-        retained, remap = filter_head_classes(counts, 9)
-        assert retained.size == int((counts >= 9).sum())
-        assert (remap[retained] == np.arange(retained.size)).all()
-        assert (remap[counts < 9] == -1).all()
+        n = head_class_count(counts, 9)
+        assert n == int((counts >= 9).sum())
+        assert (counts[:n] >= 9).all()
 
     def test_empty_result_rejected(self):
-        with pytest.raises(ConfigError):
-            filter_head_classes(np.array([1, 2, 3]), 10)
-        with pytest.raises(ConfigError):
-            filter_head_classes(np.array([1, 2]), 0)
+        with pytest.raises(ConfigError, match="1 classes have 10 or more instances; a head needs 2"):
+            head_class_count(np.array([12, 2, 1]), 10)
+        with pytest.raises(ConfigError, match="min_instances must be >= 1, got 0"):
+            head_class_count(np.array([2, 1]), 0)
 
 
 class TestPullPushLedger:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dcq import evalbench, rng, synthdata
-from dcq.baseline import FcHead, filter_head_classes
+from dcq.baseline import FcHead, head_class_count
 from dcq.errors import ConfigError, ShapeError
 from dcq.evalbench import (
     _bucket_name,
@@ -287,17 +287,16 @@ class TestTailAlignment:
 
     def test_matches_per_instance_draws(self):
         universe = build_universe(12, 8, 0.2, seed=59)
-        counts = np.array([1, 3, 0, 7, 12, 2, 5, 9, 4, 6])
+        counts = np.array([3, 7, 12, 9, 1, 2, 5, 4, 6, 2])
         extractor = init_extractor([8, 16, 8], seed=60)
         head = FcHead(8, 4, seed=61)
-        class_ids = np.array([1, 3, 4, 7])
-        report = tail_alignment_diagnostic(head.W.data, universe, counts, extractor, class_ids)
+        report = tail_alignment_diagnostic(head.W.data, universe, counts, extractor)
         per_bucket = {}
-        for col, ident in enumerate(class_ids.tolist()):
+        for ident in range(4):
             n = int(counts[ident])
             inst = np.stack([draw_instance(universe, ident, k) for k in range(n)])
             mean_emb = _unit(embed(extractor, inst)).mean(axis=0)
-            w = head.W.data[:, col]
+            w = head.W.data[:, ident]
             cos = float(w @ mean_emb / (np.linalg.norm(w) * np.linalg.norm(mean_emb)))
             bucket = "<5" if n < 5 else ("5-9" if n < 10 else "10-49")
             per_bucket.setdefault(bucket, []).append(cos)
@@ -312,20 +311,15 @@ class TestTailAlignment:
         assert set(report.mean_cosine) == {"<5"}
 
 
-def _loop_alignment(head_w, universe, counts, extractor, class_ids):
-    """The per-class reference: one embed, mean and cosine per column."""
-    head_counts = np.zeros_like(counts)
-    head_counts[class_ids] = counts[class_ids]
-    rows = InstanceRows(universe, head_counts)
-    data = rows.draw(0, head_counts.sum())
+def _loop_alignment(head_w, universe, counts, extractor):
+    """The per-class reference: one embed, mean and cosine per column, column j being class j."""
+    rows = InstanceRows(universe, counts[: head_w.shape[1]])
+    data = rows.draw(0, rows.owner.size)
     per_bucket = {}
-    for col, ident in enumerate(class_ids.tolist()):
-        n = int(counts[ident])
-        if n == 0:
-            continue
+    for ident, n in enumerate(rows.counts.tolist()):
         inst = data[rows.starts[ident] : rows.starts[ident] + n]
         mean_emb = l2_normalize(Tensor(embed(extractor, inst))).data.mean(axis=0)
-        w = head_w[:, col]
+        w = head_w[:, ident]
         cos = float(w @ mean_emb / max(np.linalg.norm(w) * np.linalg.norm(mean_emb), 1e-12))
         per_bucket.setdefault(_bucket_name(n), []).append(cos)
     return (
@@ -335,10 +329,9 @@ def _loop_alignment(head_w, universe, counts, extractor, class_ids):
 
 
 def _desk_case(n_classes=300, seed=71):
-    """A desk-shaped extractor and long-tail counts with zero and one-instance classes."""
+    """A desk-shaped extractor and long-tail counts with one-instance classes."""
     universe = build_universe(n_classes + 20, 32, 0.1, seed=seed)
     counts = assign_longtail_counts(LongTailSpec(1.2, 1, 120), n_classes)
-    counts[[5, 40, 41, 150]] = 0
     extractor = init_extractor([32, 64, 64, 32], seed=seed + 1)
     return universe, counts, extractor
 
@@ -346,18 +339,17 @@ def _desk_case(n_classes=300, seed=71):
 class TestTailAlignmentMatchesLoop:
     def test_desk_extractor_across_row_blocks(self):
         universe, counts, extractor = _desk_case()
-        class_ids = np.arange(counts.size)
         head_w = FcHead(32, counts.size, seed=73).W.data
         # at least two blocks, one class straddling a block edge, and
-        # classes with 0 and 1 instances
+        # classes with 1 instance
         ends = np.cumsum(counts)
         bounds = np.linspace(0, ends[-1], math.ceil(ends[-1] / rng.KEY_CHUNK) + 1)
         edge = bounds[1:-1].astype(np.int64)
         assert edge.size >= 1
         assert ((ends - counts < edge[:, None]) & (ends > edge[:, None])).any()
-        assert {0, 1} <= set(counts.tolist())
+        assert 1 in counts
         report = tail_alignment_diagnostic(head_w, universe, counts, extractor)
-        mean_cosine, class_counts = _loop_alignment(head_w, universe, counts, extractor, class_ids)
+        mean_cosine, class_counts = _loop_alignment(head_w, universe, counts, extractor)
         assert report.mean_cosine == mean_cosine
         assert report.class_counts == class_counts
         assert list(report.mean_cosine) == list(mean_cosine)
@@ -365,22 +357,23 @@ class TestTailAlignmentMatchesLoop:
     @pytest.mark.parametrize("min_instances", [1, 3, 9])
     def test_filtered_class_ids(self, min_instances):
         universe, counts, extractor = _desk_case(n_classes=400, seed=81)
-        class_ids, _ = filter_head_classes(counts, min_instances)
-        head_w = FcHead(32, class_ids.size, seed=83).W.data
-        report = tail_alignment_diagnostic(head_w, universe, counts, extractor, class_ids)
-        mean_cosine, class_counts = _loop_alignment(head_w, universe, counts, extractor, class_ids)
+        head_w = FcHead(32, head_class_count(counts, min_instances), seed=83).W.data
+        report = tail_alignment_diagnostic(head_w, universe, counts, extractor)
+        mean_cosine, class_counts = _loop_alignment(head_w, universe, counts, extractor)
         assert report.mean_cosine == mean_cosine
         assert report.class_counts == class_counts
 
     def test_single_row_table(self):
         universe = build_universe(4, 8, 0.2, seed=91)
-        counts = np.array([0, 1, 0, 0])
+        counts = np.array([1, 1, 1, 1])
         extractor = init_extractor([8, 16, 8], seed=92)
-        head_w = FcHead(8, 4, seed=93).W.data
+        head_w = FcHead(8, 2, seed=93).W.data[:, :1]
         report = tail_alignment_diagnostic(head_w, universe, counts, extractor)
         assert (report.mean_cosine, report.class_counts) == _loop_alignment(
-            head_w, universe, counts, extractor, np.arange(4)
+            head_w, universe, counts, extractor
         )
+        with pytest.raises(ConfigError):
+            tail_alignment_diagnostic(head_w, universe, np.array([0, 1]), extractor)
 
 
 class TestTailAlignmentValidation:
@@ -391,25 +384,17 @@ class TestTailAlignmentValidation:
         extractor = init_extractor([8, 16, 8], seed=96)
         return universe, counts, extractor
 
-    @pytest.mark.parametrize("class_ids", [[0, 1], list(range(6)) + [6]])
-    def test_class_ids_not_matching_columns(self, case, class_ids):
+    def test_head_wider_than_counts(self, case):
         universe, counts, extractor = case
-        head_w = FcHead(8, 6, seed=97).W.data
+        head_w = FcHead(8, 7, seed=97).W.data
         with pytest.raises(ShapeError):
-            tail_alignment_diagnostic(head_w, universe, counts, extractor, np.array(class_ids))
+            tail_alignment_diagnostic(head_w, universe, counts, extractor)
 
     def test_wrong_embed_dim(self, case):
         universe, counts, extractor = case
         head_w = FcHead(16, 6, seed=97).W.data
         with pytest.raises(ShapeError):
             tail_alignment_diagnostic(head_w, universe, counts, extractor)
-
-    @pytest.mark.parametrize("class_ids", [[0, 1, 1], [0, 1, 6], [-1, 0, 1]])
-    def test_class_ids_repeated_or_out_of_range(self, case, class_ids):
-        universe, counts, extractor = case
-        head_w = FcHead(8, 3, seed=97).W.data
-        with pytest.raises(ConfigError):
-            tail_alignment_diagnostic(head_w, universe, counts, extractor, np.array(class_ids))
 
 
 def test_alignment_embeds_row_blocks_not_classes(monkeypatch):

@@ -1,4 +1,6 @@
+import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,14 @@ from dcq.synthdata import (
     write_dataset,
 )
 from dcq.trainer import TrainConfig
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _profile_spec(name):
+    """A checked-in profile's count spec and class count."""
+    cfg = json.loads((CONFIGS / name).read_text())
+    return LongTailSpec(cfg["zipf_exponent"], cfg["min_count"], cfg["max_count"]), cfg["n_classes"]
 
 
 class TestBuildUniverse:
@@ -103,8 +113,21 @@ class TestLongTailCounts:
         assert tail_fraction >= 0.8
         assert tail_summary(counts)["tail_fraction"] == tail_fraction
 
-    def test_counts_non_increasing(self):
-        counts = assign_longtail_counts(LongTailSpec(1.2, 1, 300), 500)
+    # the head-only baseline keeps the first n classes, which needs these
+    # counts non-increasing: the checked-in profiles, then flat edge specs
+    @pytest.mark.parametrize(
+        "spec, n_classes",
+        [
+            _profile_spec("desk.json"),
+            _profile_spec("mf2-shape.json"),
+            (LongTailSpec(1.2, 1, 300), 500),
+            (LongTailSpec(0.0, 2, 200), 300),
+            (LongTailSpec(1.5, 7, 7), 300),
+        ],
+        ids=["desk", "mf2-shape", "zipf-1.2", "zipf-0", "min-equals-max"],
+    )
+    def test_counts_non_increasing(self, spec, n_classes):
+        counts = assign_longtail_counts(spec, n_classes)
         assert (np.diff(counts) <= 0).all()
 
     def test_summary_matches_enumeration(self):
@@ -154,16 +177,16 @@ class TestDrawInstance:
 
 class TestInstanceRows:
     def test_rows_equal_draw_instance(self):
-        u = build_universe(9, 6, 0.2, seed=21)  # identities 7 and 8 have no count, so no rows
-        counts = np.array([4, 1, 0, 3, 1, 0, 2])
+        u = build_universe(9, 6, 0.2, seed=21)  # identities 5 to 8 have no count, so no rows
+        counts = np.array([4, 1, 3, 1, 2])
         rows = InstanceRows(u, counts)
         assert rows.index.tolist() == [0, 1, 2, 3, 0, 0, 1, 2, 0, 0, 1]
         # a plan holds the same layout and rows as its own attributes
         plan = PairPlan(u, counts, 4, "instance")
         for layout, data in ((rows, rows.draw(0, 11)), (plan, plan.data)):
             assert data.shape == (11, 6)
-            assert layout.starts.tolist() == [0, 4, 5, 5, 8, 9, 9]
-            assert layout.owner.tolist() == [0, 0, 0, 0, 1, 3, 3, 3, 4, 6, 6]
+            assert layout.starts.tolist() == [0, 4, 5, 8, 9]
+            assert layout.owner.tolist() == [0, 0, 0, 0, 1, 2, 2, 2, 3, 4, 4]
             for ident, n in enumerate(counts):
                 for k in range(n):
                     row = layout.starts[ident] + k
@@ -172,23 +195,24 @@ class TestInstanceRows:
 
     def test_bad_counts(self):
         u = build_universe(3, 4, 0.1, seed=0)
-        for counts in (np.array([1, -1]), np.ones(4, dtype=np.int64)):
+        bad = ([1, -1], [2, 0, 1], [], [1, 1, 1, 1])  # negative, zero, empty, more than C
+        for counts in map(np.array, bad):
             with pytest.raises(ConfigError):
                 InstanceRows(u, counts)
             with pytest.raises(ConfigError):
                 PairPlan(u, counts, 2, "instance")
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 255, 256, 257, 513, 4393])
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 513, 4393])
     def test_blocks_tile_the_table_in_near_equal_ranges(self, n):
-        # the rows split over three identities; the blocks depend on n alone
-        u = build_universe(3, 2, 0.1, seed=22)
-        blocks = InstanceRows(u, np.array([n // 2, 0, n - n // 2])).blocks()
+        # the rows split over two identities, or one at n = 1; the blocks depend on n alone
+        u = build_universe(2, 2, 0.1, seed=22)
+        blocks = InstanceRows(u, np.array([n - n // 2, n // 2][: min(n, 2)])).blocks()
         edges = [0] + [hi for _, hi in blocks]
         assert [lo for lo, _ in blocks] == edges[:-1] and edges[-1] == n
         assert len(blocks) == -(-n // rng.KEY_CHUNK)
         sizes = [hi - lo for lo, hi in blocks]
         assert all(0 < size <= rng.KEY_CHUNK for size in sizes)
-        assert max(sizes, default=0) - min(sizes, default=0) <= 1
+        assert max(sizes) - min(sizes) <= 1
         assert 1 not in sizes or n == 1
 
 
@@ -237,8 +261,7 @@ def _oracle_batch(plan, step):
         owner = [ident for ident, n in enumerate(counts) for _ in range(n)]
         idents = [owner[int(words.uniform() * len(owner))] for _ in range(plan.batch_size)]
     else:
-        eligible = [ident for ident, n in enumerate(counts) if n]
-        idents = [eligible[words.below(len(eligible))] for _ in range(plan.batch_size)]
+        idents = [words.below(len(counts)) for _ in range(plan.batch_size)]
     u = plan.universe
     labels, x_t, x_w = [], [], []
     for row, ident in enumerate(idents):
@@ -316,10 +339,8 @@ class TestPairBatch:
         # with no single-instance identity, the batch is what Generator.choice
         # then the per-row index draws below make on the step's stream, as
         # long as numpy redraws none of them
-        counts = np.arange(40) % 7
-        counts[counts == 1] = 0  # zeros, count-2 and larger
-        eligible = np.flatnonzero(counts)
-        weights = counts[eligible] / counts[eligible].sum()
+        counts = np.arange(40) % 6 + 2  # counts 2 to 7
+        weights = counts / counts.sum()
         for seed in range(200):
             u = build_universe(40, 4, 0.1, seed)
             rows = InstanceRows(u, counts)
@@ -327,7 +348,7 @@ class TestPairBatch:
             for mode, p in (("instance", weights), ("class", None)):
                 batch = make_pair_batch(PairPlan(u, counts, 16, mode), 0)
                 ref = rng.stream(seed, rng.BATCH, 0)
-                idents = ref.choice(eligible, size=16, p=p)
+                idents = ref.choice(counts.size, size=16, p=p)
                 x_t, x_w = [], []
                 for ident in idents:
                     n, start = int(counts[ident]), int(rows.starts[ident])
@@ -363,16 +384,16 @@ class TestPairPlan:
         return flags
 
     @given(
-        counts=st.lists(st.integers(0, 4), min_size=1, max_size=12).filter(any),
+        counts=st.lists(st.integers(1, 4), min_size=1, max_size=12),
         mode=st.sampled_from(["instance", "class"]),
         batch_size=st.sampled_from([1, 7, 33]),
         seed=st.integers(0, 2**64 - 1),
         start=st.integers(0, 2 * PLAN_BLOCK_STEPS),
     )
-    @example(counts=[0, 1, 2], mode="instance", batch_size=33, seed=0, start=0)
-    @example(counts=[0, 1, 2], mode="class", batch_size=7, seed=1, start=PLAN_BLOCK_STEPS // 2)
-    @example(counts=[0, 3, 0], mode="class", batch_size=7, seed=2, start=5)
-    @example(counts=[0, 1, 0], mode="instance", batch_size=1, seed=3, start=1)
+    @example(counts=[1, 2], mode="instance", batch_size=33, seed=0, start=0)
+    @example(counts=[1, 2], mode="class", batch_size=7, seed=1, start=PLAN_BLOCK_STEPS // 2)
+    @example(counts=[3], mode="class", batch_size=7, seed=2, start=5)
+    @example(counts=[1], mode="instance", batch_size=1, seed=3, start=1)
     @settings(max_examples=60, deadline=None)
     def test_matches_scalar_oracle(self, counts, mode, batch_size, seed, start):
         # a plan opened mid-block, a step inside that block, then the next block
@@ -410,9 +431,9 @@ class TestPairPlan:
     @pytest.mark.parametrize("batch_size", [4, 7])
     def test_one_eligible_identity_in_class_mode(self, batch_size):
         # a bound of 1 draws nothing, so the index draws start the stream
-        plan = _plan([0, 5, 0], batch_size, "class", 8)
+        plan = _plan([5], batch_size, "class", 8)
         self._assert_oracle(plan, range(12))
-        assert (plan.labels == 1).all()
+        assert (plan.labels == 0).all()
 
     @pytest.mark.parametrize("mode", ["instance", "class"])
     def test_single_instance_steps_match_oracle(self, mode):
@@ -451,7 +472,7 @@ class TestPairPlan:
             n = np.arange(lo, lo + 2**20, dtype=np.float64)
             assert ((u_max * n).astype(np.int64) < n).all()
 
-    @pytest.mark.parametrize("counts", [[0, 4, 2, 3, 0], [0, 0, 2, 0, 5, 0, 0, 0]])
+    @pytest.mark.parametrize("counts", [[4, 2, 3], [2, 5]])
     @pytest.mark.parametrize("mode", ["instance", "class"])
     @pytest.mark.parametrize("word", [0, 2**64 - 1])
     def test_extreme_words_pick_the_first_and_last_rows(self, counts, mode, word, monkeypatch):
@@ -469,7 +490,7 @@ class TestPairPlan:
         make_pair_batch(plan, 0)
         batch = make_pair_batch(plan, 3)
         data, first = plan.data, word == 0
-        owner = np.flatnonzero(counts)[0 if first else -1]
+        owner = 0 if first else len(counts) - 1
         assert batch.y.tolist() == [owner] * 4
         # query index 0 then reference 0 shifted past it, or query index
         # n - 1 then reference n - 2, which stays below it
@@ -670,10 +691,10 @@ class TestDatasetFile:
 
     def test_bytes_match_record_layout(self, tmp_path):
         # one block, then three blocks with classes 0 and 3 straddling the
-        # block edges at rows 183 and 367
+        # block edges at rows 184 and 368
         assert rng.KEY_CHUNK == 256
         u = build_universe(4, 3, 0.2, seed=14)
-        for counts in (np.array([2, 1, 0, 3]), np.array([300, 1, 0, 250])):
+        for counts in (np.array([2, 1, 1, 3]), np.array([300, 1, 1, 250])):
             path = tmp_path / "data.dcqd"
             write_dataset(path, u, counts)
             expected = [b"DCQD" + struct.pack("<IIII", 1, 4, 3, counts.sum())]

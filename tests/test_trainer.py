@@ -11,7 +11,7 @@ import dcq.checkpoint
 import dcq.class_queue
 import dcq.trainer
 from dcq import rng
-from dcq.baseline import FcHead, fc_cosface_loss, filter_head_classes
+from dcq.baseline import FcHead, fc_cosface_loss, head_class_count
 from dcq.checkpoint import load_checkpoint, save_checkpoint
 from dcq.class_queue import SENTINEL_LABEL, ClassQueue, dcq_cosface_loss, dcq_logits_with_mask
 from dcq.evalbench import head_cost_report
@@ -64,7 +64,7 @@ def _cosface(s: float, m: float):
 # Rules that resolve and a public builder each state: per config field, the
 # fields resolve needs beside TINY and the builder called with the value.
 RESTATED_RULES = {
-    "min_instances": ({}, lambda v: filter_head_classes(np.array([3, 3]), v)),
+    "min_instances": ({}, lambda v: head_class_count(np.array([3, 3]), v)),
     "sampling": ({}, lambda v: PairPlan(build_universe(4, 4, 0.1, 1), np.array([2, 2]), 4, v)),
     "alpha": ({}, lambda v: dcq.class_queue.EmaGenerator(init_extractor([4, 8, 4], 1), v)),
     "s": ({}, lambda v: _cosface(v, 0.1)),
@@ -456,11 +456,22 @@ class TestRunTraining:
         assert result.final_step > 0
         assert events == ["backward", "update"] * result.final_step
 
-    def test_head_only_filters_and_remaps(self):
+    def test_head_only_trains_the_first_classes(self):
+        # every label a head-only run trains on is one of its n columns
         cfg = TrainConfig(method="cosface-head-only", min_instances=5, **TINY)
-        result = run_training(cfg)
-        assert result.head.W.shape[1] == int((result.counts >= 5).sum())
-        assert result.head.retained_ids is not None
+        labels, widths = [], []
+
+        def record(rec):
+            labels.append(rec["labels"])
+            widths.append(rec["probs"].shape[1])
+
+        result = run_training(cfg, hooks=record)
+        counts, n = result.counts, result.head.W.shape[1]
+        assert n == int((counts >= 5).sum()) < counts.size
+        assert (np.concatenate(labels) < n).all()
+        assert set(widths) == {n}
+        np.testing.assert_array_equal(result.head.train_counts, counts[:n])
+        assert (counts[n:] < 5).all()
 
     def test_monotone_loss_on_separable_toy(self):
         # frozen probe task: the loss as a pure function of the parameters
