@@ -390,6 +390,12 @@ class TestTailAlignmentValidation:
         with pytest.raises(ShapeError):
             tail_alignment_diagnostic(head_w, universe, counts, extractor)
 
+    def test_head_not_a_matrix(self, case):
+        universe, counts, extractor = case
+        head_w = FcHead(8, 6, seed=97).W.data[:, 0]
+        with pytest.raises(ShapeError):
+            tail_alignment_diagnostic(head_w, universe, counts, extractor)
+
     def test_wrong_embed_dim(self, case):
         universe, counts, extractor = case
         head_w = FcHead(16, 6, seed=97).W.data
